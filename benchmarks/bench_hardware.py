@@ -31,9 +31,13 @@ The acceptance bar is a ≥ 2× wall-clock speedup of the batched simulator
 with per-network results numerically equivalent to the reference loop
 (guarded by ``np.testing.assert_allclose`` at 1e-9).  Both paths are warmed
 once and timed best-of-``REPEATS`` (the PR-1 lesson: first-touch faults and
-allocator growth otherwise dominate sub-second measurements).  Numbers land
-in ``benchmark.extra_info`` and in ``BENCH_hardware.json`` via
-``benchmarks/run_benchmarks.py --suite hardware``.
+allocator growth otherwise dominate sub-second measurements).
+
+The timing run takes tens of seconds, so it is not a pytest test: run it with
+``python benchmarks/run_benchmarks.py --suite hardware [--check]``, which
+appends to ``BENCH_hardware.json`` and enforces the 2× bar.  The numerical
+gate (batched vs reference loop, both ADC execution branches) stays in the
+tier-1 suite as ``tests/test_hardware_sim.py``.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import time
 
 import numpy as np
 
-from bench_utils import run_once
+from bench_utils import _SRC  # noqa: F401  (puts src/ on sys.path)
 from repro.core.conversion import convert_to_lowrank
 from repro.hardware.library import CrossbarLibrary
 from repro.hardware.mapper import NetworkMapper
@@ -138,17 +142,3 @@ def collect_hardware_stats():
         "serial_speedup": reference_s / serial_s,
         "batched_speedup": reference_s / batched_s,
     }
-
-
-def _check_shape(stats):
-    # The satellite acceptance bar: the batched simulator must beat the naive
-    # per-tile loop reference by at least 2x wall-clock.
-    assert stats["batched_speedup"] >= 2.0, stats
-
-
-def test_hardware_sim_throughput(benchmark):
-    stats = run_once(benchmark, collect_hardware_stats)
-    _check_shape(stats)
-    benchmark.extra_info.update(
-        {k: round(v, 4) if isinstance(v, float) else v for k, v in stats.items()}
-    )

@@ -132,7 +132,7 @@ def run_lockstep(output: Path, check: bool) -> int:
 
 
 def run_hardware(output: Path, check: bool) -> int:
-    from test_bench_hardware import collect_hardware_stats
+    from bench_hardware import collect_hardware_stats
 
     record = _base_record()
     record.update({k: round(v, 4) if isinstance(v, float) else v

@@ -15,7 +15,12 @@ Two checks:
 """
 
 from bench_utils import run_once
-from repro.experiments import PAPER_HEADLINE, run_table1
+from repro.experiments import (
+    PAPER_HEADLINE,
+    ExperimentContext,
+    execute_spec,
+    spec_for_workload,
+)
 from repro.hardware import network_area_fraction
 
 
@@ -23,13 +28,15 @@ def test_svd_ablation(benchmark, lenet_baseline):
     workload, network, accuracy, setup = lenet_baseline
     result = run_once(
         benchmark,
-        run_table1,
-        workload,
-        setup=setup,
-        baseline_network=network,
-        baseline_accuracy=accuracy,
-        method="svd",
-    )
+        execute_spec,
+        spec_for_workload("table1", workload, lowrank_method="svd"),
+        context=ExperimentContext(
+            workload=workload,
+            setup=setup,
+            baseline_network=network,
+            baseline_accuracy=accuracy,
+        ),
+    ).result
     print()
     print(result.format_table())
 

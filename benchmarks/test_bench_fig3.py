@@ -11,19 +11,22 @@ close to the accuracy at the start.
 """
 
 from bench_utils import run_once
-from repro.experiments import run_figure3
+from repro.experiments import ExperimentContext, execute_spec, spec_for_workload
 
 
 def test_figure3_rank_ratio_trace(benchmark, lenet_baseline):
     workload, network, accuracy, setup = lenet_baseline
     series = run_once(
         benchmark,
-        run_figure3,
-        workload,
-        setup=setup,
-        baseline_network=network,
-        baseline_accuracy=accuracy,
-    )
+        execute_spec,
+        spec_for_workload("figure3", workload),
+        context=ExperimentContext(
+            workload=workload,
+            setup=setup,
+            baseline_network=network,
+            baseline_accuracy=accuracy,
+        ),
+    ).result
     print()
     print(series.format_series())
 

@@ -9,7 +9,7 @@ the accuracy degradation over the sweep is modest.
 """
 
 from bench_utils import run_once
-from repro.experiments import sweep_rank_clipping
+from repro.experiments import ExperimentContext, execute_spec, spec_for_workload
 
 TOLERANCES = [0.01, 0.05, 0.15, 0.25]
 
@@ -18,13 +18,17 @@ def test_figure6_ranks_vs_tolerance(benchmark, lenet_baseline):
     workload, network, accuracy, setup = lenet_baseline
     sweep = run_once(
         benchmark,
-        sweep_rank_clipping,
-        workload,
-        TOLERANCES,
-        setup=setup,
-        baseline_network=network,
-        baseline_accuracy=accuracy,
-    )
+        execute_spec,
+        spec_for_workload(
+            "sweep", workload, method="rank_clipping", grid=tuple(TOLERANCES)
+        ),
+        context=ExperimentContext(
+            workload=workload,
+            setup=setup,
+            baseline_network=network,
+            baseline_accuracy=accuracy,
+        ),
+    ).result
     print()
     print(sweep.format_table())
 

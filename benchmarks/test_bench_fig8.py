@@ -14,7 +14,7 @@ gracefully (not catastrophically) across the sweep.
 import numpy as np
 
 from bench_utils import run_once
-from repro.experiments import sweep_group_deletion
+from repro.experiments import ExperimentContext, execute_spec, spec_for_workload
 
 STRENGTHS = [0.01, 0.03, 0.06]
 
@@ -23,13 +23,18 @@ def test_figure8_routing_vs_error(benchmark, convnet_baseline):
     workload, network, accuracy, setup = convnet_baseline
     sweep = run_once(
         benchmark,
-        sweep_group_deletion,
-        workload,
-        STRENGTHS,
-        include_small_matrices=True,
-        setup=setup,
-        baseline_network=network,
-    )
+        execute_spec,
+        spec_for_workload(
+            "sweep",
+            workload,
+            method="group_deletion",
+            grid=tuple(STRENGTHS),
+            include_small_matrices=True,
+        ),
+        context=ExperimentContext(
+            workload=workload, setup=setup, baseline_network=network
+        ),
+    ).result
     print()
     print(sweep.format_table())
 

@@ -42,12 +42,15 @@ from repro.core import GroupDeletionConfig, RankClippingConfig, RankClipper
 from repro.core.conversion import convert_to_lowrank
 from repro.core.groups import derive_network_groups, matrix_group_norms
 from repro.experiments import (
+    ExperimentContext,
     SweepEngine,
+    execute_spec,
     get_scale,
     lenet_workload,
-    sweep_group_deletion,
+    spec_for_workload,
     train_baseline,
 )
+from repro.experiments.resilience import RunMonitor
 from repro.experiments.runner import StrengthPointTask
 
 STRENGTHS = [0.005, 0.01, 0.02, 0.04, 0.06, 0.08]
@@ -103,22 +106,26 @@ def collect_lockstep_stats():
             for index, strength in enumerate(STRENGTHS)
         ]
 
+    def run_points(engine, tasks):
+        outcomes = engine.run_strength_points(tasks, RunMonitor())
+        return [outcomes[slot] for slot in sorted(outcomes)]
+
     # λ-point training phase, interleaved best-of-REPEATS per policy (the
     # deep copies in make_tasks are excluded from the timed region; both
     # policies would pay them identically).  One untimed warmup run per
     # policy keeps allocator growth and first-touch faults out of the band.
-    serial_engine.run_strength_points(make_tasks(serial_engine))
-    lockstep_engine.run_strength_points(make_tasks(lockstep_engine))
+    run_points(serial_engine, make_tasks(serial_engine))
+    run_points(lockstep_engine, make_tasks(lockstep_engine))
     serial_times, lockstep_times = [], []
     serial_outcomes = lockstep_outcomes = None
     for _ in range(REPEATS):
         tasks = make_tasks(serial_engine)
         start = time.perf_counter()
-        serial_outcomes = serial_engine.run_strength_points(tasks)
+        serial_outcomes = run_points(serial_engine, tasks)
         serial_times.append(time.perf_counter() - start)
         tasks = make_tasks(lockstep_engine)
         start = time.perf_counter()
-        lockstep_outcomes = lockstep_engine.run_strength_points(tasks)
+        lockstep_outcomes = run_points(lockstep_engine, tasks)
         lockstep_times.append(time.perf_counter() - start)
 
     # Correctness gates: the lockstep stack must not change a single bit of
@@ -143,18 +150,26 @@ def collect_lockstep_stats():
         for name, values in serial_norms.items():
             np.testing.assert_array_equal(values, lockstep_norms[name])
 
-    # End-to-end sweep (adds the shared clip preamble + batched evaluation).
-    kwargs = dict(include_small_matrices=True, setup=setup, baseline_network=network)
-    start = time.perf_counter()
-    serial_sweep = sweep_group_deletion(
-        workload, STRENGTHS, engine=serial_engine, **kwargs
+    # End-to-end sweep (adds the shared clip preamble + per-point evaluation).
+    context = ExperimentContext(
+        workload=workload, setup=setup, baseline_network=network
     )
-    sweep_serial_s = time.perf_counter() - start
-    start = time.perf_counter()
-    lockstep_sweep = sweep_group_deletion(
-        workload, STRENGTHS, engine=lockstep_engine, **kwargs
-    )
-    sweep_lockstep_s = time.perf_counter() - start
+
+    def sweep_with(engine):
+        spec = spec_for_workload(
+            "sweep",
+            workload,
+            method="group_deletion",
+            grid=tuple(STRENGTHS),
+            include_small_matrices=True,
+            engine=engine,
+        )
+        start = time.perf_counter()
+        result = execute_spec(spec, context=context).result
+        return result, time.perf_counter() - start
+
+    serial_sweep, sweep_serial_s = sweep_with(serial_engine)
+    lockstep_sweep, sweep_lockstep_s = sweep_with(lockstep_engine)
     assert serial_sweep.points == lockstep_sweep.points
 
     serial_s = min(serial_times)

@@ -32,10 +32,12 @@ import numpy as np
 
 from bench_utils import run_once
 from repro.experiments import (
+    ExperimentContext,
     SweepEngine,
+    execute_spec,
     lenet_workload,
     mlp_workload,
-    sweep_group_deletion,
+    spec_for_workload,
     train_baseline,
 )
 from repro.nn.batched import batched_evaluate
@@ -50,13 +52,21 @@ def collect_sweep_stats():
     """Sweep timings/speedups as a flat dict (shared with run_benchmarks)."""
     workload = mlp_workload("tiny")
     network, baseline_accuracy, setup = train_baseline(workload)
-    kwargs = dict(
-        include_small_matrices=True, setup=setup, baseline_network=network
+    context = ExperimentContext(
+        workload=workload, setup=setup, baseline_network=network
     )
 
     def timed(engine):
+        spec = spec_for_workload(
+            "sweep",
+            workload,
+            method="group_deletion",
+            grid=tuple(STRENGTHS),
+            include_small_matrices=True,
+            engine=engine,
+        )
         start = time.perf_counter()
-        sweep = sweep_group_deletion(workload, STRENGTHS, engine=engine, **kwargs)
+        sweep = execute_spec(spec, context=context).result
         return sweep, time.perf_counter() - start
 
     reference_sweep, t_reference = timed(SweepEngine.reference())

@@ -20,7 +20,7 @@ Direct LRA at those ranks loses accuracy, and rank clipping recovers to
 """
 
 from bench_utils import run_once
-from repro.experiments import run_table1
+from repro.experiments import ExperimentContext, execute_spec, spec_for_workload
 
 
 def _check_shape(result, workload):
@@ -40,12 +40,15 @@ def test_table1_lenet(benchmark, lenet_baseline):
     workload, network, accuracy, setup = lenet_baseline
     result = run_once(
         benchmark,
-        run_table1,
-        workload,
-        setup=setup,
-        baseline_network=network,
-        baseline_accuracy=accuracy,
-    )
+        execute_spec,
+        spec_for_workload("table1", workload),
+        context=ExperimentContext(
+            workload=workload,
+            setup=setup,
+            baseline_network=network,
+            baseline_accuracy=accuracy,
+        ),
+    ).result
     print()
     print(result.format_table())
     _check_shape(result, workload)
@@ -55,12 +58,15 @@ def test_table1_convnet(benchmark, convnet_baseline):
     workload, network, accuracy, setup = convnet_baseline
     result = run_once(
         benchmark,
-        run_table1,
-        workload,
-        setup=setup,
-        baseline_network=network,
-        baseline_accuracy=accuracy,
-    )
+        execute_spec,
+        spec_for_workload("table1", workload),
+        context=ExperimentContext(
+            workload=workload,
+            setup=setup,
+            baseline_network=network,
+            baseline_accuracy=accuracy,
+        ),
+    ).result
     print()
     print(result.format_table())
     _check_shape(result, workload)

@@ -4,9 +4,9 @@
 #   ci/run_ci.sh            # tier-1: full test + benchmark suite (includes
 #                           # the kernel parity / engine regression tests,
 #                           # the 2-worker sweep parity tests, the
-#                           # spec/store/CLI/deprecation-shim tests, and the
-#                           # crossbar-simulator parity/eval tests) plus
-#                           # `python -m repro` CLI smoke jobs
+#                           # spec/store/CLI tests, the golden-artifact pins,
+#                           # and the crossbar-simulator parity/eval tests)
+#                           # plus `python -m repro` CLI smoke jobs
 #   ci/run_ci.sh --quick    # engine regression tests only (fast iteration)
 #   ci/run_ci.sh --bench    # tier-1 plus one BENCH_<suite>.json data point
 #                           # per registered suite (suite names come from the
@@ -21,6 +21,8 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 # test_sweep_engine.py runs the serial-vs-parallel parity tests with a
 # 2-worker process pool, so every CI invocation exercises the fan-out path.
+# Both pytest invocations run with -W error: the suite emits no warnings,
+# and a new one fails CI instead of scrolling past.
 ENGINE_TESTS=(
   tests/test_kernel_parity.py
   tests/test_cache_release.py
@@ -34,7 +36,7 @@ ENGINE_TESTS=(
   tests/test_spec.py
   tests/test_run_store.py
   tests/test_cli.py
-  tests/test_shims.py
+  tests/test_golden.py
   tests/test_hardware_sim.py
   tests/test_hardware_eval.py
   tests/test_analysis.py
@@ -59,11 +61,11 @@ run_lint() {
 if [[ "${1:-}" == "--quick" ]]; then
   run_lint
   echo "== quick: kernel parity and engine regression tests (2-worker sweep parity included) =="
-  python -m pytest -x -q "${ENGINE_TESTS[@]}"
+  python -m pytest -x -q -W error "${ENGINE_TESTS[@]}"
 else
   run_lint
   echo "== tier-1: full test + benchmark suite (kernel + sweep parity included) =="
-  python -m pytest -x -q
+  python -m pytest -x -q -W error
 
   echo "== CLI smoke: spec -> run -> artifact -> resume -> show/compare =="
   CLI_STORE="$(mktemp -d)"
@@ -183,6 +185,34 @@ print(f"interleave OK: {len(nodes)} node events, {switches} job switches, "
       f"{len(requeued)} requeued after crash")
 PY
   python -m repro watch "$JOB_B" --store "$SCHED_STORE" --timeout 30 > /dev/null
+  # A lockstep λ sweep runs its stacked points as one supervised `points`
+  # node between the shared clip and the assembly.
+  JOB_L="$(python -m repro submit figure8 --scale tiny --engine-mode lockstep \
+           --store "$SCHED_STORE" --json \
+           | python -c 'import json, sys; print(json.load(sys.stdin)["job_id"])')"
+  python -m repro serve-jobs --store "$SCHED_STORE" --workers 1 --poll 0.1 --drain
+  python - "$SCHED_STORE" "$JOB_L" <<'PY'
+import sys
+from repro.scheduler import JobQueue
+from repro.scheduler.daemon import default_queue_root
+
+queue = JobQueue(default_queue_root(sys.argv[1]))
+job = sys.argv[2]
+nodes = [
+    e["node"] for e in queue.events()
+    if e["job"] == job and e["event"] == "node-done"
+]
+assert nodes == ["baseline", "clip", "points", "assemble"], nodes
+state = queue.state(job)
+assert state["state"] == "done", state
+print(f"lockstep job OK: nodes {nodes}")
+PY
+  python -m repro status --store "$SCHED_STORE" --json | python -c '
+import json, sys
+row = {row["job_id"]: row for row in json.load(sys.stdin)}[sys.argv[1]]
+assert row["artifact"]["complete"] is True, row
+print("lockstep artifact complete")
+' "$JOB_L"
 
   echo "== observability smoke: serve-bench --metrics -> accounting + exact p99 agreement -> traced scheduler job =="
   # The exported metrics snapshot must satisfy the serving accounting

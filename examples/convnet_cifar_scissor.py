@@ -20,11 +20,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.experiments import (
+    ExperimentContext,
     convnet_workload,
-    run_table1,
-    run_table3,
+    execute_spec,
     sparsity_maps,
-    sweep_group_deletion,
+    spec_for_workload,
     train_baseline,
 )
 from repro.hardware import network_area_fraction
@@ -53,16 +53,21 @@ def main() -> None:
     print(f"=== Training the dense ConvNet baseline ({args.scale} scale) ===")
     network, accuracy, setup = train_baseline(workload)
     print(f"baseline accuracy: {accuracy:.2%}")
-
-    # ------------------------------------------------------------ Table 1
-    print("\n=== Rank clipping (Table 1, ConvNet rows) ===")
-    table1 = run_table1(
-        workload,
-        tolerance=args.tolerance,
+    # Every deliverable below starts from this one trained baseline.
+    context = ExperimentContext(
+        workload=workload,
         setup=setup,
         baseline_network=network,
         baseline_accuracy=accuracy,
     )
+
+    def run(kind, **fields):
+        spec = spec_for_workload(kind, workload, tolerance=args.tolerance, **fields)
+        return execute_spec(spec, context=context).result
+
+    # ------------------------------------------------------------ Table 1
+    print("\n=== Rank clipping (Table 1, ConvNet rows) ===")
+    table1 = run("table1")
     print(table1.format_table())
     ranks = table1.row("Rank clipping").ranks
     area = network_area_fraction(
@@ -72,15 +77,7 @@ def main() -> None:
 
     # ------------------------------------------------------------ Table 3
     print("\n=== Group connection deletion (Table 3, ConvNet rows) ===")
-    table3 = run_table3(
-        workload,
-        tolerance=args.tolerance,
-        strength=args.strength,
-        include_small_matrices=True,
-        setup=setup,
-        baseline_network=network,
-        baseline_accuracy=accuracy,
-    )
+    table3 = run("table3", strength=args.strength, include_small_matrices=True)
     print(table3.format_table())
 
     # ----------------------------------------------------------- Figure 9
@@ -94,13 +91,11 @@ def main() -> None:
 
     # ----------------------------------------------------------- Figure 8
     print("\n=== Routing wires / area vs classification error (Figure 8) ===")
-    sweep = sweep_group_deletion(
-        workload,
-        args.sweep,
-        tolerance=args.tolerance,
+    sweep = run(
+        "sweep",
+        method="group_deletion",
+        grid=tuple(args.sweep),
         include_small_matrices=True,
-        setup=setup,
-        baseline_network=network,
     )
     print(sweep.format_table())
 

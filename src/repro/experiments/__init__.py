@@ -17,9 +17,7 @@ long-running service via the job verbs (``serve-jobs`` / ``submit`` /
 ``status`` / ``cancel`` / ``watch``, see :mod:`repro.scheduler`).
 ``execute_spec`` itself is a thin wrapper over a single-spec run of the
 experiment graph (:mod:`repro.experiments.graph`), which exposes the same
-pipeline as an explicit DAG of typed nodes.  The imperative entry points
-(``run_table1``, ``sweep_rank_clipping``, …) remain as deprecation shims
-over the declarative core.
+pipeline as an explicit DAG of typed nodes.
 """
 
 from repro.experiments.graph import (
@@ -35,8 +33,6 @@ from repro.experiments.figures import (
     Figure5Series,
     HardwareAccuracySeries,
     SparsityMap,
-    run_figure3,
-    run_figure5,
     sparsity_maps,
 )
 from repro.experiments.headline import (
@@ -91,11 +87,9 @@ from repro.experiments.sweeps import (
     StrengthSweepResult,
     TolerancePoint,
     ToleranceSweepResult,
-    sweep_group_deletion,
-    sweep_rank_clipping,
 )
-from repro.experiments.table1 import Table1Result, Table1Row, run_table1
-from repro.experiments.table3 import Table3Result, Table3Row, run_table3
+from repro.experiments.table1 import Table1Result, Table1Row
+from repro.experiments.table3 import Table3Result, Table3Row
 from repro.experiments.training import TrainingSetup, train_baseline
 from repro.experiments.workloads import (
     Workload,
@@ -158,26 +152,20 @@ __all__ = [
     "StrengthPointOutcome",
     "run_tolerance_point",
     "run_strength_point",
-    # Result views and legacy entry points
+    # Result views
     "Table1Result",
     "Table1Row",
-    "run_table1",
     "Table3Result",
     "Table3Row",
-    "run_table3",
     "Figure3Series",
     "Figure5Series",
     "HardwareAccuracySeries",
     "SparsityMap",
-    "run_figure3",
-    "run_figure5",
     "sparsity_maps",
     "TolerancePoint",
     "ToleranceSweepResult",
-    "sweep_rank_clipping",
     "StrengthPoint",
     "StrengthSweepResult",
-    "sweep_group_deletion",
     "HeadlineNumbers",
     "paper_headline_numbers",
     "crossbar_area_percent",

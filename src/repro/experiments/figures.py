@@ -1,4 +1,4 @@
-"""Figure result views (3, 5 and 9) and the legacy figure entry points.
+"""Figure result views (3, 5, 9 and the hardware-accuracy series).
 
 * Figure 3 — rank ratio of each clipped layer and accuracy versus training
   iteration during rank clipping (LeNet).
@@ -10,8 +10,7 @@
 The trace-producing runs live in the declarative core
 (:mod:`repro.experiments.plan`, ``kind="figure3"`` / ``kind="figure5"``); this
 module keeps the plain data-series objects — with their text renderings and
-JSON payload round-trips, so stored artifacts rebuild the same series — plus
-:func:`run_figure3` / :func:`run_figure5` as deprecation shims.
+JSON payload round-trips, so stored artifacts rebuild the same series.
 :func:`sparsity_maps` (Figure 9) is a pure post-processing function over a
 deleted network and stays imperative.
 """
@@ -26,9 +25,6 @@ import numpy as np
 from repro.core.group_deletion import GroupDeletionResult, matrix_values
 from repro.core.groups import derive_network_groups
 from repro.core.rank_clipping import RankClippingResult
-from repro.experiments.runner import SweepEngine
-from repro.experiments.training import TrainingSetup
-from repro.experiments.workloads import Workload
 
 
 # --------------------------------------------------------------------------- Figure 3
@@ -79,43 +75,6 @@ class Figure3Series:
             acc_str = f"{acc:>12.3f}" if acc is not None else f"{'n/a':>12}"
             lines.append(f"{iteration:>8}{ratios}{acc_str}")
         return "\n".join(lines)
-
-
-def run_figure3(
-    workload: Workload,
-    *,
-    tolerance: float = 0.03,
-    setup: Optional[TrainingSetup] = None,
-    baseline_network=None,
-    baseline_accuracy: Optional[float] = None,
-) -> Figure3Series:
-    """Regenerate the Figure 3 traces (deprecated imperative entry point).
-
-    .. deprecated::
-        Build an :class:`~repro.experiments.spec.ExperimentSpec` with
-        ``kind="figure3"`` (or resolve the ``figure3`` registry preset) and
-        call :func:`~repro.experiments.plan.execute_spec`.  This shim lifts
-        its arguments into the same spec and returns the identical result.
-    """
-    from repro.experiments.plan import (
-        ExperimentContext,
-        execute_spec,
-        warn_deprecated_entry_point,
-    )
-    from repro.experiments.spec import spec_for_workload
-
-    warn_deprecated_entry_point("run_figure3", 'ExperimentSpec(kind="figure3")')
-    spec = spec_for_workload("figure3", workload, tolerance=tolerance)
-    run = execute_spec(
-        spec,
-        context=ExperimentContext(
-            workload=workload,
-            setup=setup,
-            baseline_network=baseline_network,
-            baseline_accuracy=baseline_accuracy,
-        ),
-    )
-    return run.result
 
 
 # --------------------------------------------------------------------------- Figure 5
@@ -190,49 +149,6 @@ class Figure5Series:
             acc_str = f"{acc:>12.3f}" if acc is not None else f"{'n/a':>12}"
             lines.append(f"{iteration:>8}{cells}{acc_str}")
         return "\n".join(lines)
-
-
-def run_figure5(
-    workload: Workload,
-    *,
-    tolerance: float = 0.03,
-    strength: float = 0.01,
-    include_small_matrices: bool = False,
-    setup: Optional[TrainingSetup] = None,
-    baseline_network=None,
-    engine: Optional[SweepEngine] = None,
-) -> Figure5Series:
-    """Regenerate the Figure 5 traces (deprecated imperative entry point).
-
-    .. deprecated::
-        Build an :class:`~repro.experiments.spec.ExperimentSpec` with
-        ``kind="figure5"`` (or resolve the ``figure5`` registry preset) and
-        call :func:`~repro.experiments.plan.execute_spec`.  This shim lifts
-        its arguments into the same spec and returns the identical result.
-    """
-    from repro.experiments.plan import (
-        ExperimentContext,
-        execute_spec,
-        warn_deprecated_entry_point,
-    )
-    from repro.experiments.spec import spec_for_workload
-
-    warn_deprecated_entry_point("run_figure5", 'ExperimentSpec(kind="figure5")')
-    spec = spec_for_workload(
-        "figure5",
-        workload,
-        tolerance=tolerance,
-        strength=strength,
-        include_small_matrices=include_small_matrices,
-        engine=engine,
-    )
-    run = execute_spec(
-        spec,
-        context=ExperimentContext(
-            workload=workload, setup=setup, baseline_network=baseline_network
-        ),
-    )
-    return run.result
 
 
 # ------------------------------------------------------------------ Figure HW

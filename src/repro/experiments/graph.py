@@ -3,51 +3,40 @@
 :func:`build_graph` restructures a spec's :class:`~repro.experiments.plan.
 ExperimentPlan` as a DAG of typed nodes — the shapes per kind::
 
-    sweep / rank_clipping:   baseline ─► point:0 … point:N ─► assemble
-    sweep / group_deletion:  baseline ─► clip ─► point:0 … point:N ─► assemble
+    serial sweep:            baseline ─► [clip] ─► point:0 … point:N ─► assemble
+    parallel/lockstep sweep: baseline ─► [clip] ─► points ─► assemble
     table1/3, figure3/5,
     baseline:                baseline ─► single:<kind> ─► assemble
     headline:                headline ─► assemble
 
-Each node declares what it consumes and produces, so a scheduler
+(``clip`` exists for λ group-deletion sweeps only.)  A scheduler
 (:mod:`repro.scheduler`) can dispatch any *ready* node — and interleave
 ready nodes of **different** specs — instead of running one spec's stages
 as a hard-coded sequence.
 
-:class:`GraphExecution` is the runtime.  It supports two execution modes
-over the same node set:
-
-* **batch mode** (:meth:`GraphExecution.run`, the :func:`~repro.experiments.
-  plan.execute_spec` path): the point nodes execute as one engine stage —
-  process fan-out, lockstep stacking, pool supervision, chaos injection all
-  exactly as before.
-* **node mode** (``run(node_mode=True)``, or ``start()`` /
-  :meth:`GraphExecution.next_ready` / :meth:`GraphExecution.run_node`
-  driven externally by the job scheduler): nodes execute one at a time.
-  Point nodes still flow through the PR 7 resilience contract — the same
-  :func:`~repro.experiments.resilience._serial_map` loop via
-  :func:`~repro.experiments.resilience.supervised_slot`, with the batch
-  path's slot numbering, retry policy, typed
-  :class:`~repro.experiments.resilience.PointFailure` records, and journal
-  appends — and finalize exactly like the journaled batch path (per-point
-  evaluation + hardware simulation with a shared
-  :class:`~repro.hardware.mapper.NetworkMapper`), which is documented and
-  test-guarded bit-identical to the batched tail.  Strength sweeps thread
-  one :class:`~repro.hardware.routing.RoutingAnalysisCache` across the
-  job's point nodes in plan order (serial/lockstep specs) or give each
-  node a private cache (parallel specs), so the assembled
-  ``routing_cache_stats`` match the batch engine's exactly.
-
-Both modes persist through the same content-addressed
-:class:`~repro.experiments.store.RunStore` artifact merge, so a single-spec
-graph run is bit-identical to the pre-graph ``execute_spec`` — the
-acceptance test compares artifacts field by field.
+:class:`GraphExecution` is the one executor: :meth:`GraphExecution.run`
+(the :func:`~repro.experiments.plan.execute_spec` path) and the job
+scheduler both drive ``start()`` / :meth:`GraphExecution.next_ready` /
+:meth:`GraphExecution.run_node`.  Sweep points run under the resilience
+contract of :mod:`repro.experiments.resilience` (retry policy, typed
+:class:`~repro.experiments.resilience.PointFailure` records, interrupt
+draining).  A serial sweep runs one supervised slot per ``point:<i>`` node
+(:func:`~repro.experiments.resilience.supervised_slot`); a sweep the engine
+fans out over a process pool or stacks in lockstep runs as one ``points``
+node through :meth:`~repro.experiments.runner.SweepEngine.map_points` /
+:meth:`~repro.experiments.runner.SweepEngine.run_strength_points`, pool
+supervision included.  Both shapes finish every point through one
+finalizer — per-point evaluation, hardware simulation on a shared
+:class:`~repro.hardware.mapper.NetworkMapper`, routing-cache accounting and
+a journal append — so the artifact does not depend on the node shape, and a
+crash loses at most the points in flight.  Every run persists through the
+content-addressed :class:`~repro.experiments.store.RunStore` artifact merge.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import ExperimentError, PointFailureError, RunInterrupted
@@ -60,33 +49,35 @@ from repro.experiments.plan import (
     _merge_artifact,
     _resolve_workload,
     _run_hardware_stage,
-    _run_strength_points,
-    _run_tolerance_points,
     absorb_cache_stats,
     assemble_sweep_result,
     build_plan,
+    build_point,
     build_single_result,
-    build_strength_point,
-    build_tolerance_point,
-    make_strength_task,
-    make_tolerance_task,
+    make_point_task,
     prepare_strength_base,
     result_from_payload,
     result_to_payload,
     sweep_failure_payloads,
 )
-from repro.experiments.resilience import RunMonitor, supervised_slot
+from repro.experiments.resilience import PointFailure, RunMonitor, supervised_slot
 from repro.experiments.runner import run_strength_point, run_tolerance_point
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.training import train_baseline
 from repro.hardware.mapper import NetworkMapper
+from repro.hardware.routing import RoutingAnalysisCache
 from repro.obs import NULL_OBS, Observability
 from repro.utils.logging import get_logger
 
 logger = get_logger("experiments.graph")
 
 #: Node kinds, in rough pipeline order.
-NODE_KINDS = ("baseline", "clip", "point", "single", "headline", "assemble")
+NODE_KINDS = ("baseline", "clip", "point", "points", "single", "headline", "assemble")
+
+#: Node kinds that train sweep points.  A failed or interrupted one still
+#: satisfies ``assemble``: partial sweeps assemble whatever finished, and
+#: failures ride the artifact.
+_POINT_KINDS = frozenset({"point", "points"})
 
 #: Node statuses.  Terminal: everything except "pending" and "running".
 NODE_STATUSES = (
@@ -109,21 +100,18 @@ _TERMINAL = frozenset({"done", "reused", "skipped", "failed", "cancelled"})
 # ------------------------------------------------------------------- graph
 @dataclass(frozen=True)
 class GraphNode:
-    """One typed unit of work with declared inputs and outputs.
+    """One typed unit of work.
 
-    ``inputs`` are upstream node ids; ``consumes``/``produces`` name the
-    values flowing along those edges (documentation + validation, the
-    executor passes them in process).  Point-like nodes carry the
-    :class:`~repro.experiments.plan.PlanPoint` they realize and its
-    content fingerprint, which is what makes them individually resumable.
+    ``inputs`` are upstream node ids.  Nodes that realize one plan point
+    (``point:<i>``, ``single:<kind>``, ``headline``) carry that
+    :class:`~repro.experiments.plan.PlanPoint` and its content fingerprint,
+    which is what makes them individually resumable.
     """
 
     id: str
     kind: str
     label: str
     inputs: Tuple[str, ...] = ()
-    consumes: Tuple[str, ...] = ()
-    produces: Tuple[str, ...] = ()
     fingerprint: str = ""
     point: Optional[PlanPoint] = None
 
@@ -185,14 +173,6 @@ class ExperimentGraph:
         """Node ids in a valid execution order."""
         return getattr(self, "_topo")
 
-    def dependents(self, node_id: str) -> List[str]:
-        """Ids of the nodes that consume ``node_id``'s outputs."""
-        return [node.id for node in self.nodes if node_id in node.inputs]
-
-    def point_nodes(self) -> List[GraphNode]:
-        """The resumable per-point nodes (kind point/single/headline)."""
-        return [n for n in self.nodes if n.kind in ("point", "single", "headline")]
-
     def describe(self) -> str:
         """Multi-line rendering of the DAG for logs and ``status``."""
         lines = [
@@ -208,61 +188,27 @@ class ExperimentGraph:
 def build_graph(spec: ExperimentSpec) -> ExperimentGraph:
     """Expand ``spec`` into its typed dependency graph."""
     plan = build_plan(spec)
-    nodes: List[GraphNode] = []
     if spec.kind == "headline":
         point = plan.points[0]
-        nodes.append(
+        nodes = [
             GraphNode(
                 id="headline",
                 kind="headline",
                 label="paper headline numbers",
-                produces=("result",),
                 fingerprint=point.fingerprint,
                 point=point,
             )
-        )
-        assemble_inputs: Tuple[str, ...] = ("headline",)
+        ]
     else:
-        nodes.append(
+        nodes = [
             GraphNode(
                 id="baseline",
                 kind="baseline",
                 label=f"baseline[{spec.workload}@{spec.scale}]",
-                produces=("workload", "setup", "network", "accuracy"),
                 fingerprint=plan.baseline_fingerprint,
             )
-        )
-        if spec.kind == "sweep":
-            point_inputs: Tuple[str, ...] = ("baseline",)
-            consumes: Tuple[str, ...] = ("workload", "setup", "network")
-            if spec.method == "group_deletion":
-                nodes.append(
-                    GraphNode(
-                        id="clip",
-                        kind="clip",
-                        label=f"clip[eps={spec.tolerance:g}]",
-                        inputs=("baseline",),
-                        consumes=("workload", "setup", "network"),
-                        produces=("clipped",),
-                    )
-                )
-                point_inputs = ("baseline", "clip")
-                consumes = ("workload", "setup", "clipped")
-            for point in plan.points:
-                nodes.append(
-                    GraphNode(
-                        id=f"point:{point.index}",
-                        kind="point",
-                        label=point.label,
-                        inputs=point_inputs,
-                        consumes=consumes,
-                        produces=("point",),
-                        fingerprint=point.fingerprint,
-                        point=point,
-                    )
-                )
-            assemble_inputs = tuple(f"point:{p.index}" for p in plan.points)
-        else:
+        ]
+        if spec.kind != "sweep":
             point = plan.points[0]
             nodes.append(
                 GraphNode(
@@ -270,21 +216,56 @@ def build_graph(spec: ExperimentSpec) -> ExperimentGraph:
                     kind="single",
                     label=point.label,
                     inputs=("baseline",),
-                    consumes=("workload", "setup", "network", "accuracy"),
-                    produces=("result",),
                     fingerprint=point.fingerprint,
                     point=point,
                 )
             )
-            assemble_inputs = (f"single:{spec.kind}",)
+        else:
+            point_inputs: Tuple[str, ...] = ("baseline",)
+            if spec.method == "group_deletion":
+                nodes.append(
+                    GraphNode(
+                        id="clip",
+                        kind="clip",
+                        label=f"clip[eps={spec.tolerance:g}]",
+                        inputs=("baseline",),
+                    )
+                )
+                point_inputs = ("baseline", "clip")
+            if plan.execution == "serial":
+                nodes.extend(
+                    GraphNode(
+                        id=f"point:{point.index}",
+                        kind="point",
+                        label=point.label,
+                        inputs=point_inputs,
+                        fingerprint=point.fingerprint,
+                        point=point,
+                    )
+                    for point in plan.points
+                )
+            else:
+                # The engine fans these points out (process pool) or stacks
+                # them (lockstep), so they run as one supervised stage.
+                labels = ", ".join(point.label for point in plan.points)
+                nodes.append(
+                    GraphNode(
+                        id="points",
+                        kind="points",
+                        label=f"{plan.execution}[{labels}]",
+                        inputs=point_inputs,
+                    )
+                )
     nodes.append(
         GraphNode(
             id="assemble",
             kind="assemble",
             label=f"assemble[{spec.name}]",
-            inputs=assemble_inputs,
-            consumes=("point",) if spec.kind == "sweep" else ("result",),
-            produces=("artifact",),
+            inputs=tuple(
+                node.id
+                for node in nodes
+                if node.kind in ("point", "points", "single", "headline")
+            ),
         )
     )
     return ExperimentGraph(spec=spec, plan=plan, nodes=tuple(nodes))
@@ -294,12 +275,11 @@ def build_graph(spec: ExperimentSpec) -> ExperimentGraph:
 class GraphExecution:
     """Stateful executor for one spec's graph.
 
-    Drive it either with :meth:`run` (batch or node mode, to completion) or
-    externally — :meth:`start`, then :meth:`run_node` over
-    :meth:`next_ready` until :meth:`finished` — which is how the job
-    scheduler interleaves nodes of different specs.  ``observer`` (called
-    as ``observer(node, status, detail)`` on every status change) is the
-    per-node event stream.
+    Drive it with :meth:`run` (to completion) or externally — :meth:`start`,
+    then :meth:`run_node` over :meth:`next_ready` until :meth:`finished` —
+    which is how the job scheduler interleaves nodes of different specs.
+    ``observer`` (called as ``observer(node, status, detail)`` on every
+    status change) is the per-node event stream.
 
     ``install_signals=False`` (the scheduler's worker threads) skips the
     SIGINT drain handler, which only the main thread may install.
@@ -350,8 +330,10 @@ class GraphExecution:
         self._baseline_info: Optional[Dict[str, Any]] = None
         self._clipped = None
         self._single_result: Any = None
-        self._mapper: Optional[NetworkMapper] = None
-        self._routing_cache = None
+        #: One mapper per run, so its tiling-plan memo spans every point.
+        self._mapper = NetworkMapper()
+        #: Serial λ points thread one routing-analysis cache in plan order.
+        self._routing_cache = RoutingAnalysisCache()
         self._points_elapsed = 0.0
         self._terminal_at: Dict[str, float] = {}
         self._node_elapsed: Dict[str, float] = {}
@@ -371,24 +353,6 @@ class GraphExecution:
         if self._workload is None:
             self._workload = _resolve_workload(self.spec, self.context)
         return self._workload
-
-    def _thread_routing_cache(self) -> bool:
-        """Whether point nodes share one routing-analysis cache in plan order.
-
-        Matches the batch engine's accounting exactly: the serial points
-        path and the lockstep path share one cache across the sweep (the
-        totals are order-insensitive — same query set, same unique-key
-        count), while the parallel path gives every worker a private cache.
-        """
-        engine = self.spec.engine
-        return bool(engine.memoize_routing) and self.plan.execution != "parallel"
-
-    def _journal(self, point_fingerprint: str, payload: Dict[str, Any]) -> None:
-        if self.store is not None:
-            self.store.append_journal(
-                self.plan.fingerprint, point_fingerprint, payload
-            )
-            self._journal_writes += 1
 
     # ---------------------------------------------------------------- start
     def start(self) -> None:
@@ -452,7 +416,9 @@ class GraphExecution:
             self.store.clear_journal(plan.fingerprint)
 
         if spec.kind == "sweep":
-            self.monitor = RunMonitor(strict=self.strict)
+            self.monitor = RunMonitor(
+                strict=self.strict, on_success=self._finalize_point
+            )
             if self.install_signals:
                 self.monitor.install_sigint()
             self._pending = [
@@ -463,13 +429,15 @@ class GraphExecution:
             self._slots = {
                 point.fingerprint: slot for slot, point in enumerate(self._pending)
             }
-            for point in plan.points:
-                if point.fingerprint in self._stored_points:
-                    self._set_status(f"point:{point.index}", "reused", "stored point")
+            for node in self.graph.nodes:
+                if node.kind == "point" and node.fingerprint in self._stored_points:
+                    self._set_status(node.id, "reused", "stored point")
             if not self._pending:
-                self._set_status("baseline", "skipped", "every point stored")
-                if "clip" in self.status:
-                    self._set_status("clip", "skipped", "every point stored")
+                if "points" in self.status:
+                    self._set_status("points", "reused", "every point stored")
+                for node_id in ("baseline", "clip"):
+                    if node_id in self.status:
+                        self._set_status(node_id, "skipped", "every point stored")
             elif self._stored_points:
                 logger.info(
                     "resuming sweep %s: %d/%d points stored",
@@ -490,9 +458,7 @@ class GraphExecution:
         status = self.status[dep_id]
         if status in _SATISFIED:
             return True
-        # A failed or interrupted point still satisfies `assemble`: partial
-        # sweeps assemble whatever finished, failures ride the artifact.
-        return self.graph.node(dep_id).kind == "point" and status in (
+        return self.graph.node(dep_id).kind in _POINT_KINDS and status in (
             "failed",
             "cancelled",
         )
@@ -549,51 +515,67 @@ class GraphExecution:
             default=self._started if self._started is not None else dispatched,
         )
         ready_wait = max(dispatched - ready_at, 0.0)
-        journal_before = self._journal_writes
-        if (
-            node.kind == "point"
-            and self.monitor is not None
-            and self.monitor.interrupted
-        ):
-            # Mirror the batch loop: after an interrupt, unreached points
-            # are simply never run; the partial artifact records the rest.
+        before = (
+            self._journal_writes,
+            self.monitor.pool_rebuilds if self.monitor is not None else 0,
+        )
+        if node.kind in _POINT_KINDS and self.monitor.interrupted:
+            # After an interrupt, unreached points are simply never run; the
+            # partial artifact records the rest.
             self._set_status(node_id, "cancelled", "interrupted before start")
-            self._emit_node_trace(node, "cancelled", dispatched, ready_wait, journal_before)
+            self._emit_node_trace(node, "cancelled", dispatched, ready_wait, before)
             return "cancelled"
         self._set_status(node_id, "running")
         try:
-            if node.kind == "baseline":
-                self._run_baseline(node)
-                status = "done"
-            elif node.kind == "clip":
-                self._run_clip(node)
-                status = "done"
-            elif node.kind == "point":
-                status = self._run_point(node)
-            elif node.kind == "single":
-                self._run_single(node)
-                status = "done"
-            elif node.kind == "headline":
-                self._single_result = paper_headline_numbers()
-                status = "done"
-            elif node.kind == "assemble":
-                self._run_assemble(node)
-                status = "done"
-            else:  # pragma: no cover - GraphNode validates kinds
-                raise ExperimentError(f"cannot execute node kind {node.kind!r}")
+            status, detail = self._execute(node)
         except RunInterrupted:
             # The assemble node persisted the partial artifact before
             # raising; the node itself succeeded.
             self._set_status(node_id, "done", "interrupted; partial artifact persisted")
-            self._emit_node_trace(node, "done", dispatched, ready_wait, journal_before)
+            self._emit_node_trace(node, "done", dispatched, ready_wait, before)
             raise
         except Exception as error:
             self._set_status(node_id, "failed", f"{type(error).__name__}: {error}")
-            self._emit_node_trace(node, "failed", dispatched, ready_wait, journal_before)
+            self._emit_node_trace(node, "failed", dispatched, ready_wait, before)
             raise
-        self._set_status(node_id, status)
-        self._emit_node_trace(node, status, dispatched, ready_wait, journal_before)
+        self._set_status(node_id, status, detail)
+        self._emit_node_trace(node, status, dispatched, ready_wait, before)
         return status
+
+    def _execute(self, node: GraphNode) -> Tuple[str, str]:
+        """Run ``node``'s stage; its terminal ``(status, detail)``."""
+        if node.kind in _POINT_KINDS:
+            return self._run_points(node)
+        if node.kind == "baseline":
+            self._run_baseline()
+        elif node.kind == "clip":
+            self._clipped = prepare_strength_base(
+                self.spec, self._workload_resolved(), self._setup, self._network
+            )
+        elif node.kind == "single":
+            self._single_result = build_single_result(
+                self.spec,
+                self._workload_resolved(),
+                self._setup,
+                self._network,
+                self._accuracy,
+                self.timings,
+            )
+        elif node.kind == "headline":
+            self._single_result = paper_headline_numbers()
+        else:
+            self._run_assemble()
+        return "done", ""
+
+    def _node_failures(self, node: GraphNode) -> List[PointFailure]:
+        failures = self.monitor.failures
+        return [failures[slot] for slot in self._node_slots(node) if slot in failures]
+
+    def _node_slots(self, node: GraphNode) -> List[int]:
+        """Pending-list slots of the points a point-kind node trains."""
+        if node.kind == "point":
+            return [self._slots[node.fingerprint]]
+        return list(range(len(self._pending)))
 
     def _emit_node_trace(
         self,
@@ -601,9 +583,13 @@ class GraphExecution:
         status: str,
         dispatched: float,
         ready_wait: float,
-        journal_before: int,
+        before: Tuple[int, int],
     ) -> None:
-        """Per-node metrics + NodeTrace record on every run_node exit."""
+        """Per-node metrics + NodeTrace record on every run_node exit.
+
+        ``before`` holds the journal-write and pool-rebuild counts at
+        dispatch; the record reports this node's deltas.
+        """
         if not self.obs.enabled:
             return
         elapsed = time.perf_counter() - dispatched
@@ -612,12 +598,15 @@ class GraphExecution:
         self.obs.metrics.counter(f"graph.nodes.{status}").inc()
         if not self.obs.tracer.enabled:
             return
-        attempts = 1
-        if node.kind == "point" and self.monitor is not None:
-            slot = self._slots.get(node.point.fingerprint)
-            failure = self.monitor.failures.get(slot) if slot is not None else None
-            if failure is not None:
-                attempts = failure.attempts
+        journal_before, rebuilds_before = before
+        attempts, rebuilds = 1, 0
+        if self.monitor is not None:
+            rebuilds = self.monitor.pool_rebuilds - rebuilds_before
+            if node.kind in _POINT_KINDS:
+                attempts = max(
+                    (failure.attempts for failure in self._node_failures(node)),
+                    default=1,
+                )
         self.obs.tracer.emit(
             "node",
             run=self.plan.fingerprint,
@@ -627,10 +616,7 @@ class GraphExecution:
             status=status,
             attempts=attempts,
             retries=attempts - 1,
-            # Node mode runs points in supervised serial slots, never a
-            # process pool, so rebuilds are structurally zero here (batch
-            # mode pools do not flow through run_node).
-            pool_rebuilds=0,
+            pool_rebuilds=rebuilds,
             journal_flushes=self._journal_writes - journal_before,
             ready_wait_s=ready_wait,
             elapsed_s=elapsed,
@@ -638,7 +624,7 @@ class GraphExecution:
         )
 
     # -------------------------------------------------------------- stages
-    def _run_baseline(self, node: GraphNode) -> None:
+    def _run_baseline(self) -> None:
         workload = self._workload_resolved()
         setup = self.context.setup
         network = self.context.baseline_network
@@ -655,107 +641,105 @@ class GraphExecution:
             "accuracy": accuracy,
         }
 
-    def _accumulate_points_time(self, t0: float, hardware_before: float) -> None:
-        # The hardware-eval stage runs inside the node window but books its
-        # own hardware_s entry; points_s stays pure training/evaluation time.
+    def _run_points(self, node: GraphNode) -> Tuple[str, str]:
+        """Train a point-kind node's pending points under supervision.
+
+        A ``point:<i>`` node runs its one slot; the ``points`` node hands
+        every pending point to the engine, which fans them over its process
+        pool or stacks them in lockstep.  Either way each success reaches
+        :meth:`_finalize_point` through the monitor.
+        """
+        spec, engine = self.spec, self.spec.engine
+        workload = self._workload_resolved()
+        base = self._network if spec.method == "rank_clipping" else self._clipped
+        t0 = time.perf_counter()
+        hardware_before = self.timings.get("hardware_s", 0.0)
+        if node.kind == "point":
+            task = make_point_task(spec, workload, self._setup, base, node.point)
+            self._run_slot(self._slots[node.fingerprint], task)
+        else:
+            tasks = [
+                make_point_task(spec, workload, self._setup, base, point)
+                for point in self._pending
+            ]
+            if spec.method == "rank_clipping":
+                engine.map_points(run_tolerance_point, tasks, self.monitor)
+            else:
+                engine.run_strength_points(tasks, self.monitor)
+        # The hardware stage runs inside the node but books its own
+        # hardware_s entry; points_s stays pure training/evaluation time.
         self._points_elapsed += (
             time.perf_counter()
             - t0
             - (self.timings.get("hardware_s", 0.0) - hardware_before)
         )
         self.timings["points_s"] = round(self._points_elapsed, 6)
-
-    def _run_clip(self, node: GraphNode) -> None:
-        t0 = time.perf_counter()
-        hardware_before = self.timings.get("hardware_s", 0.0)
-        self._clipped = prepare_strength_base(
-            self.spec, self._workload_resolved(), self._setup, self._network
-        )
-        self._accumulate_points_time(t0, hardware_before)
-
-    def _run_single(self, node: GraphNode) -> None:
-        self._single_result = build_single_result(
-            self.spec,
-            self._workload_resolved(),
-            self._setup,
-            self._network,
-            self._accuracy,
-            self.timings,
-        )
-
-    def _run_point(self, node: GraphNode) -> str:
-        """One sweep point under the full resilience contract (node mode)."""
-        spec = self.spec
-        engine = spec.engine
-        point = node.point
-        workload = self._workload_resolved()
-        slot = self._slots[point.fingerprint]
-        t0 = time.perf_counter()
-        hardware_before = self.timings.get("hardware_s", 0.0)
-        prepare = absorb = None
-        if spec.method == "rank_clipping":
-            task = make_tolerance_task(
-                spec, workload, self._setup, self._network, point
+        failures = self._node_failures(node)
+        if failures:
+            return "failed", "; ".join(
+                f"{failure.label}: {failure.error_type}: {failure.message}"
+                for failure in failures
             )
+        if any(
+            self._pending[slot].fingerprint not in self._computed
+            for slot in self._node_slots(node)
+        ):
+            return "cancelled", "interrupted"
+        return "done", ""
+
+    def _run_slot(self, slot: int, task) -> None:
+        """One serial sweep point in its supervised slot."""
+        prepare = absorb = None
+        if self.spec.method == "rank_clipping":
             point_fn = run_tolerance_point
         else:
-            task = make_strength_task(
-                spec, workload, self._setup, self._clipped, point
-            )
             point_fn = run_strength_point
-            if self._thread_routing_cache():
-                if self._routing_cache is None:
-                    from repro.hardware.routing import RoutingAnalysisCache
-
-                    self._routing_cache = RoutingAnalysisCache()
+            if self.spec.engine.memoize_routing:
+                # Each point starts warm with every routing analysis the
+                # earlier points discovered.
                 cache = self._routing_cache
 
-                def prepare(attempt_task, _cache=cache):
-                    attempt_task.routing_cache_entries = _cache.export_entries()
+                def prepare(attempt_task):
+                    attempt_task.routing_cache_entries = cache.export_entries()
 
-                def absorb(outcome, _cache=cache):
-                    _cache.merge_entries(outcome.routing_cache_entries)
+                def absorb(outcome):
+                    cache.merge_entries(outcome.routing_cache_entries)
 
-        outcomes = supervised_slot(
-            engine, point_fn, task, self.monitor, slot=slot,
+        supervised_slot(
+            self.spec.engine, point_fn, task, self.monitor, slot=slot,
             prepare=prepare, absorb=absorb,
         )
-        if slot not in outcomes:
-            self._accumulate_points_time(t0, hardware_before)
-            if self.monitor.interrupted and slot not in self.monitor.failures:
-                return "cancelled"
-            failure = self.monitor.failures.get(slot)
-            raise_detail = (
-                f"{failure.error_type}: {failure.message}" if failure else "failed"
-            )
-            self._set_status(node.id, "failed", raise_detail)
-            return "failed"
-        outcome = outcomes[slot]
-        if spec.method != "rank_clipping":
-            absorb_cache_stats(self._cache_stats, outcome)
-        # Finalize exactly like the journaled batch path: per-point
-        # evaluation + simulation (bit-identical to the batched tail) and a
-        # durable journal append before the node reports done.
+
+    def _finalize_point(self, slot: int, outcome) -> None:
+        """Finish one trained sweep point (the monitor's ``on_success``).
+
+        Evaluates the point network, simulates it on the run's shared
+        mapper, folds its routing-cache counters into the sweep totals and
+        journals the finished record, so a crash loses only points still
+        in flight.
+        """
+        spec, engine = self.spec, self.spec.engine
+        point = self._pending[slot]
         if engine.inline_training_eval:
             accuracy = outcome.accuracy if outcome.accuracy is not None else 0.0
         else:
             accuracy = engine.evaluate_networks([outcome.network], self._setup)[0]
-        if self._mapper is None:
-            self._mapper = NetworkMapper()
         hardware = _run_hardware_stage(
-            spec, self._setup, [outcome.network], self.timings, mapper=self._mapper
-        )[0]
-        if spec.method == "rank_clipping":
-            built = build_tolerance_point(workload, outcome, accuracy, hardware)
-        else:
-            built = build_strength_point(outcome, accuracy, hardware)
+            spec, self._setup, outcome.network, self.timings, mapper=self._mapper
+        )
+        if spec.method != "rank_clipping":
+            absorb_cache_stats(self._cache_stats, outcome)
+        workload = self._workload_resolved()
+        built = build_point(spec, workload, outcome, accuracy, hardware)
         self._computed[point.fingerprint] = built
-        self._journal(point.fingerprint, built.to_payload())
-        self._accumulate_points_time(t0, hardware_before)
-        return "done"
+        if self.store is not None:
+            self.store.append_journal(
+                self.plan.fingerprint, point.fingerprint, built.to_payload()
+            )
+            self._journal_writes += 1
 
     # ------------------------------------------------------------- assemble
-    def _run_assemble(self, node: GraphNode) -> None:
+    def _run_assemble(self) -> None:
         if self.monitor is not None:
             self.monitor.restore_sigint()
         spec, plan = self.spec, self.plan
@@ -884,91 +868,20 @@ class GraphExecution:
             failures=self.monitor.ordered_failures() if self.monitor is not None else [],
         )
 
-    # ------------------------------------------------------------ batch mode
-    def _run_batch(self) -> None:
-        """The execute_spec path: point nodes run as one engine stage.
-
-        Process fan-out, lockstep stacking, pool supervision and chaos
-        injection behave exactly as before the graph existed — the stage
-        functions are shared with the legacy executor verbatim.
-        """
-        spec, plan = self.spec, self.plan
-        if spec.kind == "headline":
-            self.run_node("headline")
-        elif spec.kind == "sweep":
-            if self._pending:
-                self.run_node("baseline")
-                journal = self._journal if self.store is not None else None
-                hardware_before = self.timings.get("hardware_s", 0.0)
-                t0 = time.perf_counter()
-                if spec.method == "rank_clipping":
-                    computed = _run_tolerance_points(
-                        spec,
-                        self._workload_resolved(),
-                        self._setup,
-                        self._network,
-                        self._pending,
-                        self.timings,
-                        self.monitor,
-                        journal,
-                    )
-                else:
-                    self.run_node("clip")
-                    computed, self._cache_stats = _run_strength_points(
-                        spec,
-                        self._workload_resolved(),
-                        self._setup,
-                        self._clipped,
-                        self._pending,
-                        self.timings,
-                        self.monitor,
-                        journal,
-                    )
-                self._computed.update(computed)
-                self.timings["points_s"] = round(
-                    time.perf_counter()
-                    - t0
-                    - (self.timings.get("hardware_s", 0.0) - hardware_before),
-                    6,
-                )
-                for slot, point in enumerate(self._pending):
-                    node_id = f"point:{point.index}"
-                    if point.fingerprint in computed:
-                        self._set_status(node_id, "done")
-                    elif slot in self.monitor.failures:
-                        failure = self.monitor.failures[slot]
-                        self._set_status(
-                            node_id,
-                            "failed",
-                            f"{failure.error_type}: {failure.message}",
-                        )
-                    else:
-                        self._set_status(node_id, "cancelled", "interrupted")
-        else:
-            node_id = f"single:{spec.kind}"
-            if self.status[node_id] == "pending":
-                self.run_node("baseline")
-                self.run_node(node_id)
-        self.run_node("assemble")
-
     # ------------------------------------------------------------------ run
-    def run(self, *, node_mode: bool = False) -> ExperimentRun:
-        """Execute the whole graph and return the run record."""
+    def run(self) -> ExperimentRun:
+        """Execute the whole graph node by node and return the run record."""
         self.start()
         if self.run_result is not None:
             return self.run_result
         try:
-            if node_mode:
-                while not self.finished():
-                    node_id = self.next_ready()
-                    if node_id is None:  # pragma: no cover - DAG is validated
-                        raise ExperimentError(
-                            "graph deadlock: no ready node among "
-                            f"{self.pending_nodes()}"
-                        )
-                    self.run_node(node_id)
-            else:
-                self._run_batch()
+            while not self.finished():
+                node_id = self.next_ready()
+                if node_id is None:  # pragma: no cover - DAG is validated
+                    raise ExperimentError(
+                        f"graph deadlock: no ready node among {self.pending_nodes()}"
+                    )
+                self.run_node(node_id)
         finally:
             if self.monitor is not None:
                 self.monitor.restore_sigint()
@@ -983,7 +896,6 @@ def run_graph(
     resume: bool = True,
     strict: bool = False,
     observer: Optional[Callable[[GraphNode, str, str], None]] = None,
-    node_mode: bool = False,
     install_signals: bool = True,
     obs: Optional[Observability] = None,
     trace_context: Optional[Dict[str, Any]] = None,
@@ -1000,4 +912,4 @@ def run_graph(
         obs=obs,
         trace_context=trace_context,
     )
-    return execution.run(node_mode=node_mode)
+    return execution.run()

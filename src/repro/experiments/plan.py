@@ -4,32 +4,21 @@
 into an :class:`ExperimentPlan` — one fingerprinted :class:`PlanPoint` per
 sweep value (or a single point for the one-shot kinds) plus the execution
 policy the engine will use (serial / parallel / lockstep, chosen per spec).
-:func:`execute_spec` runs a plan through the existing PR 2–3 machinery
-(:class:`~repro.experiments.runner.SweepEngine` point tasks, batched
-evaluation, lockstep stacked training — unchanged at the kernel level),
-skipping any point whose fingerprint already has a stored result when a
-:class:`~repro.experiments.store.RunStore` is supplied with ``resume=True``,
-and persists the outcome as a content-addressed JSON artifact.  Specs with a
-``hardware`` section additionally run a device-level evaluation stage over
-every finished point network (:func:`repro.hardware.sim.simulate_evaluate`,
-batched across points); the simulated per-corner accuracies ride the point
-payloads and resume with them.
+:func:`execute_spec` runs a plan, skipping any point whose fingerprint
+already has a stored result when a :class:`~repro.experiments.store.RunStore`
+is supplied with ``resume=True``, and persists the outcome as a
+content-addressed JSON artifact.  Specs with a ``hardware`` section
+additionally run a device-level evaluation stage over every finished point
+network (:func:`repro.hardware.sim.simulate_evaluate`); the simulated
+per-corner accuracies ride the point payloads and resume with them.
 
-Since the orchestration PR, the *executor* itself lives in
-:mod:`repro.experiments.graph`: a spec's plan is restructured as an explicit
-dependency graph (baseline-train → clip → point → assemble nodes) and
-:func:`execute_spec` is a thin wrapper over a single-spec graph run.  This
-module keeps the plan expansion and the **stage library** both execution
-paths share — baseline resolution, task construction, point finalization,
-result assembly, artifact merging — so the batch path (engine fan-out /
-lockstep inside one process) and the node-granular path (the
-:mod:`repro.scheduler` job daemon, interleaving nodes of *different* specs)
-are bit-identical by construction.
-
-The imperative entry points (``run_table1``, ``sweep_rank_clipping``, …) are
-thin deprecation shims over this module: they lift their arguments into a
-spec, thread any pre-trained baseline through an :class:`ExperimentContext`,
-and return ``execute_spec(...).result``.
+The executor lives in :mod:`repro.experiments.graph`: a spec's plan is
+restructured as an explicit dependency graph (baseline → clip → points →
+assemble nodes) and :func:`execute_spec` runs that graph node by node — the
+same loop the :mod:`repro.scheduler` job daemon drives.  This module keeps
+the plan expansion and the **stage library** the nodes call: task
+construction, the one-shot deliverables, point records, result assembly and
+artifact merging.
 """
 
 from __future__ import annotations
@@ -37,10 +26,9 @@ from __future__ import annotations
 import copy
 import platform
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,11 +39,7 @@ from repro.exceptions import ExperimentError
 from repro.experiments.figures import Figure3Series, Figure5Series
 from repro.experiments.headline import HeadlineNumbers
 from repro.experiments.resilience import PointFailure, RunMonitor
-from repro.experiments.runner import (
-    StrengthPointTask,
-    TolerancePointTask,
-    run_tolerance_point,
-)
+from repro.experiments.runner import StrengthPointTask, TolerancePointTask
 from repro.experiments.spec import (
     ExperimentSpec,
     baseline_fingerprint,
@@ -69,7 +53,7 @@ from repro.experiments.sweeps import (
 )
 from repro.experiments.table1 import Table1Result, Table1Row
 from repro.experiments.table3 import Table3Result, Table3Row
-from repro.experiments.training import TrainingSetup, train_baseline
+from repro.experiments.training import TrainingSetup
 from repro.experiments.workloads import Workload
 from repro.hardware.area import layer_area_fraction, network_area_fraction
 from repro.hardware.mapper import NetworkMapper
@@ -151,11 +135,10 @@ def build_plan(spec: ExperimentSpec) -> ExperimentPlan:
 class ExperimentContext:
     """Optional pre-trained material threaded into :func:`execute_spec`.
 
-    The deprecation shims and the benchmark harness reuse one trained
-    baseline across several experiments; passing it here skips the baseline
-    phase exactly as the old keyword arguments did.  ``workload`` overrides
-    the spec's registry lookup (required for workloads built with custom
-    constructor arguments).
+    The benchmark harness and the examples reuse one trained baseline
+    across several experiments; passing it here skips the baseline phase.
+    ``workload`` overrides the spec's registry lookup (required for
+    workloads built with custom constructor arguments).
     """
 
     workload: Optional[Workload] = None
@@ -313,16 +296,6 @@ def run_environment() -> Dict[str, str]:
     }
 
 
-def warn_deprecated_entry_point(old: str, new: str) -> None:
-    """Deprecation notice emitted by the legacy imperative entry points."""
-    warnings.warn(
-        f"{old}() is deprecated; use {new} with "
-        "repro.experiments.execute_spec (or `python -m repro run`) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 # ------------------------------------------------------------------- executor
 def execute_spec(
     spec: ExperimentSpec,
@@ -340,7 +313,7 @@ def execute_spec(
     spec:
         The experiment to run.
     context:
-        Optional pre-trained baseline material (shims, benchmark harness).
+        Optional pre-trained baseline material (benchmark harness, examples).
     store:
         A :class:`~repro.experiments.store.RunStore`.  When given, the run is
         persisted as a content-addressed artifact; with ``resume=True`` any
@@ -417,21 +390,15 @@ def _merge_artifact(
     )
     points = artifact.setdefault("points", {})
     for point in plan.points:
-        if point.fingerprint in new_points:
+        reused = point.fingerprint not in new_points
+        payload = (stored_points if reused else new_points).get(point.fingerprint)
+        if payload is not None:
             points[point.fingerprint] = {
                 "index": point.index,
                 "value": point.value,
                 "label": point.label,
-                "reused": False,
-                "payload": new_points[point.fingerprint],
-            }
-        elif point.fingerprint in stored_points:
-            points[point.fingerprint] = {
-                "index": point.index,
-                "value": point.value,
-                "label": point.label,
-                "reused": True,
-                "payload": stored_points[point.fingerprint],
+                "reused": reused,
+                "payload": payload,
             }
     if baseline_info is not None:
         artifact["baseline"] = baseline_info
@@ -469,66 +436,66 @@ def _resolve_workload(spec: ExperimentSpec, context: ExperimentContext) -> Workl
     return spec.resolved_workload()
 
 
-def _ensure_baseline(
-    spec: ExperimentSpec,
-    context: ExperimentContext,
-    timings: Dict[str, float],
-    *,
-    evaluate_missing_accuracy: bool = True,
-):
-    """The trained dense baseline (from the context, or trained now)."""
-    workload = _resolve_workload(spec, context)
-    setup = context.setup
-    network = context.baseline_network
-    accuracy = context.baseline_accuracy
-    if network is None or setup is None:
-        t0 = time.perf_counter()
-        network, accuracy, setup = train_baseline(workload)
-        timings["baseline_s"] = round(time.perf_counter() - t0, 6)
-    elif accuracy is None and evaluate_missing_accuracy:
-        accuracy = setup.evaluate(network)
-    info = {"fingerprint": baseline_fingerprint(spec), "accuracy": accuracy}
-    return workload, setup, network, accuracy, info
-
-
 # ------------------------------------------------------------ hardware stage
 def _run_hardware_stage(
     spec: ExperimentSpec,
     setup: TrainingSetup,
-    networks,
+    network,
     timings: Dict[str, float],
     *,
     mapper: Optional[NetworkMapper] = None,
-):
-    """Device-level simulated accuracy of every network per hardware corner.
+) -> Optional[Dict[str, float]]:
+    """Device-level simulated accuracy of ``network`` per hardware corner.
 
-    Returns one ``{config.label: accuracy}`` dict per network (in order).
-    All networks of a sweep ride the batched simulator together — im2col is
-    shared and the tile MVMs stack across same-architecture groups — and one
-    mapper memoizes the tiling plans across corners.  Journaled runs call
-    this once per point as each finishes; they pass a shared ``mapper`` so
-    the tiling-plan memoization still spans the whole sweep.
+    Returns ``{config.label: accuracy}``, or ``None`` when the spec has no
+    ``hardware`` section.  Sweeps pass one shared ``mapper`` so the
+    tiling-plan memoization spans every point of the run.
     """
-    networks = list(networks)
-    if not spec.hardware or not networks:
-        return [None] * len(networks)
+    if not spec.hardware:
+        return None
     t0 = time.perf_counter()
     inputs, targets = setup.test_dataset.arrays()
     if mapper is None:
         mapper = NetworkMapper()
-    per_network: List[Dict[str, float]] = [{} for _ in networks]
+    hardware: Dict[str, float] = {}
     for config in spec.hardware:
         # batch_size bounds the im2col super-batch like the software eval
         # path; the per-conversion ADC makes the chunking value-neutral.
-        accuracies = simulate_evaluate(
-            networks, inputs, targets, config, mapper=mapper, batch_size=256
-        )
-        for slot, value in enumerate(accuracies):
-            per_network[slot][config.label] = value
+        hardware[config.label] = simulate_evaluate(
+            [network], inputs, targets, config, mapper=mapper, batch_size=256
+        )[0]
     timings["hardware_s"] = round(
         timings.get("hardware_s", 0.0) + time.perf_counter() - t0, 6
     )
-    return per_network
+    return hardware
+
+
+# ------------------------------------------------------------ config builders
+def clipping_config(
+    spec: ExperimentSpec, workload: Workload, tolerance: float
+) -> RankClippingConfig:
+    """Rank-clipping settings for one ε over ``workload``'s clippable layers."""
+    scale = workload.scale
+    return RankClippingConfig(
+        tolerance=tolerance,
+        clip_interval=scale.clip_interval,
+        max_iterations=scale.clip_iterations,
+        method=spec.lowrank_method,
+        layers=tuple(workload.clippable_layers),
+    )
+
+
+def deletion_config(
+    spec: ExperimentSpec, workload: Workload, strength: float
+) -> GroupDeletionConfig:
+    """Group-deletion settings for one λ at ``workload``'s scale."""
+    scale = workload.scale
+    return GroupDeletionConfig(
+        strength=strength,
+        iterations=scale.deletion_iterations,
+        finetune_iterations=scale.finetune_iterations,
+        include_small_matrices=spec.include_small_matrices,
+    )
 
 
 # ------------------------------------------------------------ one-shot kinds
@@ -542,33 +509,21 @@ def build_single_result(
 ):
     """Run a single-point kind (table1/table3/figure3/figure5/baseline).
 
-    The trained dense baseline arrives from the caller (the graph's
-    baseline node, via :func:`_ensure_baseline`); this stage only builds
-    the deliverable from it.
+    The trained dense baseline arrives from the graph's baseline node; this
+    stage only builds the deliverable from it.
     """
     t0 = time.perf_counter()
     hardware_before = timings.get("hardware_s", 0.0)
     if spec.kind == "baseline":
-        hardware = None
-        if spec.hardware:
-            hardware = _run_hardware_stage(spec, setup, [network], timings)[0]
         result = BaselineResult(
             workload_name=workload.name,
             scale=workload.scale.name,
             iterations=workload.scale.baseline_iterations,
             accuracy=accuracy,
-            hardware=hardware,
+            hardware=_run_hardware_stage(spec, setup, network, timings),
         )
-    elif spec.kind == "table1":
-        result = _run_table1(spec, workload, setup, network, accuracy)
-    elif spec.kind == "table3":
-        result = _run_table3(spec, workload, setup, network, accuracy)
-    elif spec.kind == "figure3":
-        result = _run_figure3(spec, workload, setup, network, accuracy)
-    elif spec.kind == "figure5":
-        result = _run_figure5(spec, workload, setup, network)
-    else:  # pragma: no cover - build_plan and KINDS keep this unreachable
-        raise ExperimentError(f"cannot execute kind {spec.kind!r}")
+    else:
+        result = _SINGLE_KINDS[spec.kind](spec, workload, setup, network, accuracy)
     # The baseline kind's hardware-eval stage books its own hardware_s entry;
     # keep points_s as pure result-building time.
     timings["points_s"] = round(
@@ -580,6 +535,26 @@ def build_single_result(
     return result
 
 
+def _clip_baseline(spec, workload, setup, baseline_network, baseline_accuracy):
+    """Rank-clip a full-rank factorized copy of the baseline at ``spec.tolerance``."""
+    network = convert_to_lowrank(
+        baseline_network, layers=list(workload.clippable_layers)
+    )
+    clipping = RankClipper(clipping_config(spec, workload, spec.tolerance)).run(
+        network, setup.trainer_factory, baseline_accuracy=baseline_accuracy
+    )
+    return network, clipping
+
+
+def _delete_groups(spec, workload, setup, network):
+    """Group connection deletion at ``spec.strength`` on a clipped network."""
+    deleter = spec.engine.make_deleter(
+        deletion_config(spec, workload, spec.strength),
+        record_interval=workload.scale.record_interval,
+    )
+    return deleter.run(network, setup.trainer_factory)
+
+
 def _run_table1(
     spec: ExperimentSpec,
     workload: Workload,
@@ -588,30 +563,17 @@ def _run_table1(
     baseline_accuracy: float,
 ) -> Table1Result:
     """Table 1: Original / Direct LRA / Rank clipping rows for one workload."""
-    engine = spec.engine
-    scale = workload.scale
     layer_order = list(workload.clippable_layers)
     full_ranks = {name: min(workload.layer_shapes[name]) for name in layer_order}
-
-    # Step 1: rank clipping on a full-rank factorized copy of the baseline.
-    lowrank_network = convert_to_lowrank(baseline_network, layers=layer_order)
-    config = RankClippingConfig(
-        tolerance=spec.tolerance,
-        clip_interval=scale.clip_interval,
-        max_iterations=scale.clip_iterations,
-        method=spec.lowrank_method,
-        layers=tuple(layer_order),
+    _, clipping = _clip_baseline(
+        spec, workload, setup, baseline_network, baseline_accuracy
     )
-    clipping = RankClipper(config).run(
-        lowrank_network, setup.trainer_factory, baseline_accuracy=baseline_accuracy
-    )
-
-    # Step 2: Direct LRA control — truncate the baseline at the clipped ranks
-    # without retraining.
+    # Direct LRA control: truncate the baseline at the clipped ranks without
+    # retraining.
     direct_network = direct_lra(
         baseline_network, clipping.final_ranks, method=spec.lowrank_method
     )
-    direct_accuracy = engine.evaluate_networks([direct_network], setup)[0]
+    direct_accuracy = spec.engine.evaluate_networks([direct_network], setup)[0]
 
     result = Table1Result(workload_name=workload.name, layer_order=layer_order)
     result.rows.append(Table1Row("Original", baseline_accuracy, full_ranks))
@@ -631,32 +593,11 @@ def _run_table3(
     baseline_accuracy: float,
 ) -> Table3Result:
     """Table 3: full pipeline (clipping + deletion) and per-matrix reporting."""
-    engine = spec.engine
-    scale = workload.scale
-    layer_order = list(workload.clippable_layers)
-    lowrank_network = convert_to_lowrank(baseline_network, layers=layer_order)
-    clip_config = RankClippingConfig(
-        tolerance=spec.tolerance,
-        clip_interval=scale.clip_interval,
-        max_iterations=scale.clip_iterations,
-        method=spec.lowrank_method,
-        layers=tuple(layer_order),
+    network, clipping = _clip_baseline(
+        spec, workload, setup, baseline_network, baseline_accuracy
     )
-    clipping = RankClipper(clip_config).run(
-        lowrank_network, setup.trainer_factory, baseline_accuracy=baseline_accuracy
-    )
-
-    deletion_config = GroupDeletionConfig(
-        strength=spec.strength,
-        iterations=scale.deletion_iterations,
-        finetune_iterations=scale.finetune_iterations,
-        include_small_matrices=spec.include_small_matrices,
-    )
-    deleter = engine.make_deleter(deletion_config, record_interval=scale.record_interval)
-    deletion = deleter.run(lowrank_network, setup.trainer_factory)
-
-    mapper = NetworkMapper()
-    report = mapper.map_network(lowrank_network)
+    deletion = _delete_groups(spec, workload, setup, network)
+    report = NetworkMapper().map_network(network)
     result = Table3Result(
         workload_name=workload.name,
         clipping_result=clipping,
@@ -686,25 +627,14 @@ def _run_figure3(
     baseline_accuracy: Optional[float],
 ) -> Figure3Series:
     """Figure 3: rank-ratio and accuracy traces during rank clipping."""
-    scale = workload.scale
-    layer_order = list(workload.clippable_layers)
-    lowrank_network = convert_to_lowrank(baseline_network, layers=layer_order)
-    config = RankClippingConfig(
-        tolerance=spec.tolerance,
-        clip_interval=scale.clip_interval,
-        max_iterations=scale.clip_iterations,
-        method=spec.lowrank_method,
-        layers=tuple(layer_order),
-    )
-    clipping = RankClipper(config).run(
-        lowrank_network, setup.trainer_factory, baseline_accuracy=baseline_accuracy
+    _, clipping = _clip_baseline(
+        spec, workload, setup, baseline_network, baseline_accuracy
     )
     trace = clipping.trace
-    rank_ratio = {name: trace.rank_ratio(name) for name in trace.ranks}
     return Figure3Series(
         workload_name=workload.name,
         iterations=list(trace.iterations),
-        rank_ratio=rank_ratio,
+        rank_ratio={name: trace.rank_ratio(name) for name in trace.ranks},
         accuracy=list(trace.accuracy),
         clipping_result=clipping,
     )
@@ -715,29 +645,15 @@ def _run_figure5(
     workload: Workload,
     setup: TrainingSetup,
     baseline_network,
+    baseline_accuracy: Optional[float],
 ) -> Figure5Series:
-    """Figure 5: deleted-wire and accuracy traces during group deletion."""
-    engine = spec.engine
-    scale = workload.scale
-    layer_order = list(workload.clippable_layers)
-    lowrank_network = convert_to_lowrank(baseline_network, layers=layer_order)
-    clip_config = RankClippingConfig(
-        tolerance=spec.tolerance,
-        clip_interval=scale.clip_interval,
-        max_iterations=scale.clip_iterations,
-        method=spec.lowrank_method,
-        layers=tuple(layer_order),
-    )
-    RankClipper(clip_config).run(lowrank_network, setup.trainer_factory)
+    """Figure 5: deleted-wire and accuracy traces during group deletion.
 
-    deletion_config = GroupDeletionConfig(
-        strength=spec.strength,
-        iterations=scale.deletion_iterations,
-        finetune_iterations=scale.finetune_iterations,
-        include_small_matrices=spec.include_small_matrices,
-    )
-    deleter = engine.make_deleter(deletion_config, record_interval=scale.record_interval)
-    deletion = deleter.run(lowrank_network, setup.trainer_factory)
+    Only the deletion phase is traced, so its clipping preamble runs
+    without a baseline accuracy.
+    """
+    network, _ = _clip_baseline(spec, workload, setup, baseline_network, None)
+    deletion = _delete_groups(spec, workload, setup, network)
     trace = deletion.trace
     return Figure5Series(
         workload_name=workload.name,
@@ -749,6 +665,15 @@ def _run_figure5(
             k: list(v) for k, v in trace.remaining_wire_fraction.items()
         },
     )
+
+
+#: The deliverable builders of the one-shot kinds other than ``baseline``.
+_SINGLE_KINDS = {
+    "table1": _run_table1,
+    "table3": _run_table3,
+    "figure3": _run_figure3,
+    "figure5": _run_figure5,
+}
 
 
 # ------------------------------------------------------------------ sweep kind
@@ -794,8 +719,7 @@ def sweep_failure_payloads(
     """Artifact failure records keyed by point fingerprint.
 
     Monitor failures are keyed by *slot* — the point's position in the
-    pending (not-yet-stored) list, which both the batch stages and the
-    graph's node-granular path number identically.
+    pending (not-yet-stored) list.
     """
     pending = [point for point in plan.points if point.fingerprint not in stored_points]
     return {
@@ -803,129 +727,6 @@ def sweep_failure_payloads(
         for slot in monitor.failures
         if slot < len(pending)
     }
-
-
-def make_tolerance_task(
-    spec: ExperimentSpec,
-    workload: Workload,
-    setup: TrainingSetup,
-    baseline_network,
-    point: PlanPoint,
-) -> TolerancePointTask:
-    """Self-contained task payload for one ε rank-clipping point."""
-    layer_order = list(workload.clippable_layers)
-    scale = workload.scale
-    network = convert_to_lowrank(copy.deepcopy(baseline_network), layers=layer_order)
-    config = RankClippingConfig(
-        tolerance=point.value,
-        clip_interval=scale.clip_interval,
-        max_iterations=scale.clip_iterations,
-        layers=tuple(layer_order),
-        method=spec.lowrank_method,
-    )
-    return TolerancePointTask(
-        index=point.index,
-        tolerance=point.value,
-        network=network,
-        setup=spec.engine.point_setup(setup, point.index),
-        config=config,
-    )
-
-
-def build_tolerance_point(
-    workload: Workload, outcome, accuracy: float, hardware
-) -> TolerancePoint:
-    """Finished ε-point record from an outcome plus its evaluations."""
-    layer_order = list(workload.clippable_layers)
-    ranks = outcome.ranks
-    fractions = {
-        name: layer_area_fraction(*workload.layer_shapes[name], ranks.get(name))
-        for name in layer_order
-    }
-    total = network_area_fraction(
-        workload.layer_shapes,
-        {name: ranks.get(name) for name in workload.layer_shapes},
-    )
-    return TolerancePoint(
-        tolerance=outcome.tolerance,
-        accuracy=accuracy,
-        error=1.0 - accuracy,
-        ranks=dict(ranks),
-        layer_area_fractions=fractions,
-        total_area_fraction=total,
-        hardware=hardware,
-    )
-
-
-def _run_tolerance_points(
-    spec: ExperimentSpec,
-    workload: Workload,
-    setup: TrainingSetup,
-    baseline_network,
-    points: List[PlanPoint],
-    timings: Dict[str, float],
-    monitor: RunMonitor,
-    journal=None,
-) -> Dict[str, TolerancePoint]:
-    """Train the pending ε rank-clipping points through the engine."""
-    engine = spec.engine
-
-    # Generator, not list: the serial engine then keeps only one point's
-    # network copy alive at a time (the parallel engine materializes them).
-    def tolerance_tasks() -> Iterable[TolerancePointTask]:
-        for point in points:
-            yield make_tolerance_task(spec, workload, setup, baseline_network, point)
-
-    def build_point(outcome, accuracy, hardware) -> TolerancePoint:
-        return build_tolerance_point(workload, outcome, accuracy, hardware)
-
-    results: Dict[str, TolerancePoint] = {}
-    if journal is not None:
-        # Journaled mode: finalize (evaluate + hardware + flush) each point
-        # as it completes, so a crash loses at most the in-flight point.
-        # Per-point evaluation and simulation are bit-identical to the
-        # batched paths, so resumed artifacts match clean ones exactly.
-        mapper = NetworkMapper()
-
-        def finalize(slot: int, outcome) -> None:
-            if engine.inline_training_eval:
-                accuracy = outcome.accuracy if outcome.accuracy is not None else 0.0
-            else:
-                accuracy = engine.evaluate_networks([outcome.network], setup)[0]
-            hardware = _run_hardware_stage(
-                spec, setup, [outcome.network], timings, mapper=mapper
-            )[0]
-            built = build_point(outcome, accuracy, hardware)
-            results[points[slot].fingerprint] = built
-            journal(points[slot].fingerprint, built.to_payload())
-
-        monitor.on_success = finalize
-        try:
-            engine.map_points(run_tolerance_point, tolerance_tasks(), monitor)
-        finally:
-            monitor.on_success = None
-        return results
-
-    outcome_map = engine.map_points(run_tolerance_point, tolerance_tasks(), monitor)
-    slots = sorted(outcome_map)
-    outcomes = [outcome_map[slot] for slot in slots]
-    if engine.inline_training_eval:
-        accuracies = [
-            outcome.accuracy if outcome.accuracy is not None else 0.0
-            for outcome in outcomes
-        ]
-    else:
-        accuracies = engine.evaluate_networks(
-            [outcome.network for outcome in outcomes], setup
-        )
-    hardware = _run_hardware_stage(
-        spec, setup, [outcome.network for outcome in outcomes], timings
-    )
-    for position, slot in enumerate(slots):
-        results[points[slot].fingerprint] = build_point(
-            outcomes[position], accuracies[position], hardware[position]
-        )
-    return results
 
 
 def prepare_strength_base(
@@ -939,59 +740,79 @@ def prepare_strength_base(
     Every λ point trains from this clipped network; the graph models it as
     the ``clip`` node between the baseline and the point nodes.
     """
-    layer_order = list(workload.clippable_layers)
-    scale = workload.scale
     # Defensive copy: the caller's baseline is typically shared across
     # experiments and must stay bit-identical.
-    clipped = convert_to_lowrank(copy.deepcopy(baseline_network), layers=layer_order)
-    clip_config = RankClippingConfig(
-        tolerance=spec.tolerance,
-        clip_interval=scale.clip_interval,
-        max_iterations=scale.clip_iterations,
-        layers=tuple(layer_order),
-        method=spec.lowrank_method,
+    clipped = convert_to_lowrank(
+        copy.deepcopy(baseline_network), layers=list(workload.clippable_layers)
     )
-    RankClipper(clip_config).run(
+    RankClipper(clipping_config(spec, workload, spec.tolerance)).run(
         clipped, spec.engine.shared_setup(setup).trainer_factory
     )
     return clipped
 
 
-def make_strength_task(
+def make_point_task(
     spec: ExperimentSpec,
     workload: Workload,
     setup: TrainingSetup,
-    clipped,
+    base_network,
     point: PlanPoint,
-) -> StrengthPointTask:
-    """Self-contained task payload for one λ group-deletion point."""
-    scale = workload.scale
-    config = GroupDeletionConfig(
-        strength=point.value,
-        iterations=scale.deletion_iterations,
-        finetune_iterations=scale.finetune_iterations,
-        include_small_matrices=spec.include_small_matrices,
-    )
+):
+    """Self-contained task payload for one sweep point.
+
+    ``base_network`` is the dense baseline for ε points and the shared
+    rank-clipped network (:func:`prepare_strength_base`) for λ points.
+    """
+    point_setup = spec.engine.point_setup(setup, point.index)
+    if spec.method == "rank_clipping":
+        return TolerancePointTask(
+            index=point.index,
+            tolerance=point.value,
+            network=convert_to_lowrank(
+                copy.deepcopy(base_network), layers=list(workload.clippable_layers)
+            ),
+            setup=point_setup,
+            config=clipping_config(spec, workload, point.value),
+        )
     return StrengthPointTask(
         index=point.index,
         strength=point.value,
-        network=copy.deepcopy(clipped),
-        setup=spec.engine.point_setup(setup, point.index),
-        config=config,
-        record_interval=scale.record_interval,
+        network=copy.deepcopy(base_network),
+        setup=point_setup,
+        config=deletion_config(spec, workload, point.value),
+        record_interval=workload.scale.record_interval,
         structured_lasso=spec.engine.structured_lasso,
         memoize_routing=spec.engine.memoize_routing,
     )
 
 
-def build_strength_point(outcome, accuracy: float, hardware) -> StrengthPoint:
-    """Finished λ-point record from an outcome plus its evaluations."""
-    return StrengthPoint(
-        strength=outcome.strength,
+def build_point(
+    spec: ExperimentSpec, workload: Workload, outcome, accuracy: float, hardware
+):
+    """Finished sweep-point record from an outcome plus its evaluations."""
+    if spec.method != "rank_clipping":
+        return StrengthPoint(
+            strength=outcome.strength,
+            accuracy=accuracy,
+            error=1.0 - accuracy,
+            wire_fractions=outcome.wire_fractions,
+            routing_area_fractions=outcome.routing_area_fractions,
+            hardware=hardware,
+        )
+    ranks = outcome.ranks
+    return TolerancePoint(
+        tolerance=outcome.tolerance,
         accuracy=accuracy,
         error=1.0 - accuracy,
-        wire_fractions=outcome.wire_fractions,
-        routing_area_fractions=outcome.routing_area_fractions,
+        ranks=dict(ranks),
+        layer_area_fractions={
+            name: layer_area_fraction(*workload.layer_shapes[name], ranks.get(name))
+            for name in workload.clippable_layers
+        },
+        total_area_fraction=network_area_fraction(
+            workload.layer_shapes,
+            {name: ranks.get(name) for name in workload.layer_shapes},
+        ),
         hardware=hardware,
     )
 
@@ -1001,84 +822,3 @@ def absorb_cache_stats(cache_stats: Dict[str, int], outcome) -> None:
     for key, value in (outcome.routing_cache_stats or {}).items():
         if key != "size":
             cache_stats[key] = cache_stats.get(key, 0) + value
-
-
-def _run_strength_points(
-    spec: ExperimentSpec,
-    workload: Workload,
-    setup: TrainingSetup,
-    clipped,
-    points: List[PlanPoint],
-    timings: Dict[str, float],
-    monitor: RunMonitor,
-    journal=None,
-):
-    """Train the pending λ deletion points through the engine.
-
-    ``clipped`` is the shared rank-clipped network from
-    :func:`prepare_strength_base`.
-    """
-    engine = spec.engine
-
-    # Generator, not list: the serial engine then keeps only one point's
-    # network copy alive at a time (the parallel engine materializes them).
-    def strength_tasks() -> Iterable[StrengthPointTask]:
-        for point in points:
-            yield make_strength_task(spec, workload, setup, clipped, point)
-
-    cache_stats: Dict[str, int] = {}
-
-    def absorb_stats(outcome) -> None:
-        absorb_cache_stats(cache_stats, outcome)
-
-    def build_point(outcome, accuracy, hardware) -> StrengthPoint:
-        return build_strength_point(outcome, accuracy, hardware)
-
-    results: Dict[str, StrengthPoint] = {}
-    if journal is not None:
-        # Journaled mode: finalize each point as it completes (see the
-        # tolerance variant for the bit-identity argument).
-        mapper = NetworkMapper()
-
-        def finalize(slot: int, outcome) -> None:
-            absorb_stats(outcome)
-            if engine.inline_training_eval:
-                accuracy = outcome.accuracy if outcome.accuracy is not None else 0.0
-            else:
-                accuracy = engine.evaluate_networks([outcome.network], setup)[0]
-            hardware = _run_hardware_stage(
-                spec, setup, [outcome.network], timings, mapper=mapper
-            )[0]
-            built = build_point(outcome, accuracy, hardware)
-            results[points[slot].fingerprint] = built
-            journal(points[slot].fingerprint, built.to_payload())
-
-        monitor.on_success = finalize
-        try:
-            engine.run_strength_points(strength_tasks(), monitor)
-        finally:
-            monitor.on_success = None
-        return results, cache_stats
-
-    outcome_map = engine.run_strength_points(strength_tasks(), monitor)
-    slots = sorted(outcome_map)
-    outcomes = [outcome_map[slot] for slot in slots]
-    if engine.inline_training_eval:
-        accuracies = [
-            outcome.accuracy if outcome.accuracy is not None else 0.0
-            for outcome in outcomes
-        ]
-    else:
-        accuracies = engine.evaluate_networks(
-            [outcome.network for outcome in outcomes], setup
-        )
-    for outcome in outcomes:
-        absorb_stats(outcome)
-    hardware = _run_hardware_stage(
-        spec, setup, [outcome.network for outcome in outcomes], timings
-    )
-    for position, slot in enumerate(slots):
-        results[points[slot].fingerprint] = build_point(
-            outcomes[position], accuracies[position], hardware[position]
-        )
-    return results, cache_stats

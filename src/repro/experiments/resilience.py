@@ -203,8 +203,10 @@ class RunMonitor:
 
     One monitor spans every supervised stage of a run (sweep points,
     hardware evals).  ``on_success`` is the mid-run persistence hook: the
-    planner sets it to a journaling finalizer so completed points hit disk
-    as they finish, not only at the end.
+    graph executor sets it to its point finalizer so completed points are
+    evaluated and journaled as they finish, not only at the end.
+    ``pool_rebuilds`` counts the process pools torn down by a dead or
+    timed-out worker over the monitor's lifetime.
     """
 
     def __init__(
@@ -216,6 +218,7 @@ class RunMonitor:
         self.on_success = on_success
         self.failures: Dict[int, PointFailure] = {}
         self.interrupted = False
+        self.pool_rebuilds = 0
         self._previous_sigint: Optional[Any] = None
 
     # ------------------------------------------------------------- records
@@ -303,9 +306,10 @@ def supervised_map(
     Returns ``{slot: outcome}`` for the points that succeeded; permanent
     failures land on ``monitor.failures`` keyed by the same slot (the task's
     position in ``tasks``).  Serial when ``engine.workers == 1`` (tasks
-    consumed lazily, like :meth:`SweepEngine.map_points`), process-fanned
-    otherwise.  ``prepare``/``absorb`` are serial-only hooks for threading
-    shared caches through the attempt stream.
+    consumed lazily, so a generator keeps one point's payload alive at a
+    time), process-fanned otherwise.  ``prepare``/``absorb`` are
+    serial-only hooks for threading shared caches through the attempt
+    stream.
     """
     if engine.workers > 1:
         tasks = list(tasks)
@@ -328,14 +332,13 @@ def supervised_slot(
 ) -> Dict[int, Any]:
     """Run ONE task under serial supervision at an explicit slot number.
 
-    The graph executor (:mod:`repro.experiments.graph`) dispatches sweep
-    points one node at a time but must keep the batch path's bookkeeping:
-    failures land on ``monitor.failures`` keyed by the point's position in
-    the pending list, retries run per the engine's
-    :class:`RetryPolicy` from pristine task copies, and the
-    fault-injection attempt coordinates stay per point.  This is exactly
-    :func:`_serial_map` with a pinned slot — the same code path the batch
-    executor uses for serial sweeps and single-point submissions.
+    The graph executor (:mod:`repro.experiments.graph`) runs a serial
+    sweep's points one node at a time with the same bookkeeping as a whole
+    supervised map: failures land on ``monitor.failures`` keyed by the
+    point's position in the pending list, retries run per the engine's
+    :class:`RetryPolicy` from pristine task copies, and the fault-injection
+    attempt coordinates stay per point.  This is exactly :func:`_serial_map`
+    with a pinned slot.
     """
     return _serial_map(
         engine, point_fn, [task], monitor, prepare=prepare, absorb=absorb, slots=[slot]
@@ -456,7 +459,6 @@ def _pool_map(
     submissions = {slot: 0 for slot in open_slots}
     failed_attempts = {slot: 0 for slot in open_slots}
     losses = {slot: 0 for slot in open_slots}
-    rebuilds = 0
     isolating = False
     queued: List[int] = []
     solo_breakers: set = set()
@@ -557,7 +559,7 @@ def _pool_map(
                 futures.clear()
                 deadlines.clear()
                 _kill_pool(pool)
-                rebuilds += 1
+                monitor.pool_rebuilds += 1
                 implicated = sorted(set(lost))
                 if isolating and len(implicated) == 1:
                     solo_breakers.add(implicated[0])
@@ -606,7 +608,7 @@ def _pool_map(
                 logger.warning(
                     "process pool broke (rebuild %d); isolating %d lost "
                     "point(s): resubmitting one at a time",
-                    rebuilds,
+                    monitor.pool_rebuilds,
                     len(remaining),
                 )
                 pool = _make_pool(engine, 1)
@@ -635,6 +637,7 @@ def _pool_map(
                     futures.clear()
                     deadlines.clear()
                     _kill_pool(pool)
+                    monitor.pool_rebuilds += 1
                     pool = _make_pool(engine, len(open_slots))
                     for slot in survivors:
                         submit(slot)
@@ -659,13 +662,15 @@ def _pool_map(
 def supervised_strength_points(
     engine: Any, tasks: Iterable[Any], monitor: RunMonitor
 ) -> Dict[int, Any]:
-    """Supervised variant of :meth:`SweepEngine.run_strength_points`.
+    """Execute λ group-deletion points under the engine's policy.
 
-    Same dispatch (lockstep groups, serial cache threading, process
-    fan-out), but failures isolate per point: a lockstep group that dies
-    mid-training is re-run point-by-point under serial supervision from
-    pristine task copies (lockstep mutates networks in place, so the failed
-    stack cannot be reused).
+    ``mode="lockstep"`` trains stackable architecture groups together,
+    ``workers >= 2`` fans the points over a supervised pool, and the serial
+    path threads one routing-analysis cache between points.  Failures
+    isolate per point: a lockstep group that dies mid-training is re-run
+    point-by-point under serial supervision from pristine task copies
+    (lockstep mutates networks in place, so the failed stack cannot be
+    reused).
     """
     from repro.experiments.runner import run_strength_point
 

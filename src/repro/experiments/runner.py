@@ -18,13 +18,13 @@ retrain from one shared baseline.  The points are mutually independent, so a
   derives each point's seed as a pure function of ``(setup.seed, index)``
   via :func:`repro.utils.rng.derive_point_seed`, so even independently-seeded
   sweeps are reproducible regardless of execution order or process placement.
-* **Batched multi-network evaluation** — the engine skips the per-point
-  test-set passes whose results the sweep never reports
-  (``inline_training_eval=False`` strips the held-out split from the point
-  trainers) and instead evaluates all finished point networks together with
-  :func:`repro.nn.batched.batched_evaluate`: im2col patches are extracted
-  once per group of identical architectures and all K networks ride one
-  stack of batched matmuls.
+* **One evaluation per point** — the engine skips the per-point test-set
+  passes whose results the sweep never reports (``inline_training_eval=
+  False`` strips the held-out split from the point trainers) and instead
+  evaluates each finished point network once through
+  :meth:`SweepEngine.evaluate_networks` (:func:`repro.nn.batched.
+  batched_evaluate` when ``batched_eval`` is set, which is bit-identical to
+  per-network ``predict``).
 * **Routing memoization / structured group Lasso** — point tasks construct
   their :class:`~repro.core.group_deletion.GroupConnectionDeleter` through
   the engine flags, enabling the vectorized
@@ -35,19 +35,18 @@ retrain from one shared baseline.  The points are mutually independent, so a
 evaluation, flat per-group Lasso, no memoization, no batching) and is kept as
 the benchmark baseline configuration.
 
-The engine serves two executors: the batch path (one engine stage for all
-pending points, via :func:`~repro.experiments.resilience.supervised_map` /
-:func:`~repro.experiments.resilience.supervised_strength_points`) and the
-graph node path (:mod:`repro.experiments.graph`, one point task at a time
-via :func:`~repro.experiments.resilience.supervised_slot`), both running
-these same task functions — which is why their results are bit-identical.
+Every execution is supervised (:mod:`repro.experiments.resilience`): the
+graph executor (:mod:`repro.experiments.graph`) runs a serial sweep one
+point task per node via :func:`~repro.experiments.resilience.supervised_slot`
+and a fanned-out or lockstep sweep as one node via :meth:`SweepEngine.
+map_points` / :meth:`SweepEngine.run_strength_points` — the same task
+functions either way, which is why their results are bit-identical.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
@@ -55,7 +54,12 @@ from repro.core.config import GroupDeletionConfig, RankClippingConfig
 from repro.core.group_deletion import GroupConnectionDeleter, run_lockstep_deletion
 from repro.core.rank_clipping import RankClipper
 from repro.exceptions import ConfigurationError, LayerError
-from repro.experiments.resilience import RetryPolicy
+from repro.experiments.resilience import (
+    RetryPolicy,
+    RunMonitor,
+    supervised_map,
+    supervised_strength_points,
+)
 from repro.experiments.training import TrainingSetup
 from repro.hardware.routing import RoutingAnalysisCache
 from repro.nn.batched import architecture_signature, batched_evaluate
@@ -223,38 +227,20 @@ class SweepEngine:
         self,
         point_fn: Callable[[TaskT], OutcomeT],
         tasks: Iterable[TaskT],
-        monitor=None,
-    ):
+        monitor: RunMonitor,
+    ) -> Dict[int, OutcomeT]:
         """Run ``point_fn`` over every task, serially or process-fanned.
 
         ``point_fn`` must be a module-level function and every task a pure
-        picklable value; results come back in task order.  The serial path
-        consumes ``tasks`` lazily, so generators keep only one point's
-        payload (e.g. its network deep copy) alive at a time; the parallel
-        path materializes them to feed the pool.
-
-        With a :class:`~repro.experiments.resilience.RunMonitor` the tasks
-        run under supervision (retry/timeout/pool-rebuild per this engine's
-        ``retry`` policy, failures isolated per point) and the return value
-        is a ``{position: outcome}`` dict of the points that succeeded.
+        picklable value.  The serial path consumes ``tasks`` lazily, so
+        generators keep only one point's payload (e.g. its network deep
+        copy) alive at a time; the parallel path materializes them to feed
+        the pool.  The tasks run under ``monitor``'s supervision
+        (retry/timeout/pool-rebuild per this engine's ``retry`` policy,
+        failures isolated per point); returns ``{position: outcome}`` for
+        the points that succeeded.
         """
-        if monitor is not None:
-            from repro.experiments.resilience import supervised_map
-
-            return supervised_map(self, point_fn, tasks, monitor)
-        if self.workers <= 1:
-            return [point_fn(task) for task in tasks]
-        tasks = list(tasks)
-        if len(tasks) <= 1:
-            return [point_fn(task) for task in tasks]
-        method = self.start_method
-        if method is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-        context = mp.get_context(method)
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(tasks)), mp_context=context
-        ) as pool:
-            return list(pool.map(point_fn, tasks))
+        return supervised_map(self, point_fn, tasks, monitor)
 
     # -------------------------------------------------------- evaluation
     def evaluate_networks(
@@ -268,8 +254,8 @@ class SweepEngine:
 
     # --------------------------------------------------- strength execution
     def run_strength_points(
-        self, tasks: Iterable["StrengthPointTask"], monitor=None
-    ):
+        self, tasks: Iterable["StrengthPointTask"], monitor: RunMonitor
+    ) -> Dict[int, "StrengthPointOutcome"]:
         """Execute λ group-deletion points under this engine's policy.
 
         ``mode="lockstep"`` trains every stackable architecture group in
@@ -277,33 +263,11 @@ class SweepEngine:
         from the group cache); ``mode="points"`` runs the tasks independently.
         On the serial points path, routing-analysis cache entries are
         threaded between tasks — each point starts with every entry earlier
-        points discovered, consuming ``tasks`` lazily so only one point's
-        network copy is alive at a time.  On the parallel path every worker's
-        entries come back in its outcome (``routing_cache_entries``) for
-        callers with later analysis phases to merge.
-
-        With a :class:`~repro.experiments.resilience.RunMonitor` the points
-        run under supervision (see :meth:`map_points`); the return value is
-        then a ``{position: outcome}`` dict of the points that succeeded.
+        points discovered.  On the parallel path every worker's entries come
+        back in its outcome (``routing_cache_entries``).  Supervision and the
+        return value are as for :meth:`map_points`.
         """
-        if monitor is not None:
-            from repro.experiments.resilience import supervised_strength_points
-
-            return supervised_strength_points(self, tasks, monitor)
-        if self.mode == "lockstep":
-            tasks = list(tasks)
-            if len(tasks) > 1:
-                return _run_lockstep_strength_points(self, tasks)
-        if not self.memoize_routing or self.workers > 1:
-            return self.map_points(run_strength_point, tasks)
-        cache = RoutingAnalysisCache()
-        outcomes = []
-        for task in tasks:
-            task.routing_cache_entries = cache.export_entries()
-            outcome = run_strength_point(task)
-            cache.merge_entries(outcome.routing_cache_entries)
-            outcomes.append(outcome)
-        return outcomes
+        return supervised_strength_points(self, tasks, monitor)
 
 
 # --------------------------------------------------------------- point tasks

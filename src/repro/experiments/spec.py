@@ -394,10 +394,11 @@ def spec_for_workload(
 ) -> ExperimentSpec:
     """Build a spec matching an already-instantiated :class:`Workload`.
 
-    This is how the deprecated imperative entry points (``run_table1``,
-    ``sweep_rank_clipping``, …) route through the declarative core: the
-    workload's name and scale are lifted into spec fields, and the concrete
-    workload object travels alongside in an
+    The workload's name and scale are lifted into spec fields, so callers
+    holding a workload object (and often a trained baseline) run it as
+    ``execute_spec(spec_for_workload(kind, workload, ...),
+    context=ExperimentContext(workload=workload, ...))`` — the concrete
+    workload and any pre-trained material travel in the
     :class:`~repro.experiments.plan.ExperimentContext`.
     """
     scale_name, overrides = scale_spec_fields(workload.scale)

@@ -1,4 +1,4 @@
-"""Sweep result views (Figures 6, 7 and 8) and the legacy sweep entry points.
+"""Sweep result views (Figures 6, 7 and 8).
 
 * Figure 6 — remaining ranks of the convolutional layers versus the tolerable
   clipping error ``ε`` (with the achieved accuracy).
@@ -12,19 +12,13 @@ The sweep *execution* lives in the declarative core
 with ``kind="sweep"`` expands into engine point tasks, runs serial /
 process-fanned / lockstep per its engine policy, and persists per-point
 artifacts through the run store.  This module keeps the result dataclasses —
-including their table renderings and JSON payload round-trips — plus
-:func:`sweep_rank_clipping` / :func:`sweep_group_deletion` as deprecation
-shims that lift their arguments into a spec and return the executed result.
+including their table renderings and JSON payload round-trips.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
-
-from repro.experiments.runner import SweepEngine
-from repro.experiments.training import TrainingSetup
-from repro.experiments.workloads import Workload
 
 
 # ------------------------------------------------------------------- hardware
@@ -190,58 +184,6 @@ class ToleranceSweepResult:
         return "\n".join(lines)
 
 
-def sweep_rank_clipping(
-    workload: Workload,
-    tolerances: Sequence[float],
-    *,
-    setup: Optional[TrainingSetup] = None,
-    baseline_network=None,
-    baseline_accuracy: Optional[float] = None,
-    method: str = "pca",
-    engine: Optional[SweepEngine] = None,
-) -> ToleranceSweepResult:
-    """Run rank clipping at each tolerance (deprecated imperative entry point).
-
-    .. deprecated::
-        Build an :class:`~repro.experiments.spec.ExperimentSpec` with
-        ``kind="sweep", method="rank_clipping"`` and call
-        :func:`~repro.experiments.plan.execute_spec` (or use
-        ``python -m repro run``) — that path adds artifact persistence and
-        point-level resume.  This shim lifts its arguments into the same
-        spec and returns the identical result.
-    """
-    if not tolerances:
-        raise ValueError("tolerances must contain at least one value")
-    from repro.experiments.plan import (
-        ExperimentContext,
-        execute_spec,
-        warn_deprecated_entry_point,
-    )
-    from repro.experiments.spec import spec_for_workload
-
-    warn_deprecated_entry_point(
-        "sweep_rank_clipping", 'ExperimentSpec(kind="sweep", method="rank_clipping")'
-    )
-    spec = spec_for_workload(
-        "sweep",
-        workload,
-        method="rank_clipping",
-        grid=tuple(float(t) for t in tolerances),
-        lowrank_method=method,
-        engine=engine,
-    )
-    run = execute_spec(
-        spec,
-        context=ExperimentContext(
-            workload=workload,
-            setup=setup,
-            baseline_network=baseline_network,
-            baseline_accuracy=baseline_accuracy,
-        ),
-    )
-    return run.result
-
-
 # --------------------------------------------------------------------- Figure 8
 @dataclass(frozen=True)
 class StrengthPoint:
@@ -376,53 +318,3 @@ class StrengthSweepResult:
             )
             lines.append(f"{p.strength:>10.4f}{p.error:>9.3f}{wires}{areas}{hw}")
         return "\n".join(lines)
-
-
-def sweep_group_deletion(
-    workload: Workload,
-    strengths: Sequence[float],
-    *,
-    tolerance: float = 0.03,
-    include_small_matrices: bool = False,
-    setup: Optional[TrainingSetup] = None,
-    baseline_network=None,
-    engine: Optional[SweepEngine] = None,
-) -> StrengthSweepResult:
-    """Run group deletion at each λ (deprecated imperative entry point).
-
-    .. deprecated::
-        Build an :class:`~repro.experiments.spec.ExperimentSpec` with
-        ``kind="sweep", method="group_deletion"`` and call
-        :func:`~repro.experiments.plan.execute_spec` (or use
-        ``python -m repro run``) — that path adds artifact persistence and
-        point-level resume.  This shim lifts its arguments into the same
-        spec and returns the identical result.
-    """
-    if not strengths:
-        raise ValueError("strengths must contain at least one value")
-    from repro.experiments.plan import (
-        ExperimentContext,
-        execute_spec,
-        warn_deprecated_entry_point,
-    )
-    from repro.experiments.spec import spec_for_workload
-
-    warn_deprecated_entry_point(
-        "sweep_group_deletion", 'ExperimentSpec(kind="sweep", method="group_deletion")'
-    )
-    spec = spec_for_workload(
-        "sweep",
-        workload,
-        method="group_deletion",
-        grid=tuple(float(s) for s in strengths),
-        tolerance=tolerance,
-        include_small_matrices=include_small_matrices,
-        engine=engine,
-    )
-    run = execute_spec(
-        spec,
-        context=ExperimentContext(
-            workload=workload, setup=setup, baseline_network=baseline_network
-        ),
-    )
-    return run.result

@@ -1,4 +1,4 @@
-"""Table 1 result view and the legacy ``run_table1`` entry point.
+"""Table 1 result view.
 
 Table 1 reports accuracy and per-layer ranks for Original / Direct LRA /
 Rank clipping.  The harness logic — train the dense baseline, run rank
@@ -6,8 +6,8 @@ clipping to find the final per-layer ranks, then build the "Direct LRA"
 control by truncating the *baseline* network at exactly those ranks without
 retraining — lives in the declarative core
 (:mod:`repro.experiments.plan`, ``kind="table1"``).  This module keeps the
-result dataclasses (with their paper-layout rendering and JSON payload
-round-trip) and a thin deprecation shim preserving the old call signature.
+result dataclasses with their paper-layout rendering and JSON payload
+round-trip.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core.rank_clipping import RankClippingResult
-from repro.experiments.runner import SweepEngine
-from repro.experiments.training import TrainingSetup
-from repro.experiments.workloads import Workload
 
 
 @dataclass(frozen=True)
@@ -94,45 +91,3 @@ class Table1Result:
                 for row in payload.get("rows", [])
             ],
         )
-
-
-def run_table1(
-    workload: Workload,
-    *,
-    tolerance: float = 0.03,
-    setup: Optional[TrainingSetup] = None,
-    baseline_network=None,
-    baseline_accuracy: Optional[float] = None,
-    method: str = "pca",
-    engine: Optional[SweepEngine] = None,
-) -> Table1Result:
-    """Regenerate Table 1 for one workload (deprecated imperative entry point).
-
-    .. deprecated::
-        Build an :class:`~repro.experiments.spec.ExperimentSpec` with
-        ``kind="table1"`` (or resolve the ``table1`` registry preset) and
-        call :func:`~repro.experiments.plan.execute_spec` — that path adds
-        artifact persistence and resume.  This shim lifts its arguments into
-        the same spec and returns the identical result.
-    """
-    from repro.experiments.plan import (
-        ExperimentContext,
-        execute_spec,
-        warn_deprecated_entry_point,
-    )
-    from repro.experiments.spec import spec_for_workload
-
-    warn_deprecated_entry_point("run_table1", 'ExperimentSpec(kind="table1")')
-    spec = spec_for_workload(
-        "table1", workload, tolerance=tolerance, lowrank_method=method, engine=engine
-    )
-    run = execute_spec(
-        spec,
-        context=ExperimentContext(
-            workload=workload,
-            setup=setup,
-            baseline_network=baseline_network,
-            baseline_accuracy=baseline_accuracy,
-        ),
-    )
-    return run.result

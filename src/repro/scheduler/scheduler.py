@@ -11,9 +11,10 @@ nodes onto a bounded thread pool.  The concurrency model is deliberate:
   what keeps each job's numbers (routing-cache accounting included)
   bit-identical to a standalone ``execute_spec`` run.
 
-A point node's process fan-out still happens *inside* the node (the spec's
-engine policy), so a ``workers=2`` spec keeps its pool supervision — the
-scheduler's threads only coordinate.
+A sweep the engine fans out (``workers >= 2``) or stacks (lockstep) runs
+as one ``points`` node, so its process pool — pool supervision included —
+or its lockstep stack lives *inside* that node; the scheduler's threads
+only coordinate.
 
 Failure semantics are the PR 7 contract untouched: point failures are
 retried per ``RetryPolicy`` inside the node, journaled, and isolated to

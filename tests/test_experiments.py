@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ExperimentError
 from repro.experiments import (
     PAPER_HEADLINE,
     SMALL,
     TINY,
+    ExperimentContext,
     ExperimentScale,
     TrainingSetup,
     convnet_workload,
     crossbar_area_percent,
+    execute_spec,
     get_scale,
     get_workload,
     lenet_workload,
@@ -19,17 +21,24 @@ from repro.experiments import (
     mlp_workload,
     paper_headline_numbers,
     routing_area_percent_from_wires,
-    run_figure3,
-    run_figure5,
-    run_table1,
-    run_table3,
     sparsity_maps,
-    sweep_group_deletion,
-    sweep_rank_clipping,
+    spec_for_workload,
     train_baseline,
 )
 from repro.models.convnet import PAPER_CONVNET_RANKS, PAPER_CONVNET_SHAPES
 from repro.models.lenet import PAPER_LENET_RANKS, PAPER_LENET_SHAPES
+
+
+def run_spec(kind, workload, network, setup, accuracy=None, **fields):
+    """A spec executed on a pre-trained baseline; its result view."""
+    context = ExperimentContext(
+        workload=workload,
+        setup=setup,
+        baseline_network=network,
+        baseline_accuracy=accuracy,
+    )
+    spec = spec_for_workload(kind, workload, **fields)
+    return execute_spec(spec, context=context).result
 
 
 class TestPresetsAndWorkloads:
@@ -124,9 +133,7 @@ class TestTableAndFigureHarnesses:
 
     def test_table1(self, baseline):
         workload, network, accuracy, setup = baseline
-        result = run_table1(
-            workload, setup=setup, baseline_network=network, baseline_accuracy=accuracy
-        )
+        result = run_spec("table1", workload, network, setup, accuracy)
         methods = [row.method for row in result.rows]
         assert methods == ["Original", "Direct LRA", "Rank clipping"]
         clipped = result.row("Rank clipping")
@@ -143,13 +150,14 @@ class TestTableAndFigureHarnesses:
 
     def test_table3_and_figure5(self, baseline):
         workload, network, accuracy, setup = baseline
-        result = run_table3(
+        result = run_spec(
+            "table3",
             workload,
+            network,
+            setup,
+            accuracy,
             strength=0.05,
             include_small_matrices=True,
-            setup=setup,
-            baseline_network=network,
-            baseline_accuracy=accuracy,
         )
         assert result.rows
         for row in result.rows:
@@ -159,12 +167,13 @@ class TestTableAndFigureHarnesses:
         assert 0.0 <= result.mean_routing_area_fraction() <= result.mean_wire_fraction() <= 1.0
         assert "MBC size" in result.format_table()
 
-        figure5 = run_figure5(
+        figure5 = run_spec(
+            "figure5",
             workload,
+            network,
+            setup,
             strength=0.05,
             include_small_matrices=True,
-            setup=setup,
-            baseline_network=network,
         )
         assert figure5.iterations
         fractions = figure5.final_deleted_fractions()
@@ -173,9 +182,7 @@ class TestTableAndFigureHarnesses:
 
     def test_figure3(self, baseline):
         workload, network, accuracy, setup = baseline
-        series = run_figure3(
-            workload, setup=setup, baseline_network=network, baseline_accuracy=accuracy
-        )
+        series = run_spec("figure3", workload, network, setup, accuracy)
         assert series.iterations[0] == 0
         for name, ratios in series.rank_ratio.items():
             assert ratios[0] == pytest.approx(1.0)
@@ -201,12 +208,14 @@ class TestTableAndFigureHarnesses:
 
     def test_sweeps(self, baseline):
         workload, network, accuracy, setup = baseline
-        tolerance_sweep = sweep_rank_clipping(
+        tolerance_sweep = run_spec(
+            "sweep",
             workload,
-            [0.02, 0.3],
-            setup=setup,
-            baseline_network=network,
-            baseline_accuracy=accuracy,
+            network,
+            setup,
+            accuracy,
+            method="rank_clipping",
+            grid=(0.02, 0.3),
         )
         assert tolerance_sweep.tolerances() == [0.02, 0.3]
         # Larger tolerance -> smaller (or equal) ranks and area.
@@ -217,12 +226,14 @@ class TestTableAndFigureHarnesses:
         assert len(tolerance_sweep.ranks_series(list(first.ranks)[0])) == 2
         assert "Tolerance sweep" in tolerance_sweep.format_table()
 
-        strength_sweep = sweep_group_deletion(
+        strength_sweep = run_spec(
+            "sweep",
             workload,
-            [0.005, 0.08],
+            network,
+            setup,
+            method="group_deletion",
+            grid=(0.005, 0.08),
             include_small_matrices=True,
-            setup=setup,
-            baseline_network=network,
         )
         weak, strong = strength_sweep.points
         assert strength_sweep.strengths() == [0.005, 0.08]
@@ -236,8 +247,7 @@ class TestTableAndFigureHarnesses:
         assert "Strength sweep" in strength_sweep.format_table()
 
     def test_sweep_validation(self, baseline):
-        workload, network, accuracy, setup = baseline
-        with pytest.raises(ValueError):
-            sweep_rank_clipping(workload, [], setup=setup, baseline_network=network)
-        with pytest.raises(ValueError):
-            sweep_group_deletion(workload, [], setup=setup, baseline_network=network)
+        workload = baseline[0]
+        for method in ("rank_clipping", "group_deletion"):
+            with pytest.raises(ExperimentError, match="non-empty grid"):
+                spec_for_workload("sweep", workload, method=method, grid=())

@@ -1,20 +1,35 @@
 """Tests for the experiment DAG (``repro.experiments.graph``).
 
-Acceptance contract (PR 9): the graph is a faithful restructuring, not a
-new pipeline — single-spec DAG execution (node mode, the scheduler's path)
-must be **bit-identical** to ``execute_spec`` (same artifact fingerprints
-and payloads), with resume, failure isolation, and retries behaving exactly
-like the batch path.
+The graph's node loop is the only executor: ``execute_spec`` runs it to
+completion, and the job scheduler drives the same ``start`` /
+``next_ready`` / ``run_node`` protocol one node at a time.  Serial sweeps
+run one node per point; fanned-out (``workers >= 2``) and lockstep sweeps
+run one ``points`` node.  Whatever the node shape, and whether
+``execute_spec`` or the scheduler runs the loop, the artifacts are
+**bit-identical** (same fingerprints and payloads), and resume, failure
+isolation and retries behave the same.
 """
 
 import json
 import os
+import threading
 
 import pytest
 
 from repro.exceptions import ExperimentError, PointFailureError
-from repro.experiments import ExperimentSpec, RunStore, execute_spec
+from repro.experiments import (
+    TINY,
+    ExperimentContext,
+    ExperimentSpec,
+    RunStore,
+    SweepEngine,
+    execute_spec,
+    mlp_workload,
+    spec_for_workload,
+    train_baseline,
+)
 from repro.experiments.graph import GraphExecution, build_graph, run_graph
+from repro.scheduler import JobQueue, JobScheduler
 from repro.utils import faultinject
 
 FAST = dict(
@@ -66,6 +81,15 @@ def assert_artifacts_bit_identical(first, second):
     assert canonical(points_a) == canonical(points_b)
 
 
+def drive_by_hand(spec, store):
+    """The scheduler's protocol without its threads: one ready node at a time."""
+    execution = GraphExecution(spec, store=store, install_signals=False)
+    execution.start()
+    while not execution.finished():
+        execution.run_node(execution.next_ready())
+    return execution.run_result
+
+
 class TestBuildGraph:
     def test_rank_clipping_shape(self):
         graph = build_graph(sweep_spec())
@@ -80,6 +104,28 @@ class TestBuildGraph:
         assert ids == ["baseline", "clip", "point:0", "point:1", "assemble"]
         assert graph.node("clip").inputs == ("baseline",)
         assert graph.node("point:0").inputs == ("baseline", "clip")
+
+    def test_lockstep_lambda_sweep_runs_one_points_node(self):
+        graph = build_graph(sweep_spec(method="group_deletion", mode="lockstep"))
+        assert [node.id for node in graph.nodes] == [
+            "baseline", "clip", "points", "assemble",
+        ]
+        assert graph.node("points").kind == "points"
+        assert graph.node("points").inputs == ("baseline", "clip")
+        assert graph.node("assemble").inputs == ("points",)
+        assert "lambda=0.05" in graph.node("points").label
+
+    def test_parallel_epsilon_sweep_runs_one_points_node(self):
+        graph = build_graph(sweep_spec(workers=2))
+        assert [node.id for node in graph.nodes] == ["baseline", "points", "assemble"]
+        assert graph.node("points").inputs == ("baseline",)
+
+    def test_lockstep_epsilon_sweep_keeps_point_nodes(self):
+        # Lockstep stacks λ points only; an ε sweep stays serial.
+        graph = build_graph(sweep_spec(mode="lockstep"))
+        assert [node.id for node in graph.nodes] == [
+            "baseline", "point:0", "point:1", "assemble",
+        ]
 
     def test_single_and_headline_shapes(self):
         table1 = build_graph(
@@ -113,36 +159,34 @@ class TestNodeModeBitIdentity:
     @pytest.mark.parametrize("method", ["rank_clipping", "group_deletion"])
     def test_sweep_matches_execute_spec(self, tmp_path, method):
         spec = sweep_spec(method=method)
-        batch_store = RunStore(tmp_path / "batch")
-        node_store = RunStore(tmp_path / "node")
-        batch = execute_spec(spec, store=batch_store)
-        node = run_graph(spec, store=node_store, node_mode=True, install_signals=False)
-        assert batch.fingerprint == node.fingerprint
-        assert canonical(batch.payload) == canonical(node.payload)
+        run_store = RunStore(tmp_path / "run")
+        hand_store = RunStore(tmp_path / "hand")
+        run = execute_spec(spec, store=run_store)
+        hand = drive_by_hand(spec, hand_store)
+        assert run.fingerprint == hand.fingerprint
+        assert canonical(run.payload) == canonical(hand.payload)
         assert_artifacts_bit_identical(
-            batch_store.load(spec.fingerprint()), node_store.load(spec.fingerprint())
+            run_store.load(spec.fingerprint()), hand_store.load(spec.fingerprint())
         )
 
     def test_single_kind_matches_execute_spec(self, tmp_path):
         spec = ExperimentSpec(
             kind="table1", workload="mlp", scale="tiny", scale_overrides=FAST
         )
-        batch_store = RunStore(tmp_path / "batch")
-        node_store = RunStore(tmp_path / "node")
-        execute_spec(spec, store=batch_store)
-        run_graph(spec, store=node_store, node_mode=True, install_signals=False)
+        run_store = RunStore(tmp_path / "run")
+        hand_store = RunStore(tmp_path / "hand")
+        execute_spec(spec, store=run_store)
+        drive_by_hand(spec, hand_store)
         assert_artifacts_bit_identical(
-            batch_store.load(spec.fingerprint()), node_store.load(spec.fingerprint())
+            run_store.load(spec.fingerprint()), hand_store.load(spec.fingerprint())
         )
 
-    def test_lockstep_cache_stats_match(self, tmp_path):
-        spec = sweep_spec(method="group_deletion", mode="lockstep")
-        batch_store = RunStore(tmp_path / "batch")
-        node_store = RunStore(tmp_path / "node")
-        batch = execute_spec(spec, store=batch_store)
-        node = run_graph(spec, store=node_store, node_mode=True, install_signals=False)
-        assert canonical(batch.payload) == canonical(node.payload)
-        assert batch.payload["routing_cache_stats"] == node.payload["routing_cache_stats"]
+    def test_lockstep_cache_stats_match(self):
+        """A lockstep ``points`` node reports the serial point nodes' numbers."""
+        serial = execute_spec(sweep_spec(method="group_deletion"))
+        lockstep = execute_spec(sweep_spec(method="group_deletion", mode="lockstep"))
+        assert canonical(serial.payload) == canonical(lockstep.payload)
+        assert lockstep.payload["routing_cache_stats"]["hits"] > 0
 
 
 class TestNodeModeExecution:
@@ -174,15 +218,13 @@ class TestNodeModeExecution:
 
     def test_node_mode_resumes_stored_points(self, tmp_path):
         store = RunStore(tmp_path / "runs")
-        run_graph(
-            sweep_spec(grid=(0.05,)), store=store, node_mode=True, install_signals=False
-        )
+        run_graph(sweep_spec(grid=(0.05,)), store=store, install_signals=False)
         execution = GraphExecution(
             sweep_spec(grid=(0.05, 0.3)), store=store, install_signals=False
         )
         execution.start()
         assert execution.status["point:0"] == "reused"
-        result = execution.run(node_mode=True) if not execution.finished() else execution.run_result
+        result = execution.run() if not execution.finished() else execution.run_result
         assert result.computed_points == 1
         assert result.reused_points == 1
 
@@ -197,7 +239,6 @@ class TestNodeModeExecution:
         run_graph(
             sweep_spec(),
             store=RunStore(tmp_path / "runs"),
-            node_mode=True,
             install_signals=False,
             observer=lambda node, status, detail: events.append((node.id, status)),
         )
@@ -206,11 +247,12 @@ class TestNodeModeExecution:
         assert ("point:1", "done") in events
         assert ("assemble", "done") in events
 
-    def test_storeless_node_mode_matches_batch(self):
+    def test_storeless_node_mode_matches_batch(self, tmp_path):
+        """Without a store nothing is journaled, and nothing else changes."""
         spec = sweep_spec()
-        batch = execute_spec(spec)
-        node = run_graph(spec, node_mode=True, install_signals=False)
-        assert canonical(batch.payload) == canonical(node.payload)
+        storeless = execute_spec(spec)
+        stored = execute_spec(spec, store=RunStore(tmp_path / "runs"))
+        assert canonical(storeless.payload) == canonical(stored.payload)
 
 
 class TestNodeModeResilience:
@@ -219,7 +261,7 @@ class TestNodeModeResilience:
         spec = sweep_spec(retry={"max_attempts": 2})
         plan = [{"site": "point", "kind": "raise", "index": 0, "attempts": [1]}]
         with faultinject.injected(plan):
-            run = run_graph(spec, store=store, node_mode=True, install_signals=False)
+            run = run_graph(spec, store=store, install_signals=False)
         # Attempt 1 fails, attempt 2 (the RetryPolicy retry) succeeds.
         assert run.computed_points == 2
         assert run.failures == []
@@ -228,7 +270,7 @@ class TestNodeModeResilience:
         store = RunStore(tmp_path / "runs")
         spec = sweep_spec()
         with faultinject.injected([{"site": "point", "kind": "raise", "index": 0}]):
-            run = run_graph(spec, store=store, node_mode=True, install_signals=False)
+            run = run_graph(spec, store=store, install_signals=False)
         assert run.computed_points == 1
         assert len(run.failures) == 1
         assert run.failures[0].label == "tolerance=0.05"
@@ -236,7 +278,7 @@ class TestNodeModeResilience:
         assert artifact["complete"] is False
         assert len(artifact["failures"]) == 1
         # The journaled good point resumes; only the failed one recomputes.
-        healed = run_graph(spec, store=store, node_mode=True, install_signals=False)
+        healed = run_graph(spec, store=store, install_signals=False)
         assert healed.computed_points == 1
         assert healed.reused_points == 1
         assert store.load(spec.fingerprint())["complete"] is True
@@ -247,7 +289,6 @@ class TestNodeModeResilience:
                 run_graph(
                     sweep_spec(),
                     store=RunStore(tmp_path / "runs"),
-                    node_mode=True,
                     install_signals=False,
                 )
 
@@ -261,8 +302,183 @@ class TestNodeModeResilience:
                 install_signals=False,
                 observer=lambda node, status, detail: events.append((node.id, status)),
             )
-            execution.run(node_mode=True)
+            execution.run()
         assert execution.status["point:0"] == "done"
         assert execution.status["point:1"] == "failed"
         assert execution.status["assemble"] == "done"
         assert ("point:1", "failed") in events
+
+
+class TestPointsNode:
+    """Fanned-out and lockstep sweeps: one supervised ``points`` node."""
+
+    def test_parallel_failure_is_isolated_and_resumes(self, tmp_path):
+        store = RunStore(tmp_path / "runs")
+        spec = sweep_spec(workers=2)
+        with faultinject.injected([{"site": "point", "kind": "raise", "index": 0}]):
+            execution = GraphExecution(spec, store=store, install_signals=False)
+            run = execution.run()
+        assert execution.status["points"] == "failed"
+        assert execution.status["assemble"] == "done"
+        assert [failure.label for failure in run.failures] == ["tolerance=0.05"]
+        assert run.computed_points == 1
+        healed = execute_spec(spec, store=store)
+        assert (healed.computed_points, healed.reused_points) == (1, 1)
+        assert store.load(spec.fingerprint())["complete"] is True
+
+    def test_points_reused_from_a_serial_run(self, tmp_path):
+        store = RunStore(tmp_path / "runs")
+        execute_spec(sweep_spec(method="group_deletion"), store=store)
+        execution = GraphExecution(
+            sweep_spec(method="group_deletion", mode="lockstep"),
+            store=store,
+            install_signals=False,
+        )
+        execution.start()
+        assert execution.status["points"] == "reused"
+        assert execution.status["baseline"] == execution.status["clip"] == "skipped"
+        run = execution.run() if not execution.finished() else execution.run_result
+        assert (run.computed_points, run.reused_points) == (0, 2)
+
+
+def run_as_job(spec, root):
+    """Submit ``spec`` to a one-worker scheduler and drain it."""
+    queue = JobQueue(root / "queue")
+    store = RunStore(root / "runs")
+    job = queue.submit(spec)
+    scheduler = JobScheduler(queue, store, workers=1, poll_s=0.05)
+    scheduler.run(threading.Event(), drain=True)
+    assert queue.state(job.job_id)["state"] == "done"
+    nodes = [e["node"] for e in queue.events() if e["event"] == "node-done"]
+    return store.load(spec.fingerprint()), nodes
+
+
+class TestSchedulerParity:
+    """``execute_spec`` and a scheduler job write bit-identical artifacts."""
+
+    @pytest.mark.parametrize(
+        "overrides, serial_nodes",
+        [
+            ({}, True),
+            ({"method": "group_deletion"}, True),
+            ({"method": "group_deletion", "mode": "lockstep"}, False),
+            ({"workers": 2}, False),
+        ],
+        ids=["serial-eps", "serial-lambda", "lockstep-lambda", "workers2-eps"],
+    )
+    def test_sweep_job_matches_execute_spec(self, tmp_path, overrides, serial_nodes):
+        spec = sweep_spec(**overrides)
+        store = RunStore(tmp_path / "direct")
+        direct = execute_spec(spec, store=store)
+        artifact, nodes = run_as_job(spec, tmp_path / "job")
+        assert_artifacts_bit_identical(store.load(spec.fingerprint()), artifact)
+        assert ("points" not in nodes) is serial_nodes
+        # The engine policy never changes a point: same points as serial.
+        serial = execute_spec(sweep_spec(method=spec.method))
+        assert direct.payload["points"] == serial.payload["points"]
+
+    def test_table1_job_matches_execute_spec(self, tmp_path):
+        spec = ExperimentSpec(
+            kind="table1", workload="mlp", scale="tiny", scale_overrides=FAST
+        )
+        store = RunStore(tmp_path / "direct")
+        execute_spec(spec, store=store)
+        artifact, nodes = run_as_job(spec, tmp_path / "job")
+        assert_artifacts_bit_identical(store.load(spec.fingerprint()), artifact)
+        assert nodes == ["baseline", "single:table1", "assemble"]
+
+
+# ----------------------------------------------------- engine policy parity
+@pytest.fixture(scope="module")
+def fast_workload():
+    return mlp_workload(TINY.with_overrides(**FAST))
+
+
+@pytest.fixture(scope="module")
+def fast_baseline(fast_workload):
+    network, accuracy, setup = train_baseline(fast_workload)
+    return network, accuracy, setup
+
+
+class TestEngineModesUnderPlanner:
+    """Serial / parallel / lockstep stay bit-identical on a shared baseline."""
+
+    def test_lambda_sweep_policies_bit_identical(self, fast_workload, fast_baseline):
+        network, accuracy, setup = fast_baseline
+        spec = spec_for_workload(
+            "sweep",
+            fast_workload,
+            method="group_deletion",
+            grid=(0.01, 0.08),
+            include_small_matrices=True,
+        )
+        context = ExperimentContext(
+            workload=fast_workload, setup=setup, baseline_network=network
+        )
+        serial = execute_spec(spec, context=context)
+        parallel = execute_spec(spec.with_updates(workers=2), context=context)
+        lockstep = execute_spec(spec.with_updates(mode="lockstep"), context=context)
+        assert serial.result.points == parallel.result.points
+        assert serial.result.points == lockstep.result.points
+        assert (
+            serial.result.baseline_accuracy
+            == parallel.result.baseline_accuracy
+            == lockstep.result.baseline_accuracy
+        )
+
+    def test_epsilon_sweep_workers_bit_identical(self, fast_workload, fast_baseline):
+        network, accuracy, setup = fast_baseline
+        spec = spec_for_workload(
+            "sweep",
+            fast_workload,
+            method="rank_clipping",
+            grid=(0.05, 0.3),
+            engine=SweepEngine(per_point_seed=True),
+        )
+        context = ExperimentContext(
+            workload=fast_workload,
+            setup=setup,
+            baseline_network=network,
+            baseline_accuracy=accuracy,
+        )
+        serial = execute_spec(spec, context=context)
+        parallel = execute_spec(spec.with_updates(workers=2), context=context)
+        assert serial.result.points == parallel.result.points
+
+
+#: ``case -> (kind, spec fields, pass the baseline accuracy in the context)``.
+CONTEXT_CASES = {
+    "table1": ("table1", {}, True),
+    "table3": ("table3", {"strength": 0.05, "include_small_matrices": True}, True),
+    "figure3": ("figure3", {}, True),
+    "figure5": ("figure5", {"strength": 0.05, "include_small_matrices": True}, False),
+    "eps-sweep": ("sweep", {"method": "rank_clipping", "grid": (0.05, 0.3)}, True),
+    "lambda-sweep": (
+        "sweep",
+        {
+            "method": "group_deletion",
+            "grid": (0.01, 0.08),
+            "include_small_matrices": True,
+        },
+        False,
+    ),
+}
+
+
+class TestContextBaseline:
+    """A baseline trained once and handed in through ``ExperimentContext``
+    (how the benchmarks and examples share one baseline) gives exactly the
+    result of the spec training its own."""
+
+    @pytest.mark.parametrize("case", sorted(CONTEXT_CASES))
+    def test_matches_self_trained_spec(self, fast_workload, fast_baseline, case):
+        kind, fields, with_accuracy = CONTEXT_CASES[case]
+        network, accuracy, setup = fast_baseline
+        spec = spec_for_workload(kind, fast_workload, **fields)
+        context = ExperimentContext(
+            workload=fast_workload,
+            setup=setup,
+            baseline_network=network,
+            baseline_accuracy=accuracy if with_accuracy else None,
+        )
+        assert execute_spec(spec, context=context).payload == execute_spec(spec).payload

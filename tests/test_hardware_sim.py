@@ -239,6 +239,43 @@ class TestReferencePath:
         np.testing.assert_array_equal(stacked[0], fast)
 
 
+    def test_programmed_stacked_matches_tile_loop_on_both_adc_branches(self):
+        """Batched inference over programmed arrays vs the per-tile loop.
+
+        The input is sized so fc1's partial sums exceed the ADC batching
+        budget (the chunked per-row-block loop of ``_mvm_blocked``) while
+        fc2's fit it (the one-shot batched blocks).
+        """
+        from repro.hardware.sim import _ADC_BATCH_ELEMENTS, stacked_programmed_predict
+
+        networks = [
+            Sequential(
+                [
+                    Linear(64, 256, rng=seed, name="fc1"),
+                    ReLU(name="r1"),
+                    Linear(256, 16, rng=seed + 10, name="fc2"),
+                ],
+                name=f"mlp{seed}",
+            )
+            for seed in range(2)
+        ]
+        mapper = tiny_mapper()
+        programmed = [program_network(net, NOISY, mapper=mapper) for net in networks]
+        samples = 2560
+        x = np.random.default_rng(0).standard_normal((samples, 64))
+        elements = {}
+        for name in ("fc1", "fc2"):
+            plan = programmed[0].stages[name]["w"].plan
+            assert not plan.padded
+            elements[name] = plan.grid_rows * samples * plan.matrix_cols
+        assert elements["fc1"] > _ADC_BATCH_ELEMENTS >= elements["fc2"]
+        stacked = stacked_programmed_predict(programmed, x)
+        for slot, network in enumerate(programmed):
+            np.testing.assert_allclose(
+                stacked[slot], network.predict(x, reference=True), rtol=1e-9, atol=1e-9
+            )
+
+
 # ----------------------------------------------------------- non-idealities
 class TestNonIdealities:
     def test_quantization_error_shrinks_with_bits(self, rng):

@@ -197,23 +197,18 @@ class TestGraphObservability:
         artifact_off = store_off.load(run_off.fingerprint)
         section = artifact_on["observability"]
         assert set(section) == {"stage_timings", "nodes"}
-        # Batch mode routes points through the sweep engine, so only the
-        # nodes that ran via run_node before assembly are timed here.
-        assert "baseline" in section["nodes"]
+        # Every node ran through run_node, so every node before assembly
+        # (which writes the section) is timed.
+        assert set(section["nodes"]) == {"baseline", "point:0", "point:1"}
         assert section["stage_timings"].keys() >= {"baseline_s", "total_s"}
         assert "observability" not in artifact_off
 
     def test_node_traces_cover_every_node(self, tmp_path):
-        from repro.experiments.graph import run_graph
-
         obs = live_obs(tmp_path, "nodes")
         store = RunStore(tmp_path / "store")
-        # node_mode drives every node through run_node (the scheduler's
-        # path), so each of the four nodes emits its own trace record.
-        run = run_graph(
-            sweep_spec(), store=store, obs=obs, node_mode=True,
-            install_signals=False,
-        )
+        # execute_spec drives every node through run_node (the scheduler's
+        # path too), so each of the four nodes emits its own trace record.
+        run = execute_spec(sweep_spec(), store=store, obs=obs)
         obs.tracer.close()
         nodes = [
             r for r in read_trace_file(obs.tracer.path) if r.get("kind") == "node"
@@ -226,6 +221,27 @@ class TestGraphObservability:
         assert all(r["attempts"] == 1 and r["retries"] == 0 for r in nodes)
         counters = obs.metrics.snapshot()["counters"]
         assert counters["graph.nodes.done"] == 4
+
+    def test_points_trace_reports_pool_rebuilds(self, tmp_path):
+        from repro.utils import faultinject
+
+        obs = live_obs(tmp_path, "rebuilds")
+        # A worker killed on its first attempt breaks the pool once; the
+        # rebuilt pool finishes the point.
+        plan = [{"site": "point", "kind": "kill", "index": 0, "attempts": [1]}]
+        with faultinject.injected(plan):
+            run = execute_spec(sweep_spec(workers=2), obs=obs)
+        obs.tracer.close()
+        assert not run.failures
+        records = {
+            r["node"]: r
+            for r in read_trace_file(obs.tracer.path)
+            if r.get("kind") == "node"
+        }
+        assert set(records) == {"baseline", "points", "assemble"}
+        assert records["points"]["pool_rebuilds"] >= 1
+        assert records["baseline"]["pool_rebuilds"] == 0
+        assert records["assemble"]["pool_rebuilds"] == 0
 
 
 # ---------------------------------------------------------------- scheduler

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.experiments.plan as plan_module
+import repro.experiments.graph as graph_module
 from repro.exceptions import ExperimentError
 from repro.experiments import (
     ExperimentContext,
@@ -61,7 +61,8 @@ def _forbid_training(monkeypatch):
     def boom(*args, **kwargs):  # pragma: no cover - failing is the assertion
         raise AssertionError("train_baseline was called on a fully-resumed run")
 
-    monkeypatch.setattr(plan_module, "train_baseline", boom)
+    # The graph's baseline node is the only caller of train_baseline.
+    monkeypatch.setattr(graph_module, "train_baseline", boom)
 
 
 class TestArtifactLifecycle:

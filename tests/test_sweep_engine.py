@@ -21,16 +21,18 @@ from repro.core import (
 )
 from repro.exceptions import ConfigurationError, LayerError
 from repro.experiments import (
+    ExperimentContext,
     StrengthPoint,
     StrengthSweepResult,
     SweepEngine,
     TolerancePoint,
     ToleranceSweepResult,
+    execute_spec,
     mlp_workload,
-    sweep_group_deletion,
-    sweep_rank_clipping,
+    spec_for_workload,
     train_baseline,
 )
+from repro.experiments.resilience import RunMonitor
 from repro.hardware.routing import RoutingAnalysisCache, analyze_routing, mask_fingerprint
 from repro.models import build_mlp
 from repro.nn import GroupLassoRegularizer, batched_evaluate, stacked_predict
@@ -48,15 +50,30 @@ TOLERANCES = [0.02, 0.3]
 STRENGTHS = [0.01, 0.08]
 
 
+def sweep(workload, method, grid, *, setup, baseline_network,
+          baseline_accuracy=None, engine=None, **fields):
+    """A sweep spec executed on a pre-trained baseline; its result view."""
+    spec = spec_for_workload(
+        "sweep", workload, method=method, grid=tuple(grid), engine=engine, **fields
+    )
+    context = ExperimentContext(
+        workload=workload,
+        setup=setup,
+        baseline_network=baseline_network,
+        baseline_accuracy=baseline_accuracy,
+    )
+    return execute_spec(spec, context=context).result
+
+
 class TestSerialParallelParity:
     def test_rank_clipping_points_bit_identical(self, trained_baseline):
         workload, network, accuracy, setup = trained_baseline
         kwargs = dict(setup=setup, baseline_network=network, baseline_accuracy=accuracy)
-        serial = sweep_rank_clipping(
-            workload, TOLERANCES, engine=SweepEngine(workers=1), **kwargs
+        serial = sweep(
+            workload, "rank_clipping", TOLERANCES, engine=SweepEngine(workers=1), **kwargs
         )
-        parallel = sweep_rank_clipping(
-            workload, TOLERANCES, engine=SweepEngine(workers=2), **kwargs
+        parallel = sweep(
+            workload, "rank_clipping", TOLERANCES, engine=SweepEngine(workers=2), **kwargs
         )
         assert serial.baseline_accuracy == parallel.baseline_accuracy
         assert serial.points == parallel.points  # frozen dataclass equality: bitwise
@@ -66,11 +83,11 @@ class TestSerialParallelParity:
         kwargs = dict(
             setup=setup, baseline_network=network, include_small_matrices=True
         )
-        serial = sweep_group_deletion(
-            workload, STRENGTHS, engine=SweepEngine(workers=1), **kwargs
+        serial = sweep(
+            workload, "group_deletion", STRENGTHS, engine=SweepEngine(workers=1), **kwargs
         )
-        parallel = sweep_group_deletion(
-            workload, STRENGTHS, engine=SweepEngine(workers=2), **kwargs
+        parallel = sweep(
+            workload, "group_deletion", STRENGTHS, engine=SweepEngine(workers=2), **kwargs
         )
         assert serial.baseline_accuracy == parallel.baseline_accuracy
         assert serial.points == parallel.points
@@ -78,14 +95,16 @@ class TestSerialParallelParity:
     def test_per_point_seed_is_order_insensitive(self, trained_baseline):
         workload, network, accuracy, setup = trained_baseline
         kwargs = dict(setup=setup, baseline_network=network, baseline_accuracy=accuracy)
-        serial = sweep_rank_clipping(
+        serial = sweep(
             workload,
+            "rank_clipping",
             TOLERANCES,
             engine=SweepEngine(workers=1, per_point_seed=True),
             **kwargs,
         )
-        parallel = sweep_rank_clipping(
+        parallel = sweep(
             workload,
+            "rank_clipping",
             TOLERANCES,
             engine=SweepEngine(workers=2, per_point_seed=True),
             **kwargs,
@@ -98,11 +117,11 @@ class TestSerialParallelParity:
         kwargs = dict(
             setup=setup, baseline_network=network, include_small_matrices=True
         )
-        fast = sweep_group_deletion(
-            workload, STRENGTHS, engine=SweepEngine(), **kwargs
+        fast = sweep(
+            workload, "group_deletion", STRENGTHS, engine=SweepEngine(), **kwargs
         )
-        reference = sweep_group_deletion(
-            workload, STRENGTHS, engine=SweepEngine.reference(), **kwargs
+        reference = sweep(
+            workload, "group_deletion", STRENGTHS, engine=SweepEngine.reference(), **kwargs
         )
         for a, b in zip(fast.points, reference.points):
             assert a.strength == b.strength
@@ -125,11 +144,11 @@ class TestLockstepMode:
         """mode="lockstep" must reproduce the per-point engine path bitwise."""
         workload, network, accuracy, setup = trained_baseline
         kwargs = dict(setup=setup, baseline_network=network, include_small_matrices=True)
-        points = sweep_group_deletion(
-            workload, STRENGTHS, engine=SweepEngine(), **kwargs
+        points = sweep(
+            workload, "group_deletion", STRENGTHS, engine=SweepEngine(), **kwargs
         )
-        lockstep = sweep_group_deletion(
-            workload, STRENGTHS, engine=SweepEngine(mode="lockstep"), **kwargs
+        lockstep = sweep(
+            workload, "group_deletion", STRENGTHS, engine=SweepEngine(mode="lockstep"), **kwargs
         )
         assert points.baseline_accuracy == lockstep.baseline_accuracy
         assert points.points == lockstep.points  # frozen dataclass equality: bitwise
@@ -139,11 +158,12 @@ class TestLockstepMode:
         """Per-point data streams keep lockstep bit-identical to points mode."""
         workload, network, accuracy, setup = trained_baseline
         kwargs = dict(setup=setup, baseline_network=network, include_small_matrices=True)
-        points = sweep_group_deletion(
-            workload, STRENGTHS, engine=SweepEngine(per_point_seed=True), **kwargs
+        points = sweep(
+            workload, "group_deletion", STRENGTHS, engine=SweepEngine(per_point_seed=True), **kwargs
         )
-        lockstep = sweep_group_deletion(
+        lockstep = sweep(
             workload,
+            "group_deletion",
             STRENGTHS,
             engine=SweepEngine(per_point_seed=True, mode="lockstep"),
             **kwargs,
@@ -153,11 +173,11 @@ class TestLockstepMode:
     def test_single_point_falls_back_to_serial(self, trained_baseline):
         workload, network, accuracy, setup = trained_baseline
         kwargs = dict(setup=setup, baseline_network=network, include_small_matrices=True)
-        points = sweep_group_deletion(
-            workload, [0.05], engine=SweepEngine(), **kwargs
+        points = sweep(
+            workload, "group_deletion", [0.05], engine=SweepEngine(), **kwargs
         )
-        lockstep = sweep_group_deletion(
-            workload, [0.05], engine=SweepEngine(mode="lockstep"), **kwargs
+        lockstep = sweep(
+            workload, "group_deletion", [0.05], engine=SweepEngine(mode="lockstep"), **kwargs
         )
         assert points.points == lockstep.points
 
@@ -165,11 +185,11 @@ class TestLockstepMode:
         """ε points diverge structurally at the first clip; the points path runs."""
         workload, network, accuracy, setup = trained_baseline
         kwargs = dict(setup=setup, baseline_network=network, baseline_accuracy=accuracy)
-        points = sweep_rank_clipping(
-            workload, TOLERANCES, engine=SweepEngine(), **kwargs
+        points = sweep(
+            workload, "rank_clipping", TOLERANCES, engine=SweepEngine(), **kwargs
         )
-        lockstep = sweep_rank_clipping(
-            workload, TOLERANCES, engine=SweepEngine(mode="lockstep"), **kwargs
+        lockstep = sweep(
+            workload, "rank_clipping", TOLERANCES, engine=SweepEngine(mode="lockstep"), **kwargs
         )
         assert points.points == lockstep.points
 
@@ -205,7 +225,8 @@ class TestRoutingCacheThreading:
             ]
 
         cold = [run_strength_point(task) for task in make_tasks()]
-        warm = engine.run_strength_points(make_tasks())
+        outcomes = engine.run_strength_points(make_tasks(), RunMonitor())
+        warm = [outcomes[slot] for slot in sorted(outcomes)]
         # Identical results either way (memoized analyses are value objects)...
         for a, b in zip(cold, warm):
             assert a.wire_fractions == b.wire_fractions
@@ -366,16 +387,18 @@ class TestRoutingMemoization:
 
     def test_sweep_aggregates_cache_stats_and_wire_trace(self, trained_baseline):
         workload, network, accuracy, setup = trained_baseline
-        sweep = sweep_group_deletion(
+        fast = sweep(
             workload,
+            "group_deletion",
             STRENGTHS,
             setup=setup,
             baseline_network=network,
             include_small_matrices=True,
         )
-        assert sweep.routing_cache_stats["hits"] > 0
-        reference = sweep_group_deletion(
+        assert fast.routing_cache_stats["hits"] > 0
+        reference = sweep(
             workload,
+            "group_deletion",
             STRENGTHS,
             setup=setup,
             baseline_network=network,
@@ -385,16 +408,14 @@ class TestRoutingMemoization:
         assert reference.routing_cache_stats == {}
 
     def test_figure5_exposes_remaining_wire_trace(self, trained_baseline):
-        from repro.experiments import run_figure5
-
         workload, network, accuracy, setup = trained_baseline
-        series = run_figure5(
-            workload,
-            strength=0.05,
-            include_small_matrices=True,
-            setup=setup,
-            baseline_network=network,
+        spec = spec_for_workload(
+            "figure5", workload, strength=0.05, include_small_matrices=True
         )
+        context = ExperimentContext(
+            workload=workload, setup=setup, baseline_network=network
+        )
+        series = execute_spec(spec, context=context).result
         assert series.remaining_wire_fraction
         for fractions in series.remaining_wire_fraction.values():
             assert len(fractions) == len(series.iterations)

@@ -1,7 +1,7 @@
 """Regression test: sweeps must never mutate the shared baseline network.
 
-Seed bug: ``sweep_group_deletion`` converted ``baseline_network`` to low rank
-without deep-copying first (unlike ``sweep_rank_clipping``), so reusing the
+Seed bug: the λ group-deletion sweep converted the baseline network to low
+rank without deep-copying first (unlike the ε sweep), so reusing the
 baseline across sweeps silently started later sweeps from a mutated network.
 """
 
@@ -10,7 +10,13 @@ import copy
 import numpy as np
 import pytest
 
-from repro.experiments import mlp_workload, sweep_group_deletion, train_baseline
+from repro.experiments import (
+    ExperimentContext,
+    execute_spec,
+    mlp_workload,
+    spec_for_workload,
+    train_baseline,
+)
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +24,17 @@ def trained_baseline():
     workload = mlp_workload("tiny")
     network, accuracy, setup = train_baseline(workload)
     return workload, network, accuracy, setup
+
+
+def run_lambda_sweep(workload, strengths, *, setup, baseline_network):
+    """A λ sweep spec executed on a shared pre-trained baseline."""
+    spec = spec_for_workload(
+        "sweep", workload, method="group_deletion", grid=tuple(strengths)
+    )
+    context = ExperimentContext(
+        workload=workload, setup=setup, baseline_network=baseline_network
+    )
+    return execute_spec(spec, context=context).result
 
 
 def snapshot(network):
@@ -49,7 +66,7 @@ def test_sweep_group_deletion_leaves_baseline_bit_identical(trained_baseline):
     workload, network, accuracy, setup = trained_baseline
     before = snapshot(network)
     structure_before = [(layer.name, type(layer)) for layer in network]
-    result = sweep_group_deletion(
+    result = run_lambda_sweep(
         workload,
         strengths=[0.05],
         setup=setup,
@@ -63,10 +80,10 @@ def test_sweep_group_deletion_leaves_baseline_bit_identical(trained_baseline):
 def test_baseline_reusable_across_repeated_sweeps(trained_baseline):
     """Two identical sweeps from one baseline produce identical results."""
     workload, network, accuracy, setup = trained_baseline
-    first = sweep_group_deletion(
+    first = run_lambda_sweep(
         workload, strengths=[0.05], setup=setup, baseline_network=network
     )
-    second = sweep_group_deletion(
+    second = run_lambda_sweep(
         workload, strengths=[0.05], setup=setup, baseline_network=network
     )
     assert first.points[0].wire_fractions == second.points[0].wire_fractions
