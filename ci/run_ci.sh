@@ -25,6 +25,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # and a new one fails CI instead of scrolling past.
 ENGINE_TESTS=(
   tests/test_kernel_parity.py
+  tests/test_network_trainer.py
   tests/test_cache_release.py
   tests/test_dtype_policy.py
   tests/test_mapper_cache.py
@@ -185,9 +186,9 @@ print(f"interleave OK: {len(nodes)} node events, {switches} job switches, "
       f"{len(requeued)} requeued after crash")
 PY
   python -m repro watch "$JOB_B" --store "$SCHED_STORE" --timeout 30 > /dev/null
-  # A lockstep λ sweep runs its stacked points as one supervised `points`
-  # node between the shared clip and the assembly.
-  JOB_L="$(python -m repro submit figure8 --scale tiny --engine-mode lockstep \
+  # figure8 is registered lockstep: its stacked λ points run as one
+  # supervised `points` node between the shared clip and the assembly.
+  JOB_L="$(python -m repro submit figure8 --scale tiny \
            --store "$SCHED_STORE" --json \
            | python -c 'import json, sys; print(json.load(sys.stdin)["job_id"])')"
   python -m repro serve-jobs --store "$SCHED_STORE" --workers 1 --poll 0.1 --drain

@@ -98,16 +98,15 @@ def main() -> None:
     # ----------------------------------------------------- registry presets
     # Paper deliverables are registered by name; overrides apply per call.
     # Engine fields route automatically: workers=2 fans sweep points over
-    # processes, mode="lockstep" trains all λ-points as one stacked program —
-    # both bit-identical to the serial path.
+    # processes, and the figure8 preset already runs mode="lockstep" (all
+    # λ-points trained as one stacked program; mode="points" gives the
+    # per-point path) — all bit-identical to the serial path.
     print("\n=== Registry preset: table1 on the tiny MLP workload ===")
     table1 = REGISTRY.get("table1", workload="mlp", scale="tiny")
     print(execute_spec(table1, store=store).result.format_table())
 
-    print("\n=== Registry preset: λ-deletion sweep in lockstep mode ===")
-    figure8 = REGISTRY.get(
-        "figure8", workload="mlp", scale="tiny", grid=(0.01, 0.03, 0.08), mode="lockstep"
-    )
+    print("\n=== Registry preset: λ-deletion sweep (the preset runs lockstep) ===")
+    figure8 = REGISTRY.get("figure8", workload="mlp", scale="tiny", grid=(0.01, 0.03, 0.08))
     print(execute_spec(figure8, store=store).result.format_table())
 
     print("\nStored runs:")

@@ -20,6 +20,7 @@ from dataclasses import replace
 from typing import Iterator, Mapping, Tuple, Union
 
 from repro.exceptions import ExperimentError
+from repro.experiments.runner import SweepEngine
 from repro.experiments.spec import ExperimentSpec
 from repro.hardware.sim import HardwareConfig
 
@@ -185,6 +186,8 @@ def _register_paper_presets(registry: ExperimentRegistry) -> None:
             scale="small",
             grid=(0.01, 0.03, 0.06),
             include_small_matrices=True,
+            # The three λ points share one architecture: train them stacked.
+            engine=SweepEngine(mode="lockstep"),
         ),
         description="Figure 8: routing wires/area versus classification error over λ (ConvNet)",
     )

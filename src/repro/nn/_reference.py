@@ -17,7 +17,14 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.nn.functional import conv_output_size, pad_images
+from repro.nn.functional import conv_output_size
+
+
+def pad_images(x: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad an NCHW batch along the spatial axes (the seed's ``np.pad`` helper)."""
+    if padding == 0:
+        return x
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant")
 
 
 def im2col_loop(

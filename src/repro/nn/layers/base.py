@@ -6,6 +6,13 @@ backward pass on the instance; ``backward`` consumes the cache, accumulates
 parameter gradients into the layer's :class:`~repro.nn.parameter.Parameter`
 objects and returns the gradient with respect to the layer input.
 
+Layers with parameters (the convolution and dense layers, full and low
+rank) also take ``backward(grad_output, need_input_grad=False)``: it
+accumulates the parameter gradients exactly as the full call does, skips the
+input gradient and returns ``None``.  :meth:`~repro.nn.network.Sequential.backward`
+uses it on the network's first such layer, whose input gradient feeds no
+parameter.
+
 Cache lifecycle
 ---------------
 Backward context is cached **only in training mode** and is released at the

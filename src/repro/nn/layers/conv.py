@@ -108,7 +108,9 @@ class Conv2D(Layer):
         n = x.shape[0]
         return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._cols_cache is None or self._input_shape is None or self._out_hw is None:
             raise ShapeError(f"{self.name}: backward called before forward")
         n = self._input_shape[0]
@@ -124,15 +126,17 @@ class Conv2D(Layer):
         self.weight.accumulate_grad(grad_weight)
         if self.bias is not None:
             self.bias.accumulate_grad(grad_mat.sum(axis=0))
-        grad_input = F.conv_backward_input(
-            grad_mat,
-            self.weight_matrix,
-            self._input_shape,
-            self.kernel_size,
-            self.kernel_size,
-            self.stride,
-            self.padding,
-        )
+        grad_input = None
+        if need_input_grad:
+            grad_input = F.conv_backward_input(
+                grad_mat,
+                self.weight_matrix,
+                self._input_shape,
+                self.kernel_size,
+                self.kernel_size,
+                self.stride,
+                self.padding,
+            )
         self.release_caches()
         return grad_input
 

@@ -65,7 +65,9 @@ class Linear(Layer):
             out = out + self.bias.data
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._input_cache is None:
             raise ShapeError(f"{self.name}: backward called before forward")
         x = self._input_cache
@@ -79,7 +81,7 @@ class Linear(Layer):
         if self.bias is not None:
             self.bias.accumulate_grad(grad_output.sum(axis=0))
         self.release_caches()
-        return grad_output @ self.weight.data
+        return grad_output @ self.weight.data if need_input_grad else None
 
     # ------------------------------------------------------------- geometry
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:

@@ -183,7 +183,9 @@ class LowRankConv2D(Layer):
         n = x.shape[0]
         return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._cols_cache is None or self._mid_cache is None:
             raise ShapeError(f"{self.name}: backward called before forward")
         n = self._input_shape[0]
@@ -202,15 +204,17 @@ class LowRankConv2D(Layer):
             self.bias.accumulate_grad(grad_mat.sum(axis=0))
         # The V factor transposed to (rank, fan_in) plays the weight-matrix
         # role of the fused input-gradient kernel: grad_cols = grad_mid · Vᵀ.
-        grad_input = F.conv_backward_input(
-            grad_mid,
-            self.v.data.T,
-            self._input_shape,
-            self.kernel_size,
-            self.kernel_size,
-            self.stride,
-            self.padding,
-        )
+        grad_input = None
+        if need_input_grad:
+            grad_input = F.conv_backward_input(
+                grad_mid,
+                self.v.data.T,
+                self._input_shape,
+                self.kernel_size,
+                self.kernel_size,
+                self.stride,
+                self.padding,
+            )
         self.release_caches()
         return grad_input
 

@@ -138,7 +138,9 @@ class LowRankLinear(Layer):
             out = out + self.bias.data
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._input_cache is None or self._mid_cache is None:
             raise ShapeError(f"{self.name}: backward called before forward")
         x = self._input_cache
@@ -156,7 +158,7 @@ class LowRankLinear(Layer):
         if self.bias is not None:
             self.bias.accumulate_grad(grad_output.sum(axis=0))
         self.release_caches()
-        return grad_mid @ self.v.data.T
+        return grad_mid @ self.v.data.T if need_input_grad else None
 
     # -------------------------------------------------------------- clipping
     def effective_weight(self) -> np.ndarray:

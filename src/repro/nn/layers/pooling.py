@@ -8,6 +8,19 @@ formulation and allocates nothing beyond the output.  Max pooling pads with
 gradient would be silently cropped away); average pooling keeps zero padding
 (padded positions count toward the mean, matching the seed semantics).
 
+Backward scatters each window's gradient back with one strided add per
+window offset.  When the windows are disjoint (``stride == pool_size`` and no
+padding, as in every preset network) each input cell belongs to at most one
+window, so the backward is a single write into a zeroed gradient instead: max
+pooling writes every gradient to its arg-max cell with one flat indexed
+write, average pooling writes every share with one broadcast write into the
+``(N, C, out_h, k, out_w, k)`` view of the windowed ``[:out_h*k, :out_w*k]``
+region.  Trailing rows and columns no window covers (a 5x5 input under
+``k = 2``) stay ``+0.0``, as the scatter leaves them.  Both write ``g + 0.0``,
+so a ``-0.0`` gradient (``ReLU`` backward makes them) lands as ``+0.0``,
+exactly as the ``0.0 + g`` accumulation of the scatter does: the two paths
+are bitwise identical.
+
 Backward context follows the cache lifecycle documented in
 :mod:`repro.nn.layers.base`: max pooling caches only the compact arg-max
 index map (``k²`` times smaller than the window tensor the seed
@@ -85,6 +98,10 @@ class _Pool2D(Layer):
             )
         return self._out_hw
 
+    def _windows_disjoint(self) -> bool:
+        """Whether each input cell lies in at most one window."""
+        return self.stride == self.pool_size and self.padding == 0
+
     def _scatter(self, contributions) -> np.ndarray:
         """Sum per-offset gradient contributions into the input and crop padding.
 
@@ -151,13 +168,26 @@ class MaxPool2D(_Pool2D):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         grad_output = as_float(grad_output)
-        self._check_grad(grad_output)
+        out_h, out_w = self._check_grad(grad_output)
         argmax = self._argmax
-        out_h, out_w = self._out_hw
-        grad_input = self._scatter(
-            (spatial, np.where(argmax == t, grad_output, 0.0))
-            for t, spatial in enumerate(self._offset_slices(out_h, out_w))
-        )
+        if self._windows_disjoint():
+            n, c, h, w = self._input_shape
+            k = self.pool_size
+            # Flat index of each window's arg-max cell: the offset of window
+            # entry t inside its window, plus the window's top-left corner,
+            # plus the (n, c) image's base.
+            cells = np.array([(t // k) * w + t % k for t in range(k * k)], dtype=np.intp)
+            cells = cells.take(argmax)
+            corners = np.arange(0, out_h * k * w, k * w, dtype=np.intp)[:, None]
+            cells += corners + np.arange(0, out_w * k, k, dtype=np.intp)
+            cells += np.arange(0, n * c * h * w, h * w, dtype=np.intp).reshape(n, c, 1, 1)
+            grad_input = np.zeros(self._input_shape, dtype=default_dtype())
+            grad_input.reshape(-1)[cells] = grad_output + 0.0
+        else:
+            grad_input = self._scatter(
+                (spatial, np.where(argmax == t, grad_output, 0.0))
+                for t, spatial in enumerate(self._offset_slices(out_h, out_w))
+            )
         self.release_caches()
         return grad_input
 
@@ -185,8 +215,16 @@ class AvgPool2D(_Pool2D):
         grad_output = as_float(grad_output)
         out_h, out_w = self._check_grad(grad_output)
         share = grad_output / (self.pool_size * self.pool_size)
-        grad_input = self._scatter(
-            (spatial, share) for spatial in self._offset_slices(out_h, out_w)
-        )
+        if self._windows_disjoint():
+            n, c, _, _ = self._input_shape
+            k = self.pool_size
+            grad_input = np.zeros(self._input_shape, dtype=default_dtype())
+            # Splitting the region's two spatial axes is always a view.
+            windows = grad_input[:, :, : out_h * k, : out_w * k].reshape(n, c, out_h, k, out_w, k)
+            np.add(share[:, :, :, None, :, None], 0.0, out=windows)
+        else:
+            grad_input = self._scatter(
+                (spatial, share) for spatial in self._offset_slices(out_h, out_w)
+            )
         self.release_caches()
         return grad_input

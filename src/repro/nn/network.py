@@ -88,12 +88,32 @@ class Sequential:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Back-propagate through the stack, returning the input gradient."""
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        """Back-propagate through the stack, returning the input gradient.
+
+        With ``need_input_grad=False`` (what the trainers pass) the pass stops
+        at the first layer with parameters, as the lockstep
+        :class:`~repro.nn.batched.NetworkStack` does: that layer accumulates
+        its parameter gradients but skips its input gradient, and the
+        parameter-free layers before it only release their caches, since no
+        parameter consumes what they would compute.  Every parameter gradient
+        is bit-identical to the full pass; the return value is ``None``.
+        """
         grad = grad_output
-        for layer in reversed(self._layers):
-            grad = layer.backward(grad)
-        return grad
+        if need_input_grad:
+            for layer in reversed(self._layers):
+                grad = layer.backward(grad)
+            return grad
+        first = next((i for i, layer in enumerate(self._layers) if layer.parameters()), None)
+        if first is not None:
+            for layer in reversed(self._layers[first + 1 :]):
+                grad = layer.backward(grad)
+            self._layers[first].backward(grad, need_input_grad=False)
+        for layer in self._layers[:first]:
+            layer.release_caches()
+        return None
 
     def predict(self, x: np.ndarray, batch_size: Optional[int] = None) -> np.ndarray:
         """Inference-mode forward pass, optionally in mini-batches."""

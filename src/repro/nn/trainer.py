@@ -139,7 +139,7 @@ class Trainer:
         logits = self.network.forward(inputs)
         data_loss = self.loss.forward(logits, targets)
         grad = self.loss.backward()
-        self.network.backward(grad)
+        self.network.backward(grad, need_input_grad=False)
         penalty = 0.0
         for regularizer in self.regularizers:
             penalty += regularizer.penalty()
@@ -562,7 +562,7 @@ class LockstepTrainer:
             logits = point.network.forward(inputs)
             data_loss = point.loss.forward(logits, targets)
             grad = point.loss.backward()
-            point.network.backward(grad)
+            point.network.backward(grad, need_input_grad=False)
             penalty = 0.0
             for _, regularizer in point.regularizers:
                 penalty += regularizer.penalty()

@@ -3,7 +3,8 @@
 usage: PYTHONPATH=src python tests/golden/regen.py
 
 Runs every registered preset at ``--scale tiny``, plus two engine-policy
-variants (figure8 with ``mode="lockstep"``, figure6 with ``workers=2``), each
+variants (figure8 with ``mode="points"``, the per-point path beside its
+registered lockstep policy, and figure6 with ``workers=2``), each
 into its own throwaway :class:`~repro.experiments.store.RunStore`, and writes
 ``manifest.json`` next to this file.  Per entry the manifest records:
 
@@ -41,7 +42,7 @@ from repro.experiments import REGISTRY, RunStore, build_plan, execute_spec  # no
 #: Engine-policy variants pinned on top of the registered presets:
 #: ``entry name -> (preset, overrides)``.
 VARIANTS: Dict[str, Tuple[str, Dict[str, Any]]] = {
-    "figure8@lockstep": ("figure8", {"mode": "lockstep"}),
+    "figure8@points": ("figure8", {"mode": "points"}),
     "figure6@workers2": ("figure6", {"workers": 2}),
 }
 

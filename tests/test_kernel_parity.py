@@ -13,6 +13,7 @@ import pytest
 from repro.nn import _reference as ref
 from repro.nn import functional as F
 from repro.nn.layers import AvgPool2D, MaxPool2D
+from repro.nn.layers.pooling import _Pool2D
 
 ATOL = 1e-12
 
@@ -81,15 +82,6 @@ class TestConvKernelParity:
         rhs = float(np.sum(x * F.col2im(g, shape, 3, 3, 2, 1)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_pool_windows_matches_loop_reference(self, rng):
-        for pool, stride, padding in [(2, 2, 0), (3, 2, 1), (2, 1, 0), (3, 3, 0)]:
-            x = rng.standard_normal((2, 3, 8, 8))
-            win_new, oh, ow = F.pool_windows(x, pool, stride, padding)
-            win_ref, oh_r, ow_r = ref.extract_pool_windows_loop(x, pool, stride, padding)
-            assert (oh, ow) == (oh_r, ow_r)
-            flat = win_new.reshape(win_new.shape[:4] + (pool * pool,))
-            np.testing.assert_allclose(flat, win_ref, atol=ATOL, rtol=0)
-
 
 class TestFusedConvBackwardParity:
     """conv_backward_input must equal col2im(grad_mat @ W) to 1e-12."""
@@ -144,6 +136,145 @@ class TestFusedConvBackwardParity:
             grad_mat @ layer.weight_matrix, x.shape, 3, 3, 1, 1
         )
         np.testing.assert_allclose(grad_in, expected, atol=ATOL, rtol=0)
+
+
+def nchw_conv_backward_input(grad_mat, weight_matrix, input_shape, kernel, stride, padding):
+    """Oracle: the fused per-offset loop accumulated straight into an NCHW buffer.
+
+    It runs the same matmuls and the same per-element add order as
+    ``conv_backward_input``, so the two must agree byte for byte.
+    """
+    n, c, h, w = input_shape
+    out_h = F.conv_output_size(h, kernel, stride, padding)
+    out_w = F.conv_output_size(w, kernel, stride, padding)
+    weight4 = weight_matrix.reshape(grad_mat.shape[1], c, kernel, kernel)
+    x_padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    for i in range(kernel):
+        for j in range(kernel):
+            contribution = grad_mat @ weight4[:, :, i, j]
+            x_padded[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += (
+                contribution.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
+            )
+    return x_padded[:, :, padding : padding + h, padding : padding + w]
+
+
+class TestChannelLastConvBackwardInput:
+    """The channel-last accumulator must reproduce the NCHW loop byte for byte."""
+
+    @pytest.mark.parametrize(
+        "shape,kernel,stride,padding,out_like",
+        [
+            ((32, 8, 8, 8), 3, 1, 1, 8),     # ConvNet conv2 (small scale)
+            ((32, 8, 4, 4), 3, 1, 1, 16),    # ConvNet conv3 (small scale)
+            ((2, 16, 10, 10), 3, 1, 1, 12),
+            ((2, 8, 9, 9), 5, 1, 2, 6),
+            ((1, 9, 6, 6), 3, 2, 1, 5),      # overlapping strided
+            ((2, 12, 7, 5), 3, 1, 0, 4),     # no padding, non-square
+        ],
+    )
+    @pytest.mark.parametrize("layout", ["c-contiguous", "lowrank-vt-view"])
+    def test_matches_nchw_loop(self, rng, shape, kernel, stride, padding, out_like, layout):
+        n, c, h, w = shape
+        assert c >= F.FUSED_BACKWARD_MIN_CHANNELS  # the fused branch is under test
+        rows = n * F.conv_output_size(h, kernel, stride, padding) * F.conv_output_size(
+            w, kernel, stride, padding
+        )
+        grad_mat = rng.standard_normal((rows, out_like))
+        fan_in = c * kernel * kernel
+        if layout == "c-contiguous":
+            weight = rng.standard_normal((out_like, fan_in))
+        else:
+            # LowRankConv2D passes its (fan_in, rank) V factor transposed.
+            weight = np.ascontiguousarray(rng.standard_normal((fan_in, out_like))).T
+        fused = F.conv_backward_input(grad_mat, weight, shape, kernel, kernel, stride, padding)
+        oracle = nchw_conv_backward_input(grad_mat, weight, shape, kernel, stride, padding)
+        assert fused.shape == oracle.shape
+        assert fused.tobytes() == oracle.tobytes()
+
+
+def _signed_zero_grad(rng, shape):
+    """A gradient with ReLU-made ``-0.0`` entries (``g * mask``) and exact ties."""
+    grad = np.round(rng.standard_normal(shape), 1) * (rng.random(shape) > 0.4)
+    assert np.any(np.signbit(grad) & (grad == 0))
+    return grad
+
+
+class TestTiledPoolBackward:
+    """The single-write disjoint-window backward against the per-offset scatter, byte for byte."""
+
+    @staticmethod
+    def _backward_both_paths(layer, x, grad_out, monkeypatch):
+        """(backward as dispatched, per-offset scatter backward, took the scatter?)."""
+        scatters = []
+        scatter = _Pool2D._scatter
+
+        def counting_scatter(self, contributions):
+            scatters.append(self.name)
+            return scatter(self, contributions)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Pool2D, "_scatter", counting_scatter)
+            layer.forward(x)
+            dispatched = layer.backward(grad_out)
+        took_scatter = bool(scatters)
+        with monkeypatch.context() as patch:
+            patch.setattr(_Pool2D, "_windows_disjoint", lambda self: False)
+            layer.forward(x)
+            scattered = layer.backward(grad_out)
+        return dispatched, scattered, took_scatter
+
+    @pytest.mark.parametrize("layer_cls", [MaxPool2D, AvgPool2D])
+    @pytest.mark.parametrize(
+        "shape,pool",
+        [
+            ((4, 3, 8, 8), 2),
+            ((2, 2, 9, 6), 3),
+            ((32, 8, 16, 16), 2),
+            # Windows that leave a trailing row and column uncovered: LeNet
+            # pool2 at small scale (5x5, k=2), ConvNet pool2/pool3 at tiny.
+            ((4, 3, 5, 5), 2),
+            ((2, 3, 7, 7), 2),
+            ((2, 3, 3, 3), 2),
+            ((2, 2, 8, 7), 3),
+        ],
+    )
+    def test_tiled_matches_scatter(self, rng, monkeypatch, layer_cls, shape, pool):
+        # Small integers: max-pool windows with tied maxima, as after a ReLU.
+        x = rng.integers(-1, 2, size=shape).astype(float)
+        layer = layer_cls(pool)
+        out_shape = layer.forward(x).shape
+        grad_out = _signed_zero_grad(rng, out_shape)
+        tiled, scattered, took_scatter = self._backward_both_paths(
+            layer, x, grad_out, monkeypatch
+        )
+        assert not took_scatter
+        assert tiled.shape == x.shape
+        assert tiled.tobytes() == scattered.tobytes()
+        # Signed-zero rule: a -0.0 gradient lands as +0.0, as 0.0 + g does.
+        assert not np.any(np.signbit(tiled) & (tiled == 0))
+        if layer_cls is MaxPool2D:
+            _, grad_ref = ref.maxpool_forward_backward_loop(x, pool, pool, 0, grad_out)
+        else:
+            _, grad_ref = ref.avgpool_forward_backward_loop(x, pool, pool, 0, grad_out)
+        assert tiled.tobytes() == grad_ref.tobytes()
+
+    @pytest.mark.parametrize("layer_cls", [MaxPool2D, AvgPool2D])
+    @pytest.mark.parametrize(
+        "shape,pool,stride,padding",
+        # Overlapping windows; stride == k with padding; gaps between windows.
+        [((2, 3, 7, 8), 3, 2, 1), ((2, 3, 7, 8), 2, 2, 1), ((2, 3, 7, 8), 2, 3, 0)],
+    )
+    def test_non_tiling_geometry_takes_the_scatter(
+        self, rng, monkeypatch, layer_cls, shape, pool, stride, padding
+    ):
+        x = rng.integers(-1, 2, size=shape).astype(float)
+        layer = layer_cls(pool, stride, padding=padding)
+        grad_out = _signed_zero_grad(rng, layer.forward(x).shape)
+        dispatched, scattered, took_scatter = self._backward_both_paths(
+            layer, x, grad_out, monkeypatch
+        )
+        assert took_scatter
+        assert dispatched.tobytes() == scattered.tobytes()
 
 
 class TestPoolingLayerParity:

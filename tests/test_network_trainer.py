@@ -1,14 +1,18 @@
 """Tests for Sequential, regularizers and the Trainer loop."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro.core.conversion import convert_to_lowrank
 from repro.data import ArrayDataset, DataLoader
 from repro.exceptions import LayerError, TrainingError
-from repro.models import build_mlp
+from repro.models import ConvNetConfig, LeNetConfig, build_convnet, build_lenet, build_mlp
 from repro.nn import (
     SGD,
     Callback,
+    Flatten,
     GroupLassoRegularizer,
     L2Regularizer,
     Linear,
@@ -267,3 +271,90 @@ class TestTrainer:
         # More iterations than batches per epoch forces the loader to restart.
         trainer.run(len(loader) * 3 + 1)
         assert trainer.iteration == len(loader) * 3 + 1
+
+
+# --------------------------------------------------------------------------
+# The trainer's backward stops at the first weighted layer
+# --------------------------------------------------------------------------
+def _tiny_convnet():
+    return build_convnet(ConvNetConfig.small(image_size=8), rng=0), (3, 8, 8)
+
+
+def _tiny_lenet():
+    return build_lenet(LeNetConfig.small(image_size=12), rng=1), (1, 12, 12)
+
+
+def _tiny_lowrank_convnet():
+    return convert_to_lowrank(_tiny_convnet()[0]), (3, 8, 8)
+
+
+def _mlp():
+    return build_mlp(8, [6, 5], 3, rng=2), (8,)
+
+
+def _flatten_first():
+    # A parameter-free prefix: Flatten runs before the first weighted layer.
+    layers = [Flatten(), Linear(12, 5, name="fc1", rng=3), ReLU(), Linear(5, 3, name="fc2", rng=4)]
+    return Sequential(layers), (3, 2, 2)
+
+
+NETWORKS = {
+    "convnet": _tiny_convnet,
+    "lenet": _tiny_lenet,
+    "lowrank-convnet": _tiny_lowrank_convnet,
+    "mlp": _mlp,
+    "flatten-first": _flatten_first,
+}
+
+
+class TestBackwardStopsAtFirstWeightedLayer:
+    """``Trainer.train_step`` skips the first weighted layer's input gradient.
+
+    Every parameter gradient must equal, byte for byte, the one a deep copy
+    gets from the full ``Sequential.backward``.
+    """
+
+    @pytest.mark.parametrize("name", sorted(NETWORKS))
+    def test_train_step_gradients_match_full_backward(self, name):
+        network, sample_shape = NETWORKS[name]()
+        rng = np.random.default_rng(5)
+        num_classes = network.output_shape(sample_shape)[0]
+        inputs = rng.standard_normal((6,) + sample_shape)
+        targets = rng.integers(0, num_classes, size=6)
+        full = copy.deepcopy(network)
+
+        loader = DataLoader(ArrayDataset(inputs, targets), batch_size=6, shuffle=False)
+        trainer = Trainer(network, SoftmaxCrossEntropy(), SGD(network.parameters(), lr=0.1), loader)
+        trainer.train_step()
+
+        loss = SoftmaxCrossEntropy()
+        full.train()
+        full.zero_grad()
+        loss.forward(full.forward(inputs), targets)
+        grad_input = full.backward(loss.backward())
+        assert grad_input.shape == inputs.shape
+
+        pairs = list(zip(network.named_parameters(), full.named_parameters()))
+        assert pairs
+        for (name_a, param_a), (name_b, param_b) in pairs:
+            assert name_a == name_b
+            assert param_a.grad.tobytes() == param_b.grad.tobytes(), name_a
+        # The skipped first layer and the prefix before it hold no caches.
+        for layer in network:
+            for attr in layer._cache_attrs:
+                assert getattr(layer, attr) is None, (layer.name, attr)
+
+    def test_sequential_backward_returns_none_without_input_grad(self):
+        network, sample_shape = _flatten_first()
+        x = np.random.default_rng(6).standard_normal((4,) + sample_shape)
+        out = network.forward(x)
+        assert network.backward(np.ones_like(out), need_input_grad=False) is None
+        for layer in network:
+            for attr in layer._cache_attrs:
+                assert getattr(layer, attr) is None, (layer.name, attr)
+
+    def test_parameter_free_network_only_releases_caches(self):
+        network = Sequential([Flatten(), ReLU()])
+        out = network.forward(np.random.default_rng(7).standard_normal((3, 2, 2)))
+        assert network.backward(np.ones_like(out), need_input_grad=False) is None
+        assert network[0]._input_shape is None and network[1]._mask is None
