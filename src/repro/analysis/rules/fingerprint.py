@@ -2,10 +2,11 @@
 
 The run store (PR 4) addresses artifacts and sweep points by content
 fingerprints computed from :class:`ExperimentSpec` (which embeds the scale
-overrides and every :class:`HardwareConfig` corner).  A field added to one
-of those dataclasses but left out of the fingerprint makes two *different*
-experiments hash identically — resume then silently serves results
-computed under other settings, corrupting the shared artifact pool.
+overrides, every :class:`HardwareConfig` corner and the :class:`SweepEngine`
+execution policy).  A field added to one of those dataclasses but left out
+of the fingerprint makes two *different* experiments hash identically —
+resume then silently serves results computed under other settings,
+corrupting the shared artifact pool.
 
 This is a semantic (import-based) check, not an AST pattern: it runs the
 real serialization/fingerprint code against the live dataclasses.
@@ -19,8 +20,9 @@ Three layers:
    it is display-only (add to the excluded set, with a comment saying why).
 2. **Serialization coverage** — a probe :class:`ExperimentSpec` is built
    and every acknowledged field must actually survive into ``to_dict()``
-   and ``canonical()`` (resp. ``HardwareConfig.as_dict()``); the snapshot
-   cannot drift from what the code really hashes.
+   and ``canonical()`` (resp. ``HardwareConfig.as_dict()`` and
+   ``canonical()["engine"]``); the snapshot cannot drift from what the code
+   really hashes.
 3. **Scale-override coverage** — each :class:`ExperimentScale` field is
    perturbed on the ``tiny`` preset and must round-trip through
    ``scale_spec_fields`` into ``canonical()["scale_overrides"]``.
@@ -81,14 +83,18 @@ ACKNOWLEDGED_FIELDS: Dict[str, Set[str]] = {
         "adc_bits",
         "seed",
     },
+    "SweepEngine": {"workers", "per_point_seed", "mode"},
 }
 
 #: Fields deliberately *outside* the fingerprint, each with a reason:
 #: ExperimentSpec.name is a display label — renaming a spec must not re-run it.
+#: SweepEngine.retry is pure execution policy — retries, timeouts and pool
+#: supervision are bit-identical to a clean run, so canonical() drops it.
 EXCLUDED_FIELDS: Dict[str, Set[str]] = {
     "ExperimentSpec": {"name"},
     "ExperimentScale": set(),
     "HardwareConfig": set(),
+    "SweepEngine": {"retry"},
 }
 
 
@@ -113,6 +119,7 @@ def coverage_messages(
     spec_cls=None,
     scale_cls=None,
     hardware_cls=None,
+    engine_cls=None,
     *,
     acknowledged: Optional[Dict[str, Set[str]]] = None,
     excluded: Optional[Dict[str, Set[str]]] = None,
@@ -124,12 +131,14 @@ def coverage_messages(
     and checks the real dataclasses.
     """
     from repro.experiments.presets import ExperimentScale, get_scale
+    from repro.experiments.runner import SweepEngine
     from repro.experiments.spec import ExperimentSpec, scale_spec_fields
     from repro.hardware.sim import HardwareConfig
 
     spec_cls = spec_cls or ExperimentSpec
     scale_cls = scale_cls or ExperimentScale
     hardware_cls = hardware_cls or HardwareConfig
+    engine_cls = engine_cls or SweepEngine
     acknowledged = acknowledged if acknowledged is not None else ACKNOWLEDGED_FIELDS
     excluded = excluded if excluded is not None else EXCLUDED_FIELDS
 
@@ -140,6 +149,7 @@ def coverage_messages(
         (spec_cls, "ExperimentSpec"),
         (scale_cls, "ExperimentScale"),
         (hardware_cls, "HardwareConfig"),
+        (engine_cls, "SweepEngine"),
     ):
         names = _names(cls)
         known = acknowledged.get(key, set()) | excluded.get(key, set())
@@ -167,7 +177,10 @@ def coverage_messages(
     # ---- layer 2: serialization coverage against the live code paths
     try:
         probe = spec_cls(
-            kind="sweep", grid=(0.05,), hardware=(hardware_cls(bits=4),)
+            kind="sweep",
+            grid=(0.05,),
+            hardware=(hardware_cls(bits=4),),
+            engine=engine_cls(),
         )
     except Exception as error:  # pragma: no cover - spec construction contract
         problems.append(
@@ -213,6 +226,25 @@ def coverage_messages(
                 "HardwareConfig",
                 f"field {name!r} is missing from as_dict(), so hardware "
                 "corners differing in it fingerprint identically",
+            )
+        )
+
+    engine_canonical = set(probe.canonical()["engine"])
+    engine_excluded = excluded.get("SweepEngine", set())
+    for name in sorted(_names(engine_cls) - engine_canonical - engine_excluded):
+        problems.append(
+            (
+                "SweepEngine",
+                f"field {name!r} is missing from canonical()['engine'], so "
+                "specs differing only in it fingerprint identically",
+            )
+        )
+    for name in sorted(engine_excluded & engine_canonical):
+        problems.append(
+            (
+                "SweepEngine",
+                f"field {name!r} is listed as excluded but still appears in "
+                "canonical()['engine']; the exclusion list is stale",
             )
         )
 
@@ -265,6 +297,7 @@ def _anchor(key: str) -> Tuple[str, int]:
         "ExperimentSpec": "experiments/spec.py",
         "ExperimentScale": "experiments/presets.py",
         "HardwareConfig": "hardware/sim.py",
+        "SweepEngine": "experiments/runner.py",
     }
     package_root = Path(repro.__file__).resolve().parent
     path = package_root / modules[key]
@@ -277,12 +310,13 @@ def _anchor(key: str) -> Tuple[str, int]:
 
 @register
 class FingerprintCoverageRule(ProjectRule):
-    """Every spec/scale/hardware field is fingerprinted or explicitly excluded."""
+    """Every spec/scale/hardware/engine field is fingerprinted or explicitly excluded."""
 
     id = "fingerprint-coverage"
     summary = (
-        "every ExperimentSpec / ExperimentScale / HardwareConfig field must "
-        "participate in content fingerprints or sit on the exclusion list"
+        "every ExperimentSpec / ExperimentScale / HardwareConfig / SweepEngine "
+        "field must participate in content fingerprints or sit on the "
+        "exclusion list"
     )
     rationale = (
         "RunStore resume trusts fingerprints as identity: a field outside "

@@ -21,7 +21,6 @@ from repro.core.groups import (
     GroupedMatrix,
     LockstepCrossbarGroupLasso,
     derive_network_groups,
-    flatten_groups,
     matrix_group_norms,
 )
 from repro.exceptions import ConfigurationError
@@ -29,10 +28,9 @@ from repro.hardware.library import PAPER_LIBRARY, CrossbarLibrary
 from repro.hardware.routing import (
     RoutingAnalysisCache,
     RoutingReport,
-    count_remaining_wires,
+    analyze_routing,
 )
 from repro.nn.network import Sequential
-from repro.nn.regularization import GroupLassoRegularizer, PerPointRegularizers
 from repro.nn.trainer import Callback, Trainer
 from repro.utils.logging import get_logger
 
@@ -50,17 +48,13 @@ def matrix_routing_report(
     zero_threshold: float = 0.0,
     cache: Optional[RoutingAnalysisCache] = None,
 ) -> RoutingReport:
-    """Routing report of one grouped matrix for its current weights."""
-    if cache is not None:
-        return cache.analyze(
-            matrix.values(), matrix.plan, zero_threshold=zero_threshold, name=matrix.name
-        )
-    return RoutingReport(
-        name=matrix.name,
-        dense_wires=matrix.plan.dense_wire_count(),
-        remaining_wires=count_remaining_wires(
-            matrix.values(), matrix.plan, zero_threshold=zero_threshold
-        ),
+    """Routing report of one grouped matrix for its current weights.
+
+    Memoized through ``cache`` when one is given.
+    """
+    analyze = analyze_routing if cache is None else cache.analyze
+    return analyze(
+        matrix.values(), matrix.plan, zero_threshold=zero_threshold, name=matrix.name
     )
 
 
@@ -98,19 +92,18 @@ def group_deletion_fractions(
     *,
     zero_threshold: float,
     relative_threshold: float,
-    vectorized: bool = True,
 ) -> float:
     """Fraction of the matrix's routing wires that would be deleted right now.
 
     Every row/column group guards exactly one routing wire, so the fraction of
     groups at or below the effective threshold equals the fraction of
-    deletable wires (Figure 5's y-axis).  The default path computes all group
-    norms in two block reductions; ``vectorized=False`` (or a padded tiling
-    plan) keeps the original per-group loop.
+    deletable wires (Figure 5's y-axis).  All group norms come from two block
+    reductions; only a padded tiling plan (no block view) takes the per-group
+    loop.
     """
     if not matrix.groups:
         return 0.0
-    norms = _flat_group_norms(matrix) if vectorized else None
+    norms = _flat_group_norms(matrix)
     if norms is not None:
         threshold = zero_threshold
         if relative_threshold > 0.0:
@@ -180,7 +173,6 @@ class GroupDeletionCallback(Callback):
         zero_threshold: float = 1e-4,
         relative_threshold: float = 0.05,
         evaluate: bool = True,
-        vectorized: bool = True,
         routing_cache: Optional[RoutingAnalysisCache] = None,
     ):
         if record_interval < 1:
@@ -190,8 +182,9 @@ class GroupDeletionCallback(Callback):
         self.zero_threshold = float(zero_threshold)
         self.relative_threshold = float(relative_threshold)
         self.evaluate = bool(evaluate)
-        self.vectorized = bool(vectorized)
-        self.routing_cache = routing_cache
+        self.routing_cache = (
+            RoutingAnalysisCache() if routing_cache is None else routing_cache
+        )
         self.trace = GroupDeletionTrace()
 
     def _fractions(self) -> Dict[str, float]:
@@ -200,14 +193,11 @@ class GroupDeletionCallback(Callback):
                 matrix,
                 zero_threshold=self.zero_threshold,
                 relative_threshold=self.relative_threshold,
-                vectorized=self.vectorized,
             )
             for matrix in self.grouped_matrices
         }
 
-    def _wire_fractions(self) -> Optional[Dict[str, float]]:
-        if self.routing_cache is None:
-            return None
+    def _wire_fractions(self) -> Dict[str, float]:
         return {
             matrix.name: self.routing_cache.analyze(
                 matrix.values(), matrix.plan, name=matrix.name
@@ -335,21 +325,18 @@ class GroupConnectionDeleter:
     Parameters
     ----------
     config, library, record_interval:
-        As before: hyper-parameters, crossbar library, and Figure-5 trace
-        cadence.
-    structured_lasso:
-        Use the vectorized :class:`~repro.core.groups.CrossbarGroupLasso`
-        penalty (same objective as the flat per-group regularizer, computed
-        with block reductions).  ``False`` keeps the original per-group
-        :class:`~repro.nn.regularization.GroupLassoRegularizer`.
-    memoize_routing:
-        Route every routing analysis (record steps and final reports)
-        through a :class:`~repro.hardware.routing.RoutingAnalysisCache` so
-        repeated analyses of near-identical live masks collapse to a hash
-        lookup.
+        Hyper-parameters, crossbar library, and Figure-5 trace cadence.
     routing_cache:
-        Optional externally-shared cache (e.g. one cache across all points
-        of a sweep); ignored when ``memoize_routing`` is ``False``.
+        The :class:`~repro.hardware.routing.RoutingAnalysisCache` every
+        routing analysis (record steps and final reports) goes through, so
+        repeated analyses of near-identical live masks collapse to a hash
+        lookup.  Pass one to share it (e.g. across the points of a sweep);
+        by default the deleter makes its own.
+
+    The penalty is the vectorized :class:`~repro.core.groups.CrossbarGroupLasso`
+    (the objective of the flat per-group
+    :class:`~repro.nn.regularization.GroupLassoRegularizer`, computed with
+    block reductions).
     """
 
     def __init__(
@@ -358,19 +345,15 @@ class GroupConnectionDeleter:
         *,
         library: CrossbarLibrary = PAPER_LIBRARY,
         record_interval: int = 100,
-        structured_lasso: bool = True,
-        memoize_routing: bool = True,
         routing_cache: Optional[RoutingAnalysisCache] = None,
     ):
         self.config = config
         self.library = library
         self.record_interval = int(record_interval)
-        self.structured_lasso = bool(structured_lasso)
-        self.memoize_routing = bool(memoize_routing)
-        if not self.memoize_routing:
-            self.routing_cache: Optional[RoutingAnalysisCache] = None
-        else:
-            self.routing_cache = routing_cache or RoutingAnalysisCache()
+        # An empty cache is falsy (it defines __len__): test identity, not truth.
+        self.routing_cache = (
+            RoutingAnalysisCache() if routing_cache is None else routing_cache
+        )
 
     def derive_groups(self, network: Sequential) -> List[GroupedMatrix]:
         """Grouped crossbar matrices this configuration penalizes."""
@@ -397,14 +380,10 @@ class GroupConnectionDeleter:
             record_interval=self.record_interval,
             zero_threshold=self.config.zero_threshold,
             relative_threshold=self.config.relative_threshold,
-            vectorized=self.structured_lasso,
             routing_cache=self.routing_cache,
         )
         trainer = trainer_factory(network, [callback])
-        if self.structured_lasso:
-            regularizer = CrossbarGroupLasso(grouped, self.config.strength)
-        else:
-            regularizer = GroupLassoRegularizer(flatten_groups(grouped), self.config.strength)
+        regularizer = CrossbarGroupLasso(grouped, self.config.strength)
         trainer.add_regularizer(regularizer)
         accuracy_before = trainer.evaluate()
         trainer.run(self.config.iterations)
@@ -469,8 +448,6 @@ def run_lockstep_deletion(
     *,
     library: CrossbarLibrary = PAPER_LIBRARY,
     record_interval: int = 100,
-    structured_lasso: bool = True,
-    memoize_routing: bool = True,
     routing_cache: Optional[RoutingAnalysisCache] = None,
 ) -> List[GroupDeletionResult]:
     """Run group deletion on K same-architecture networks in lockstep.
@@ -487,15 +464,12 @@ def run_lockstep_deletion(
     ``lockstep_trainer_factory`` is a callable
     ``(networks, callbacks_per_point) -> LockstepTrainer`` — the lockstep
     analogue of the serial ``trainer_factory``.  ``configs`` must differ only
-    in ``strength``.  The routing cache (created when ``memoize_routing``,
-    unless an external ``routing_cache`` is supplied) is shared by every
-    point's record steps and final reports, so one mask fingerprint warms all
-    K points.
+    in ``strength``.  The routing cache (``routing_cache``, or a fresh one)
+    is shared by every point's record steps and final reports, so one mask
+    fingerprint warms all K points.
     """
-    if memoize_routing and routing_cache is None:
+    if routing_cache is None:
         routing_cache = RoutingAnalysisCache()
-    elif not memoize_routing:
-        routing_cache = None
     networks = list(networks)
     configs = list(configs)
     if not networks:
@@ -528,24 +502,15 @@ def run_lockstep_deletion(
                 record_interval=record_interval,
                 zero_threshold=base.zero_threshold,
                 relative_threshold=base.relative_threshold,
-                vectorized=structured_lasso,
                 routing_cache=routing_cache,
             )
         ]
         for grouped in grouped_per_point
     ]
     trainer = lockstep_trainer_factory(networks, callbacks_per_point)
-    if structured_lasso:
-        regularizer = LockstepCrossbarGroupLasso(
-            trainer.stack, grouped_per_point, [config.strength for config in configs]
-        )
-    else:
-        regularizer = PerPointRegularizers(
-            [
-                GroupLassoRegularizer(flatten_groups(grouped), config.strength)
-                for grouped, config in zip(grouped_per_point, configs)
-            ]
-        )
+    regularizer = LockstepCrossbarGroupLasso(
+        trainer.stack, grouped_per_point, [config.strength for config in configs]
+    )
     trainer.add_regularizer(regularizer)
 
     accuracy_before = trainer.evaluate()

@@ -85,8 +85,7 @@ class Figure5Series:
     ``deleted_wire_fraction`` is the paper's norm-threshold estimate (which
     groups *would* be deleted right now); ``remaining_wire_fraction`` is the
     measured routing analysis of the current weights (memoized per mask
-    fingerprint, so record steps pay a hash instead of a re-tiling).  The
-    latter is empty when the deleter ran without routing memoization.
+    fingerprint, so record steps pay a hash instead of a re-tiling).
     """
 
     workload_name: str

@@ -694,16 +694,15 @@ class GraphExecution:
             point_fn = run_tolerance_point
         else:
             point_fn = run_strength_point
-            if self.spec.engine.memoize_routing:
-                # Each point starts warm with every routing analysis the
-                # earlier points discovered.
-                cache = self._routing_cache
+            # Each point starts warm with every routing analysis the earlier
+            # points discovered.
+            cache = self._routing_cache
 
-                def prepare(attempt_task):
-                    attempt_task.routing_cache_entries = cache.export_entries()
+            def prepare(attempt_task):
+                attempt_task.routing_cache_entries = cache.export_entries()
 
-                def absorb(outcome):
-                    cache.merge_entries(outcome.routing_cache_entries)
+            def absorb(outcome):
+                cache.merge_entries(outcome.routing_cache_entries)
 
         supervised_slot(
             self.spec.engine, point_fn, task, self.monitor, slot=slot,
@@ -718,12 +717,9 @@ class GraphExecution:
         journals the finished record, so a crash loses only points still
         in flight.
         """
-        spec, engine = self.spec, self.spec.engine
+        spec = self.spec
         point = self._pending[slot]
-        if engine.inline_training_eval:
-            accuracy = outcome.accuracy if outcome.accuracy is not None else 0.0
-        else:
-            accuracy = engine.evaluate_networks([outcome.network], self._setup)[0]
+        accuracy = spec.engine.evaluate_networks([outcome.network], self._setup)[0]
         hardware = _run_hardware_stage(
             spec, self._setup, outcome.network, self.timings, mapper=self._mapper
         )

@@ -26,7 +26,7 @@ from __future__ import annotations
 import copy
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.core.config import GroupDeletionConfig, RankClippingConfig
 from repro.core.conversion import convert_to_lowrank, direct_lra
+from repro.core.group_deletion import GroupConnectionDeleter
 from repro.core.rank_clipping import RankClipper
 from repro.exceptions import ExperimentError
 from repro.experiments.figures import Figure3Series, Figure5Series
@@ -548,7 +549,7 @@ def _clip_baseline(spec, workload, setup, baseline_network, baseline_accuracy):
 
 def _delete_groups(spec, workload, setup, network):
     """Group connection deletion at ``spec.strength`` on a clipped network."""
-    deleter = spec.engine.make_deleter(
+    deleter = GroupConnectionDeleter(
         deletion_config(spec, workload, spec.strength),
         record_interval=workload.scale.record_interval,
     )
@@ -745,8 +746,9 @@ def prepare_strength_base(
     clipped = convert_to_lowrank(
         copy.deepcopy(baseline_network), layers=list(workload.clippable_layers)
     )
+    # No held-out split on the clipping trainer: nothing reads its accuracies.
     RankClipper(clipping_config(spec, workload, spec.tolerance)).run(
-        clipped, spec.engine.shared_setup(setup).trainer_factory
+        clipped, replace(setup, evaluate_during_training=False).trainer_factory
     )
     return clipped
 
@@ -781,8 +783,6 @@ def make_point_task(
         setup=point_setup,
         config=deletion_config(spec, workload, point.value),
         record_interval=workload.scale.record_interval,
-        structured_lasso=spec.engine.structured_lasso,
-        memoize_routing=spec.engine.memoize_routing,
     )
 
 

@@ -37,6 +37,7 @@ path above.
 from __future__ import annotations
 
 import copy
+import ctypes
 import multiprocessing as mp
 import signal
 import time
@@ -44,6 +45,7 @@ import traceback as traceback_module
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, PointFailureError, PointTimeoutError
@@ -419,13 +421,52 @@ def _serial_map(
     return results
 
 
+def openblas_symbol(*names: str) -> Optional[Callable]:
+    """The first of ``names`` exported by the OpenBLAS numpy ships, or ``None``.
+
+    Looks in the ``numpy.libs`` directory of a wheel install; loading the
+    library numpy already loaded returns its live handle, so a setter called
+    through it acts on numpy's own BLAS.
+    """
+    import numpy
+
+    libs = Path(numpy.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for name in names:
+            symbol = getattr(handle, name, None)
+            if symbol is not None:
+                return symbol
+    return None
+
+
+def _pin_worker_blas() -> None:
+    """Pool-worker initializer: run the worker's OpenBLAS on one thread.
+
+    Forked workers inherit the parent's multithreaded BLAS, so two workers on
+    a 2-core box would run four BLAS threads and oversubscribe the cores.
+    Does nothing when the library or its setter is not found.
+    """
+    setter = openblas_symbol(
+        "scipy_openblas_set_num_threads64_", "openblas_set_num_threads"
+    )
+    if setter is not None:
+        setter.argtypes = [ctypes.c_int]
+        setter(1)
+
+
 def _make_pool(engine: Any, size: int) -> ProcessPoolExecutor:
-    method = engine.start_method
-    if method is None:
-        method = "fork" if "fork" in mp.get_all_start_methods() else None
-    context = mp.get_context(method)
+    try:
+        context = mp.get_context("fork")
+    except ValueError:  # no fork on this platform: the default context
+        context = mp.get_context()
     return ProcessPoolExecutor(
-        max_workers=min(engine.workers, max(size, 1)), mp_context=context
+        max_workers=min(engine.workers, max(size, 1)),
+        mp_context=context,
+        initializer=_pin_worker_blas,
     )
 
 
@@ -688,8 +729,6 @@ def _serial_strength_points(
     from repro.experiments.runner import run_strength_point
     from repro.hardware.routing import RoutingAnalysisCache
 
-    if not engine.memoize_routing:
-        return _serial_map(engine, run_strength_point, tasks, monitor)
     cache = RoutingAnalysisCache()
 
     def prepare(task):
@@ -712,7 +751,7 @@ def _supervised_lockstep(
     # copies so a mid-training failure can restart point-by-point cleanly.
     pristine = copy.deepcopy(tasks)
     try:
-        outcomes = _run_lockstep_strength_points(engine, tasks)
+        outcomes = _run_lockstep_strength_points(tasks)
     except KeyboardInterrupt:
         monitor.interrupted = True
         return {}

@@ -1,4 +1,4 @@
-"""Sweep execution engine: process fan-out, batched evaluation, shared caches.
+"""Sweep execution engine: process fan-out, lockstep stacking, shared caches.
 
 The paper's headline results (Figures 6–8, Tables 1/3) are hyper-parameter
 sweeps: many ε rank-clipping points and λ group-deletion points, each a full
@@ -6,34 +6,27 @@ retrain from one shared baseline.  The points are mutually independent, so a
 :class:`SweepEngine` executes them as self-contained *point tasks*:
 
 * **Process fan-out** — with ``workers >= 2`` the tasks run on a
-  ``ProcessPoolExecutor`` (``fork`` start method where available); with
-  ``workers=1`` the same task functions run inline, so the serial path and
-  the parallel path execute byte-for-byte identical code on identical
-  payloads.  Every payload is a pure value (network copy, training setup,
-  config): no shared mutable state crosses a task boundary, which is what
-  makes parallel results bit-identical to serial ones.
+  ``ProcessPoolExecutor`` (``fork`` start method where available, one BLAS
+  thread per worker); with ``workers=1`` the same task functions run inline,
+  so the serial path and the parallel path execute byte-for-byte identical
+  code on identical payloads.  Every payload is a pure value (network copy,
+  training setup, config): no shared mutable state crosses a task boundary,
+  which is what makes parallel point results bit-identical to serial ones.
+  A λ sweep's ``routing_cache_stats`` are the one exception: each worker's
+  routing-analysis cache starts cold, so the pool records more misses.
 * **Deterministic per-point seeding** — by default every point trains on the
   same data stream as the shared baseline (the paper's "points differ only in
   the swept hyper-parameter" protocol).  ``per_point_seed=True`` instead
   derives each point's seed as a pure function of ``(setup.seed, index)``
   via :func:`repro.utils.rng.derive_point_seed`, so even independently-seeded
   sweeps are reproducible regardless of execution order or process placement.
-* **One evaluation per point** — the engine skips the per-point test-set
-  passes whose results the sweep never reports (``inline_training_eval=
-  False`` strips the held-out split from the point trainers) and instead
-  evaluates each finished point network once through
-  :meth:`SweepEngine.evaluate_networks` (:func:`repro.nn.batched.
-  batched_evaluate` when ``batched_eval`` is set, which is bit-identical to
-  per-network ``predict``).
-* **Routing memoization / structured group Lasso** — point tasks construct
-  their :class:`~repro.core.group_deletion.GroupConnectionDeleter` through
-  the engine flags, enabling the vectorized
-  :class:`~repro.core.groups.CrossbarGroupLasso` penalty and the
-  :class:`~repro.hardware.routing.RoutingAnalysisCache`.
-
-``SweepEngine.reference()`` disables every optimization (inline per-point
-evaluation, flat per-group Lasso, no memoization, no batching) and is kept as
-the benchmark baseline configuration.
+* **One evaluation per point** — point trainers carry no held-out split
+  (the sweeps never report intermediate accuracies), and each finished
+  point network is evaluated once through :meth:`SweepEngine.
+  evaluate_networks`.
+* **Structured group Lasso and routing memoization** — λ points train under
+  the vectorized :class:`~repro.core.groups.CrossbarGroupLasso` and analyze
+  routing through a :class:`~repro.hardware.routing.RoutingAnalysisCache`.
 
 Every execution is supervised (:mod:`repro.experiments.resilience`): the
 graph executor (:mod:`repro.experiments.graph`) runs a serial sweep one
@@ -45,7 +38,6 @@ functions either way, which is why their results are bit-identical.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar
@@ -62,7 +54,7 @@ from repro.experiments.resilience import (
 )
 from repro.experiments.training import TrainingSetup
 from repro.hardware.routing import RoutingAnalysisCache
-from repro.nn.batched import architecture_signature, batched_evaluate
+from repro.nn.batched import architecture_signature
 from repro.nn.network import Sequential
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_point_seed
@@ -71,6 +63,20 @@ logger = get_logger("experiments.runner")
 
 TaskT = TypeVar("TaskT")
 OutcomeT = TypeVar("OutcomeT")
+
+#: Retired engine fields that stored specs and queued jobs still carry.  These
+#: two never changed a result, so :meth:`SweepEngine.from_dict` drops them at
+#: any value.
+_RETIRED_ANY_VALUE = ("batched_eval", "start_method")
+
+#: Retired engine fields mapped to the value whose behaviour the engine kept:
+#: :meth:`SweepEngine.from_dict` drops them at that value and rejects any
+#: other, which the engine can no longer run.
+_RETIRED_KEPT_VALUE = {
+    "memoize_routing": True,
+    "structured_lasso": True,
+    "inline_training_eval": False,
+}
 
 
 @dataclass(frozen=True)
@@ -81,27 +87,16 @@ class SweepEngine:
     ----------
     workers:
         Number of worker processes for sweep points.  ``1`` (default) runs
-        the point tasks inline; ``>= 2`` fans them out over a process pool.
-        Results are bit-identical either way.
-    batched_eval:
-        Evaluate the finished point networks together through
-        :func:`repro.nn.batched.batched_evaluate` instead of one ``predict``
-        per network.
-    memoize_routing:
-        Give each point's deleter a
-        :class:`~repro.hardware.routing.RoutingAnalysisCache`.
-    structured_lasso:
-        Use the vectorized crossbar-aware group-Lasso penalty.
-    inline_training_eval:
-        Keep the held-out split attached to the point trainers so every
-        record/clip step evaluates, as the pre-engine sweeps did.  Off by
-        default: the sweeps never report those intermediate accuracies, and
-        the training trajectory is unaffected.
+        the point tasks inline; ``>= 2`` fans them out over a process pool
+        whose workers each run single-threaded BLAS.  Point results are
+        bit-identical either way.  A λ sweep's ``routing_cache_stats`` are
+        not: each worker's routing-analysis cache starts cold, so the pool
+        records more misses (small-scale ``figure8``, seed 0: 260 hits / 34
+        misses with ``--engine-mode points --workers 2`` against 272 / 22
+        serial or lockstep).
     per_point_seed:
         Derive an independent, order-insensitive seed per point instead of
         sharing the baseline's data stream across points.
-    start_method:
-        Multiprocessing start method (default: ``fork`` when available).
     mode:
         ``"points"`` (default) executes sweep points as independent tasks
         (inline or process-fanned).  ``"lockstep"`` trains all λ-points of
@@ -125,12 +120,7 @@ class SweepEngine:
     """
 
     workers: int = 1
-    batched_eval: bool = True
-    memoize_routing: bool = True
-    structured_lasso: bool = True
-    inline_training_eval: bool = False
     per_point_seed: bool = False
-    start_method: Optional[str] = None
     mode: str = "points"
     retry: RetryPolicy = RetryPolicy()
 
@@ -143,12 +133,6 @@ class SweepEngine:
             else:
                 raise ConfigurationError(
                     f"retry must be a RetryPolicy or mapping, got {type(self.retry).__name__}"
-                )
-        if self.start_method is not None:
-            if self.start_method not in mp.get_all_start_methods():
-                raise ConfigurationError(
-                    f"unknown start method {self.start_method!r}; expected one of "
-                    f"{mp.get_all_start_methods()}"
                 )
         if self.mode not in ("points", "lockstep"):
             raise ConfigurationError(
@@ -172,8 +156,19 @@ class SweepEngine:
 
         Unknown keys raise :class:`ConfigurationError` so stale or typo'd
         artifacts fail loudly instead of silently running a default policy.
+        Retired keys that stored specs and queued jobs still carry load when
+        they name the behaviour the engine kept, and raise otherwise.
         """
         payload = dict(payload or {})
+        for key in _RETIRED_ANY_VALUE:
+            payload.pop(key, None)
+        for key, kept in _RETIRED_KEPT_VALUE.items():
+            value = payload.pop(key, kept)
+            if value is not kept:
+                raise ConfigurationError(
+                    f"SweepEngine field {key!r} is retired: only {key}={kept!r}, "
+                    f"the behaviour the engine kept, still loads (got {value!r})"
+                )
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -182,49 +177,19 @@ class SweepEngine:
             )
         return cls(**payload)
 
-    @classmethod
-    def reference(cls) -> "SweepEngine":
-        """The pre-engine execution policy (serial, unbatched, unmemoized).
-
-        Kept as the baseline configuration for the sweep-throughput
-        benchmark so speedups are measured against like-for-like work.
-        """
-        return cls(
-            workers=1,
-            batched_eval=False,
-            memoize_routing=False,
-            structured_lasso=False,
-            inline_training_eval=True,
-        )
-
     # ------------------------------------------------------------ setups
     def point_setup(self, setup: TrainingSetup, index: int) -> TrainingSetup:
-        """The training setup one sweep point should run with."""
+        """The training setup one sweep point should run with.
+
+        Point trainers carry no held-out split: the sweeps never report
+        intermediate accuracies, and the training trajectory is unaffected.
+        """
         prepared = setup
         if self.per_point_seed:
             prepared = replace(prepared, seed=derive_point_seed(setup.seed, index))
-        if not self.inline_training_eval and prepared.evaluate_during_training:
+        if prepared.evaluate_during_training:
             prepared = replace(prepared, evaluate_during_training=False)
         return prepared
-
-    def shared_setup(self, setup: TrainingSetup) -> TrainingSetup:
-        """Setup for shared (pre-fan-out) phases, e.g. the λ sweep's clipping."""
-        if not self.inline_training_eval and setup.evaluate_during_training:
-            return replace(setup, evaluate_during_training=False)
-        return setup
-
-    # ----------------------------------------------------------- drivers
-    def make_deleter(
-        self, config: GroupDeletionConfig, *, record_interval: int, **kwargs
-    ) -> GroupConnectionDeleter:
-        """A :class:`GroupConnectionDeleter` honouring the engine flags."""
-        return GroupConnectionDeleter(
-            config,
-            record_interval=record_interval,
-            structured_lasso=self.structured_lasso,
-            memoize_routing=self.memoize_routing,
-            **kwargs,
-        )
 
     # ----------------------------------------------------------- fan-out
     def map_points(
@@ -250,10 +215,7 @@ class SweepEngine:
     def evaluate_networks(
         self, networks: Sequence[Sequential], setup: TrainingSetup
     ) -> List[float]:
-        """Held-out accuracy of every network, batched when enabled."""
-        inputs, targets = setup.test_dataset.arrays()
-        if self.batched_eval:
-            return batched_evaluate(networks, inputs, targets, batch_size=256)
+        """Held-out accuracy of every network (one ``setup.evaluate`` each)."""
         return [setup.evaluate(network) for network in networks]
 
     # --------------------------------------------------- strength execution
@@ -294,7 +256,6 @@ class TolerancePointOutcome:
     tolerance: float
     network: Sequential
     ranks: Dict[str, int]
-    accuracy: Optional[float]
 
 
 def run_tolerance_point(task: TolerancePointTask) -> TolerancePointOutcome:
@@ -305,7 +266,6 @@ def run_tolerance_point(task: TolerancePointTask) -> TolerancePointOutcome:
         tolerance=task.tolerance,
         network=task.network,
         ranks=dict(clipping.final_ranks),
-        accuracy=clipping.final_accuracy,
     )
 
 
@@ -324,8 +284,6 @@ class StrengthPointTask:
     setup: TrainingSetup
     config: GroupDeletionConfig
     record_interval: int
-    structured_lasso: bool = True
-    memoize_routing: bool = True
     routing_cache_entries: Optional[List[Tuple[tuple, int]]] = None
 
 
@@ -342,36 +300,26 @@ class StrengthPointOutcome:
     network: Sequential
     wire_fractions: Dict[str, float]
     routing_area_fractions: Dict[str, float]
-    accuracy: Optional[float]
     routing_cache_stats: Optional[Dict[str, int]] = None
     routing_cache_entries: Optional[List[Tuple[tuple, int]]] = None
 
 
 def run_strength_point(task: StrengthPointTask) -> StrengthPointOutcome:
     """Execute one λ point (module-level so process pools can import it)."""
-    cache = None
-    if task.memoize_routing:
-        cache = RoutingAnalysisCache()
-        cache.merge_entries(task.routing_cache_entries)
+    cache = RoutingAnalysisCache()
+    cache.merge_entries(task.routing_cache_entries)
     deleter = GroupConnectionDeleter(
-        task.config,
-        record_interval=task.record_interval,
-        structured_lasso=task.structured_lasso,
-        memoize_routing=task.memoize_routing,
-        routing_cache=cache,
+        task.config, record_interval=task.record_interval, routing_cache=cache
     )
     deletion = deleter.run(task.network, task.setup.trainer_factory)
-    stats = None if deleter.routing_cache is None else deleter.routing_cache.stats()
-    entries = None if deleter.routing_cache is None else deleter.routing_cache.export_entries()
     return StrengthPointOutcome(
         index=task.index,
         strength=task.strength,
         network=task.network,
         wire_fractions=deletion.wire_fractions(),
         routing_area_fractions=deletion.routing_area_fractions(),
-        accuracy=deletion.accuracy_after_finetune,
-        routing_cache_stats=stats,
-        routing_cache_entries=entries,
+        routing_cache_stats=cache.stats(),
+        routing_cache_entries=cache.export_entries(),
     )
 
 
@@ -388,17 +336,15 @@ def _lockstep_group_key(task: StrengthPointTask) -> tuple:
         config.include_small_matrices,
         config.layers,
         task.record_interval,
-        task.structured_lasso,
-        task.memoize_routing,
     )
 
 
 def _run_lockstep_strength_points(
-    engine: SweepEngine, tasks: List[StrengthPointTask]
+    tasks: List[StrengthPointTask],
 ) -> List[StrengthPointOutcome]:
     """Train λ points in lockstep per architecture group (serial leftovers warm-cached)."""
     outcomes: List[Optional[StrengthPointOutcome]] = [None] * len(tasks)
-    cache = RoutingAnalysisCache() if engine.memoize_routing else None
+    cache = RoutingAnalysisCache()
     groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
     for position, task in enumerate(tasks):
         groups.setdefault(_lockstep_group_key(task), []).append(position)
@@ -416,29 +362,25 @@ def _run_lockstep_strength_points(
                 networks, callbacks_per_point, point_setups=_setups
             )
 
-        before = cache.stats() if cache is not None else None
+        before = cache.stats()
         try:
             results = run_lockstep_deletion(
                 [task.network for task in group],
                 [task.config for task in group],
                 factory,
                 record_interval=group[0].record_interval,
-                structured_lasso=group[0].structured_lasso,
-                memoize_routing=group[0].memoize_routing,
-                routing_cache=cache if group[0].memoize_routing else None,
+                routing_cache=cache,
             )
         except LayerError as error:
             logger.info("lockstep group fell back to serial points: %s", error)
             serial_positions.extend(indices)
             continue
-        stats = None
-        if cache is not None and group[0].memoize_routing:
-            after = cache.stats()
-            stats = {
-                "hits": after["hits"] - before["hits"],
-                "misses": after["misses"] - before["misses"],
-                "size": after["size"],
-            }
+        after = cache.stats()
+        stats = {
+            "hits": after["hits"] - before["hits"],
+            "misses": after["misses"] - before["misses"],
+            "size": after["size"],
+        }
         for slot, (position, result) in enumerate(zip(indices, results)):
             task = tasks[position]
             outcomes[position] = StrengthPointOutcome(
@@ -447,16 +389,13 @@ def _run_lockstep_strength_points(
                 network=result.network,
                 wire_fractions=result.wire_fractions(),
                 routing_area_fractions=result.routing_area_fractions(),
-                accuracy=result.accuracy_after_finetune,
                 routing_cache_stats=stats if slot == 0 else None,
             )
 
     for position in sorted(serial_positions):
         task = tasks[position]
-        if cache is not None and task.memoize_routing:
-            task.routing_cache_entries = cache.export_entries()
+        task.routing_cache_entries = cache.export_entries()
         outcome = run_strength_point(task)
-        if cache is not None:
-            cache.merge_entries(outcome.routing_cache_entries)
+        cache.merge_entries(outcome.routing_cache_entries)
         outcomes[position] = outcome
     return outcomes

@@ -19,10 +19,10 @@ Specs round-trip through plain dicts (:meth:`ExperimentSpec.to_dict` /
   artifact.
 * :func:`point_fingerprint` addresses one *sweep point result*.  It excludes
   every engine field that is guaranteed bit-identical across execution
-  policies (``workers``, ``mode``, ``batched_eval``, ``memoize_routing``,
-  ``start_method``) as well as spec fields irrelevant to the point's
-  training, so a point computed by a serial run can be resumed by a parallel
-  or lockstep run — and by a run with a different grid that shares the value.
+  policies (``workers``, ``mode``, ``retry``) as well as spec fields
+  irrelevant to the point's training, so a point computed by a serial run can
+  be resumed by a parallel or lockstep run — and by a run with a different
+  grid that shares the value.
 * :func:`baseline_fingerprint` addresses the shared dense-baseline training,
   which depends only on the workload, scale and seed.
 """
@@ -62,9 +62,9 @@ KIND_METHODS: Dict[str, Tuple[str, ...]] = {
     "headline": ("baseline",),
 }
 
-#: Engine fields that can change a sweep point's *result* (everything else —
-#: workers, mode, batching, memoization — is guarded bit-identical).
-_ENGINE_RESULT_FIELDS = ("per_point_seed", "structured_lasso", "inline_training_eval")
+#: Engine fields that can change a sweep point's *result*: the per-point data
+#: stream.  ``workers``, ``mode`` and ``retry`` are guarded bit-identical.
+_ENGINE_RESULT_FIELDS = ("per_point_seed",)
 
 
 def _digest(payload: Mapping[str, Any]) -> str:

@@ -237,8 +237,9 @@ class StrengthSweepResult:
     """Routing wires/area versus λ sweep (data behind Figure 8).
 
     ``routing_cache_stats`` aggregates the hit/miss counters of the points'
-    memoized routing analyses (zeros when memoization was disabled, and only
-    freshly-trained points contribute on a resumed run).
+    memoized routing analyses.  Only freshly-trained points contribute on a
+    resumed run, and a process-pool run counts more misses, because each
+    worker's cache starts cold.
     """
 
     workload_name: str

@@ -12,8 +12,6 @@ from repro.nn.batched import (
     NetworkStack,
     StackedParameter,
     architecture_signature,
-    batched_evaluate,
-    stacked_predict,
 )
 from repro.nn.dtype import as_float, default_dtype, dtype_scope, set_default_dtype
 from repro.nn.initializers import available_initializers, get_initializer
@@ -52,7 +50,6 @@ from repro.nn.regularization import (
     GroupLassoRegularizer,
     L2Regularizer,
     LockstepRegularizer,
-    PerPointRegularizers,
     Regularizer,
     WeightGroup,
 )
@@ -104,11 +101,8 @@ __all__ = [
     "L2Regularizer",
     "GroupLassoRegularizer",
     "LockstepRegularizer",
-    "PerPointRegularizers",
     "WeightGroup",
     "architecture_signature",
-    "batched_evaluate",
-    "stacked_predict",
     "NetworkStack",
     "StackedParameter",
     "accuracy",

@@ -1,35 +1,7 @@
-"""Batched multi-network evaluation.
+"""Lockstep training of K same-architecture networks.
 
-Hyper-parameter sweeps produce K networks of identical architecture that must
-all be evaluated on the *same* test inputs.  Running K independent forward
-passes repeats the expensive input-side work K times — most notably the
-im2col patch extraction of every convolution — and issues K small matrix
-multiplies per layer where one batched multiply would do.
-
-:func:`stacked_predict` evaluates K same-architecture networks together:
-
-* Activations start out **shared** (identical for every network, because the
-  inputs are identical).  While shared, weighted layers consume the single
-  activation tensor via a broadcast batched matmul against the K stacked
-  weight tensors — for convolutions the im2col patch matrix is extracted
-  once and reused by all K networks.
-* After the first weighted layer the activations diverge; they are kept as
-  one ``(K·N, ...)`` super-batch.  Parameter-free layers (pooling,
-  activations, flatten) treat the super-batch like any other batch, so a
-  single vectorized call processes all K networks.  Weighted layers reshape
-  to ``(K, ·, features)`` and run one stacked ``np.matmul`` against the
-  ``(K, ...)`` weight stack instead of K separate products.  Convolutions
-  still extract patches in a single :func:`~repro.nn.functional.im2col` call
-  over the super-batch.
-
-:func:`batched_evaluate` adds signature grouping on top: networks whose
-architectures differ (e.g. ε sweep points that converged to different ranks)
-are partitioned into stackable groups, with singleton groups falling back to
-the ordinary per-network ``predict``.
-
-Training-mode stacking
-----------------------
-:class:`NetworkStack` extends the same machinery to *training*: the K
+Hyper-parameter sweeps produce K networks of identical architecture trained
+on the *same* data stream.  :class:`NetworkStack` trains them together: the K
 networks' parameters are gathered into ``(K, …)`` :class:`StackedParameter`
 slabs and every per-point ``Parameter.data``/``grad`` is re-bound to a
 zero-copy view of its slab row, so per-point code (regularizers, callbacks,
@@ -42,11 +14,14 @@ bit-identical to K independent ``forward``/``backward`` passes.  The
 :class:`~repro.nn.trainer.LockstepTrainer` drives the stack;
 :class:`~repro.nn.optim.lockstep.LockstepSGD` updates the slabs in place so
 the per-point views stay valid.
+
+:func:`architecture_signature` is the stacking key: only networks with equal
+signatures share one stack.  Inference is not stacked — finished networks
+are evaluated one ``predict`` at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -55,25 +30,24 @@ from repro.exceptions import LayerError, ShapeError
 from repro.nn import functional as F
 from repro.nn.dtype import as_float
 from repro.nn.layers import Conv2D, Dropout, Linear, LowRankConv2D, LowRankLinear
-from repro.nn.metrics import accuracy
 from repro.nn.network import Sequential
 from repro.nn.parameter import Parameter
 
 _WEIGHTED = (Linear, LowRankLinear, Conv2D, LowRankConv2D)
 
 
-#: Layer attributes that change eval-mode math and must therefore agree for
+#: Layer attributes that change a layer's math and must therefore agree for
 #: two networks to share one stacked program.  (``Dropout.rate`` is absent on
-#: purpose: dropout is the identity in inference mode.)
+#: purpose: :class:`NetworkStack` rejects active dropout outright.)
 _CONFIG_ATTRS = ("kernel_size", "stride", "padding", "pool_size", "negative_slope")
 
 
 def architecture_signature(network: Sequential) -> Tuple:
     """Stacking key: layer types, configuration and parameter shapes, in order.
 
-    Two networks with equal signatures can be evaluated with stacked weight
-    tensors; differing ranks, channel counts or layer configuration (pool
-    geometry, activation slopes, …) yield different signatures.
+    Two networks with equal signatures can train as one :class:`NetworkStack`;
+    differing ranks, channel counts or layer configuration (pool geometry,
+    activation slopes, …) yield different signatures.
     """
     parts = []
     for layer in network:
@@ -92,242 +66,6 @@ def architecture_signature(network: Sequential) -> Tuple:
             entry += (config,)
         parts.append(entry)
     return tuple(parts)
-
-
-def _stack(layers: Sequence, attribute: str, *, transpose: bool = False) -> np.ndarray:
-    """Stack one parameter across the K aligned layers: ``(K, *shape)``.
-
-    ``transpose=True`` returns the transposed *view* of the stack (last two
-    axes swapped): each slice then carries exactly the strides the
-    per-network forward multiplies against, keeping the batched matmul
-    bit-identical to K independent products.
-    """
-    stacked = np.stack([getattr(layer, attribute).data for layer in layers])
-    return stacked.transpose(0, 2, 1) if transpose else stacked
-
-
-def _bias_stack(layers: Sequence) -> Optional[np.ndarray]:
-    if layers[0].bias is None:
-        return None
-    return np.stack([layer.bias.data for layer in layers])[:, None, :]
-
-
-def _conv_cols(h: np.ndarray, layer) -> Tuple[np.ndarray, int, int]:
-    return F.im2col(h, layer.kernel_size, layer.kernel_size, layer.stride, layer.padding)
-
-
-@dataclass
-class _Step:
-    """One compiled layer of the stacked program.
-
-    ``kind`` is ``"conv"``, ``"dense"`` or ``"layer"`` (parameter-free
-    passthrough).  Weight stacks are materialized once per
-    :func:`stacked_predict` call and reused for every mini-batch chunk.
-    """
-
-    kind: str
-    layer: object
-    factors: Tuple[np.ndarray, ...] = ()
-    bias: Optional[np.ndarray] = None
-
-
-def _compile(networks: Sequence[Sequential]) -> List[_Step]:
-    """Pre-stack every weighted layer of the K aligned networks."""
-    steps: List[_Step] = []
-    for position in range(len(networks[0])):
-        layers = [network[position] for network in networks]
-        layer0 = layers[0]
-        if isinstance(layer0, (LowRankConv2D, LowRankLinear)):
-            kind = "conv" if isinstance(layer0, LowRankConv2D) else "dense"
-            steps.append(
-                _Step(
-                    kind=kind,
-                    layer=layer0,
-                    factors=(
-                        _stack(layers, "v"),
-                        _stack(layers, "u", transpose=True),
-                    ),
-                    bias=_bias_stack(layers),
-                )
-            )
-        elif isinstance(layer0, Conv2D):
-            weight_stack = np.stack(
-                [layer.weight_matrix for layer in layers]
-            ).transpose(0, 2, 1)
-            steps.append(
-                _Step(kind="conv", layer=layer0, factors=(weight_stack,), bias=_bias_stack(layers))
-            )
-        elif isinstance(layer0, Linear):
-            steps.append(
-                _Step(
-                    kind="dense",
-                    layer=layer0,
-                    factors=(_stack(layers, "weight", transpose=True),),
-                    bias=_bias_stack(layers),
-                )
-            )
-        else:
-            steps.append(_Step(kind="layer", layer=layer0))
-    return steps
-
-
-class _Activations:
-    """Either one shared activation tensor or a ``(K·N, ...)`` super-batch."""
-
-    def __init__(self, value: np.ndarray, *, num_networks: int, shared: bool):
-        self.value = value
-        self.num_networks = num_networks
-        self.shared = shared
-
-    def per_network_2d(self) -> np.ndarray:
-        """View the super-batch as ``(K, rows_per_network, features)``."""
-        rows, features = self.value.shape
-        return self.value.reshape(self.num_networks, rows // self.num_networks, features)
-
-
-def _matmul_stacked(
-    acts: _Activations, weight_stack: np.ndarray, bias_stack: Optional[np.ndarray]
-) -> np.ndarray:
-    """``(K, rows, in) @ (K, in, out)`` (broadcasting the shared case).
-
-    Returns a ``(K·rows, out)`` super-batch.
-    """
-    k = acts.num_networks
-    if acts.shared:
-        out = np.matmul(acts.value, weight_stack)  # (rows, in) x (K, in, out)
-    else:
-        out = np.matmul(acts.per_network_2d(), weight_stack)
-    if bias_stack is not None:
-        out = out + bias_stack
-    return out.reshape(k * out.shape[1], out.shape[2])
-
-
-def _forward_spatial_step(acts: _Activations, step: _Step) -> _Activations:
-    """Conv / low-rank conv over the (shared or stacked) NCHW activations."""
-    layer = step.layer
-    n = acts.value.shape[0] if acts.shared else acts.value.shape[0] // acts.num_networks
-    cols, out_h, out_w = _conv_cols(acts.value, layer)
-    cols_acts = _Activations(cols, num_networks=acts.num_networks, shared=acts.shared)
-    if len(step.factors) == 2:  # low-rank: basis filters then 1x1 mixing
-        mid = _matmul_stacked(cols_acts, step.factors[0], None)
-        mid_acts = _Activations(mid, num_networks=acts.num_networks, shared=False)
-        out = _matmul_stacked(mid_acts, step.factors[1], step.bias)
-    else:
-        out = _matmul_stacked(cols_acts, step.factors[0], step.bias)
-    value = out.reshape(
-        acts.num_networks * n, out_h, out_w, layer.out_channels
-    ).transpose(0, 3, 1, 2)
-    return _Activations(value, num_networks=acts.num_networks, shared=False)
-
-
-def _forward_dense_step(acts: _Activations, step: _Step) -> _Activations:
-    """Linear / low-rank linear over the (shared or stacked) 2-D activations."""
-    if len(step.factors) == 2:
-        mid = _matmul_stacked(acts, step.factors[0], None)
-        mid_acts = _Activations(mid, num_networks=acts.num_networks, shared=False)
-        out = _matmul_stacked(mid_acts, step.factors[1], step.bias)
-    else:
-        out = _matmul_stacked(acts, step.factors[0], step.bias)
-    return _Activations(out, num_networks=acts.num_networks, shared=False)
-
-
-def _stacked_forward(steps: Sequence[_Step], x: np.ndarray, k: int) -> np.ndarray:
-    """One inference pass of the compiled program; returns ``(K, N, out)``."""
-    n = x.shape[0]
-    acts = _Activations(as_float(x), num_networks=k, shared=True)
-    for step in steps:
-        if step.kind == "conv":
-            acts = _forward_spatial_step(acts, step)
-        elif step.kind == "dense":
-            acts = _forward_dense_step(acts, step)
-        else:
-            # Parameter-free layers treat the K·N super-batch (or the shared
-            # batch) exactly like a plain batch; inference mode caches nothing.
-            acts = _Activations(
-                step.layer.forward(acts.value), num_networks=k, shared=acts.shared
-            )
-    value = acts.value
-    if acts.shared:
-        value = np.broadcast_to(value[None], (k,) + value.shape)
-    else:
-        value = value.reshape(k, n, *value.shape[1:])
-    if value.ndim != 3:
-        raise ShapeError(
-            f"stacked forward expected (K, N, classes) logits, got shape {value.shape}"
-        )
-    return value
-
-
-def stacked_predict(
-    networks: Sequence[Sequential],
-    inputs: np.ndarray,
-    *,
-    batch_size: Optional[int] = None,
-) -> np.ndarray:
-    """Inference logits ``(K, N, classes)`` of K same-architecture networks.
-
-    The networks must share an :func:`architecture_signature`; use
-    :func:`batched_evaluate` when they may differ.  All networks are put in
-    inference mode for the pass and restored afterwards.
-    """
-    if not networks:
-        raise LayerError("stacked_predict needs at least one network")
-    signatures = {architecture_signature(network) for network in networks}
-    if len(signatures) != 1:
-        raise LayerError(
-            "stacked_predict requires identical architectures; "
-            "use batched_evaluate to group mixed networks"
-        )
-    saved = [[layer.training for layer in network] for network in networks]
-    for network in networks:
-        network.eval()
-    try:
-        steps = _compile(networks)
-        k = len(networks)
-        if batch_size is None:
-            return _stacked_forward(steps, inputs, k)
-        chunks = [
-            _stacked_forward(steps, inputs[start : start + batch_size], k)
-            for start in range(0, inputs.shape[0], batch_size)
-        ]
-        return np.concatenate(chunks, axis=1)
-    finally:
-        for network, flags in zip(networks, saved):
-            for layer, flag in zip(network, flags):
-                layer.training = flag
-
-
-def batched_evaluate(
-    networks: Sequence[Sequential],
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    *,
-    batch_size: int = 256,
-) -> List[float]:
-    """Test accuracy of every network, sharing work across identical ones.
-
-    Networks are grouped by :func:`architecture_signature`; each group of two
-    or more is evaluated with :func:`stacked_predict` (im2col extracted once
-    per group, stacked matmuls), singletons with the ordinary per-network
-    ``predict``.  Results are returned in input order.
-    """
-    if not networks:
-        return []
-    groups: Dict[Tuple, List[int]] = {}
-    for index, network in enumerate(networks):
-        groups.setdefault(architecture_signature(network), []).append(index)
-    accuracies: List[Optional[float]] = [None] * len(networks)
-    for indices in groups.values():
-        if len(indices) == 1:
-            logits = networks[indices[0]].predict(inputs, batch_size=batch_size)
-            accuracies[indices[0]] = accuracy(logits, targets)
-            continue
-        stacked = stacked_predict(
-            [networks[i] for i in indices], inputs, batch_size=batch_size
-        )
-        for slot, index in enumerate(indices):
-            accuracies[index] = accuracy(stacked[slot], targets)
-    return [float(value) for value in accuracies]
 
 
 # --------------------------------------------------------------------------

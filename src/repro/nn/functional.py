@@ -13,10 +13,10 @@ The convolution/pooling kernels are vectorized:
   is the single gather that lays the patch matrix out contiguously for the
   following matrix multiply.
 * :func:`col2im` scatters with one strided slice-add per kernel offset (each
-  statement is a full vectorized operation over ``N·C·out_h·out_w`` entries)
-  after prefetching the column gradient into a cache-friendly contiguous
-  layout, and uses a loop-free strided *assignment* when windows are disjoint
-  (``stride >= kernel``).
+  statement is a full vectorized operation over a batch chunk's
+  ``C·out_h·out_w`` entries), accumulating channel-last one cache-sized
+  chunk of images at a time.  Disjoint windows (``stride >= kernel``) take
+  a loop-free strided *assignment*.
 * :func:`conv_backward_input` fuses the input-gradient matmul with that
   scatter, one small matmul per kernel offset accumulated channel-last.
 
@@ -115,6 +115,12 @@ def im2col(
     return cols, out_h, out_w
 
 
+#: Byte budget of the column slice one :func:`col2im` chunk scatters from:
+#: one core's L2 (2 MiB on the 2-core x86_64 it was swept on, where 1 and
+#: 4 MiB were both slower on a 32×3×32×32 batch at 5×5, stride 1, pad 2).
+COL2IM_CHUNK_BYTES = 2 << 20
+
+
 def col2im(
     cols: np.ndarray,
     input_shape: Tuple[int, int, int, int],
@@ -129,7 +135,8 @@ def col2im(
     of :func:`im2col` with respect to its input.  When windows are disjoint
     (``stride >= kernel``) the scatter is a single loop-free strided
     assignment; otherwise one vectorized slice-add per kernel offset
-    accumulates the overlaps, reading from a contiguous prefetched layout.
+    accumulates the overlaps, channel-last in cache-sized batch chunks (the
+    result is then a transposed NCHW-shaped view).
     """
     n, c, h, w = input_shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
@@ -140,24 +147,34 @@ def col2im(
         raise ShapeError(
             f"col2im expected cols of shape {(expected_rows, expected_cols)}, got {cols.shape}"
         )
-    x_padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    padded_h, padded_w = h + 2 * padding, w + 2 * padding
     cols6 = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
     if stride >= kernel_h and stride >= kernel_w:
         # Disjoint windows: every padded pixel belongs to at most one window,
         # so the adjoint is a pure (vectorized) scatter with no accumulation.
+        x_padded = np.zeros((n, c, padded_h, padded_w), dtype=cols.dtype)
         target = sliding_windows(x_padded, kernel_h, kernel_w, stride, writeable=True)
         target[...] = cols6.transpose(0, 3, 1, 2, 4, 5)
     else:
-        # Overlapping windows: accumulate one kernel offset at a time.  The
-        # contiguous prefetch makes the k² strided adds read sequential
-        # memory, which measures ~1.6x faster than accumulating straight from
-        # the transposed view.
-        cols6 = np.ascontiguousarray(cols6.transpose(0, 3, 4, 5, 1, 2))
-        for i in range(kernel_h):
-            i_max = i + stride * out_h
-            for j in range(kernel_w):
-                j_max = j + stride * out_w
-                x_padded[:, :, i:i_max:stride, j:j_max:stride] += cols6[:, :, i, j]
+        # Overlapping windows: accumulate one kernel offset at a time,
+        # channel-last ``(N, H+2p, W+2p, C)``, so each target row is a run of
+        # ``C``-vectors and the read of ``cols6[..., i, j]`` walks the column
+        # matrix in row order.  Images go in chunks whose column slice stays
+        # in L2 across the k² passes, so ``cols`` streams from memory once
+        # rather than once per offset.  The per-element add order is the
+        # NCHW loop's, so the values are bitwise the same.
+        x_padded = np.zeros((n, padded_h, padded_w, c), dtype=cols.dtype)
+        image_bytes = cols.itemsize * expected_cols * out_h * out_w
+        chunk = max(1, COL2IM_CHUNK_BYTES // max(image_bytes, 1))
+        for start in range(0, n, chunk):
+            target = x_padded[start : start + chunk]
+            source = cols6[start : start + chunk]
+            for i in range(kernel_h):
+                i_max = i + stride * out_h
+                for j in range(kernel_w):
+                    j_max = j + stride * out_w
+                    target[:, i:i_max:stride, j:j_max:stride] += source[..., i, j]
+        x_padded = x_padded.transpose(0, 3, 1, 2)
     if padding == 0:
         return x_padded
     return x_padded[:, :, padding:-padding, padding:-padding]
@@ -185,9 +202,9 @@ def conv_backward_input(
     the matrix as ``(out, C, kh, kw)``) is multiplied against ``grad_mat``
     and the ``(N·out_h·out_w, C)`` result is accumulated straight into the
     padded input gradient.  For overlapping windows with enough input
-    channels this replaces the single large matmul + contiguous prefetch +
-    k² strided adds of the unfused path with k² small matmuls that write
-    directly to their destination, skipping one full-size intermediate array
+    channels this replaces the single large matmul + k² strided adds of the
+    unfused path with k² small matmuls that write directly to their
+    destination, skipping one full-size intermediate array
     (~2x on 5×5/stride-1 mid-network convolutions).  The accumulator is
     channel-last, ``(N, H+2p, W+2p, C)``: each contribution already has that
     row order, so every add runs over contiguous ``C``-runs, and the result

@@ -164,32 +164,3 @@ class LockstepRegularizer:
     def drop_point(self, k: int) -> None:
         """Forget stacked point ``k`` (it left the stack)."""
         raise NotImplementedError
-
-
-class PerPointRegularizers(LockstepRegularizer):
-    """Wrap K ordinary per-point regularizers as one lockstep regularizer.
-
-    Each point's regularizer reads and writes that point's ``Parameter``
-    objects directly — during lockstep training those alias the stack's
-    slabs — so results are bit-identical to serial training by construction.
-    This is the generic composition; slab-vectorized penalties (e.g.
-    :class:`repro.core.groups.LockstepCrossbarGroupLasso`) specialize it.
-    """
-
-    def __init__(self, regularizers: Sequence[Regularizer]):
-        self._regularizers: List[Regularizer] = list(regularizers)
-        if not self._regularizers:
-            raise ValueError("PerPointRegularizers needs at least one regularizer")
-
-    def penalties(self) -> np.ndarray:
-        return np.array([reg.penalty() for reg in self._regularizers])
-
-    def apply_gradients(self) -> None:
-        for reg in self._regularizers:
-            reg.apply_gradients()
-
-    def point_regularizer(self, k: int) -> Regularizer:
-        return self._regularizers[k]
-
-    def drop_point(self, k: int) -> None:
-        del self._regularizers[k]

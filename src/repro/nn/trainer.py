@@ -20,7 +20,7 @@ import numpy as np
 from repro.data.loaders import DataLoader
 from repro.exceptions import ShapeError, TrainingError
 from repro.nn import functional as F
-from repro.nn.batched import NetworkStack, stacked_predict
+from repro.nn.batched import NetworkStack
 from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
 from repro.nn.network import Sequential
@@ -588,30 +588,13 @@ class LockstepTrainer:
     def evaluate(self) -> Optional[List[float]]:
         """Evaluate every point on the held-out data, recording histories.
 
-        Stacked points share one batched inference pass (bit-identical to
-        per-network ``predict``); detached points predict individually.
-        Returns per-point accuracies in original order, or ``None`` when no
+        Each point predicts on its own, stacked or detached alike.  Returns
+        per-point accuracies in original order, or ``None`` when no
         evaluation data is attached (mirroring :class:`Trainer`).
         """
         if self.eval_data is None:
             return None
-        inputs, targets = self.eval_data
-        accuracies: Dict[int, float] = {}
-        if self._stacked:
-            logits3 = stacked_predict(
-                [point.network for point in self._stacked],
-                inputs,
-                batch_size=self.eval_batch_size,
-            )
-            for slot, point in enumerate(self._stacked):
-                accuracies[point.index] = float(accuracy(logits3[slot], targets))
-        for point in self._detached:
-            logits = point.network.predict(inputs, batch_size=self.eval_batch_size)
-            accuracies[point.index] = float(accuracy(logits, targets))
-        for point in self._points:
-            point.history.eval_iterations.append(self.iteration)
-            point.history.eval_accuracy.append(accuracies[point.index])
-        return [accuracies[point.index] for point in self._points]
+        return [self._evaluate_point(point) for point in self._points]
 
     def run(self, num_iterations: int) -> List[TrainingHistory]:
         """Train every point for ``num_iterations`` lockstep mini-batch steps."""

@@ -38,6 +38,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.experiments import REGISTRY, RunStore, build_plan, execute_spec  # noqa: E402
+from repro.experiments.resilience import openblas_symbol  # noqa: E402
 
 #: Engine-policy variants pinned on top of the registered presets:
 #: ``entry name -> (preset, overrides)``.
@@ -66,21 +67,12 @@ def payload_digest(payload) -> str:
 
 def _blas_core() -> str:
     """The kernel OpenBLAS picked at load time, which decides float rounding."""
-    import numpy
-
-    libs = Path(numpy.__file__).parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        try:
-            handle = ctypes.CDLL(str(lib))
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-            corename = getattr(handle, symbol, None)
-            if corename is not None:
-                corename.argtypes = []
-                corename.restype = ctypes.c_char_p
-                return corename().decode("ascii", "replace")
-    return "unknown"
+    corename = openblas_symbol("scipy_openblas_get_corename64_", "openblas_get_corename")
+    if corename is None:
+        return "unknown"
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode("ascii", "replace")
 
 
 def platform_key() -> Dict[str, str]:

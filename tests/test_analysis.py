@@ -27,6 +27,7 @@ from repro.analysis.rules.fingerprint import (
     EXCLUDED_FIELDS,
     coverage_messages,
 )
+from repro.experiments.runner import SweepEngine
 from repro.hardware.sim import HardwareConfig
 
 
@@ -702,6 +703,17 @@ class TestFingerprintCoverageRule:
         messages = coverage_messages(hardware_cls=ExtendedHardwareConfig)
         assert any(
             key == "HardwareConfig" and "extra_knob" in message
+            for key, message in messages
+        )
+
+    def test_new_engine_field_is_caught(self):
+        @dataclass(frozen=True)
+        class ExtendedEngine(SweepEngine):
+            extra_knob: bool = False
+
+        messages = coverage_messages(engine_cls=ExtendedEngine)
+        assert any(
+            key == "SweepEngine" and "extra_knob" in message
             for key, message in messages
         )
 

@@ -58,6 +58,24 @@ class TestConvKernelParity:
             expected = ref.col2im_loop(grad_cols, shape, kernel, kernel, stride, padding)
             np.testing.assert_allclose(new, expected, atol=ATOL, rtol=0)
 
+    @pytest.mark.parametrize(
+        "shape, kernel, stride, padding",
+        [((7, 3, 12, 12), 5, 1, 2), ((5, 2, 11, 9), 3, 2, 1)],
+    )
+    def test_col2im_batch_chunks_match_loop_reference(
+        self, rng, monkeypatch, shape, kernel, stride, padding
+    ):
+        """Several chunks, the last one short, add exactly as the loop does."""
+        x = rng.standard_normal(shape)
+        cols, out_h, out_w = F.im2col(x, kernel, kernel, stride, padding)
+        grad_cols = rng.standard_normal(cols.shape)
+        expected = ref.col2im_loop(grad_cols, shape, kernel, kernel, stride, padding)
+        image_bytes = grad_cols.itemsize * grad_cols.shape[1] * out_h * out_w
+        for images_per_chunk in (1, 2, 3):
+            monkeypatch.setattr(F, "COL2IM_CHUNK_BYTES", images_per_chunk * image_bytes)
+            new = F.col2im(grad_cols, shape, kernel, kernel, stride, padding)
+            assert new.tobytes() == expected.tobytes()
+
     def test_rectangular_kernels(self, rng):
         x = rng.standard_normal((2, 3, 9, 11))
         for kh, kw in [(1, 3), (3, 1), (2, 4)]:

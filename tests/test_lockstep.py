@@ -20,7 +20,6 @@ from repro.core import (
     LockstepCrossbarGroupLasso,
     convert_to_lowrank,
     derive_network_groups,
-    flatten_groups,
     run_lockstep_deletion,
 )
 from repro.data import ArrayDataset, DataLoader, make_gaussian_blobs, make_mnist_like
@@ -33,13 +32,11 @@ from repro.nn import (
     Conv2D,
     Dropout,
     Flatten,
-    GroupLassoRegularizer,
     Linear,
     LockstepSGD,
     LockstepTrainer,
     MaxPool2D,
     NetworkStack,
-    PerPointRegularizers,
     ReLU,
     Sequential,
     SoftmaxCrossEntropy,
@@ -239,54 +236,6 @@ class TestLockstepParity:
         )
         trainer.add_regularizer(LockstepCrossbarGroupLasso(stack, grouped, lambdas))
         trainer.run(14)
-        trainer.finalize()
-        assert_networks_identical(serial_nets, lock_nets)
-        for serial_trainer, history in zip(serial, trainer.histories):
-            assert serial_trainer.history.penalty == history.penalty
-
-    def test_per_point_flat_lasso_wrapper(self, blob_data):
-        """The generic PerPointRegularizers composition is serial-identical too."""
-        train_set, _ = blob_data
-        base = convert_to_lowrank(build_mlp(12, [16, 10], 4, rng=2))
-        serial_nets = [copy.deepcopy(base) for _ in range(2)]
-        lock_nets = [copy.deepcopy(base) for _ in range(2)]
-        lambdas = [0.02, 0.07]
-        serial = [
-            serial_run(
-                net,
-                train_set,
-                iterations=11,
-                regularizers=[
-                    GroupLassoRegularizer(
-                        flatten_groups(
-                            derive_network_groups(net, include_small_matrices=True)
-                        ),
-                        lam,
-                    )
-                ],
-            )
-            for net, lam in zip(serial_nets, lambdas)
-        ]
-        stack = NetworkStack(lock_nets)
-        regularizer = PerPointRegularizers(
-            [
-                GroupLassoRegularizer(
-                    flatten_groups(
-                        derive_network_groups(net, include_small_matrices=True)
-                    ),
-                    lam,
-                )
-                for net, lam in zip(lock_nets, lambdas)
-            ]
-        )
-        trainer = LockstepTrainer(
-            stack,
-            SoftmaxCrossEntropy(),
-            LockstepSGD(stack.parameters, lr=0.05, momentum=0.9),
-            DataLoader(train_set, batch_size=16, shuffle=True, rng=LOADER_SEED),
-            regularizers=[regularizer],
-        )
-        trainer.run(11)
         trainer.finalize()
         assert_networks_identical(serial_nets, lock_nets)
         for serial_trainer, history in zip(serial, trainer.histories):

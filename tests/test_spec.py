@@ -16,15 +16,19 @@ import pytest
 
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.experiments import (
+    REGISTRY,
     TINY,
     ExperimentSpec,
+    RunStore,
     SweepEngine,
     baseline_fingerprint,
     build_plan,
+    execute_spec,
     mlp_workload,
     point_fingerprint,
     spec_for_workload,
 )
+from repro.experiments.store import render_artifact
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -142,6 +146,49 @@ class TestRoundTrip:
             SweepEngine.from_dict({"turbo": True})
 
 
+#: A stored engine from before the retired knobs went: all nine keys, each at
+#: its default.
+NINE_KEY_ENGINE = {
+    "workers": 1,
+    "batched_eval": True,
+    "memoize_routing": True,
+    "structured_lasso": True,
+    "inline_training_eval": False,
+    "per_point_seed": False,
+    "start_method": None,
+    "mode": "points",
+    "retry": SweepEngine().retry.as_dict(),
+}
+
+
+class TestRetiredEngineFields:
+    def test_nine_key_spec_loads_and_renders(self, tmp_path):
+        store = RunStore(tmp_path)
+        run = execute_spec(ExperimentSpec(kind="headline"), store=store)
+        artifact = store.load(run.fingerprint)
+        artifact["spec"]["engine"] = dict(NINE_KEY_ENGINE)
+        assert ExperimentSpec.from_dict(artifact["spec"]).engine == SweepEngine()
+        assert "headline" in render_artifact(artifact)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("structured_lasso", False),
+            ("memoize_routing", False),
+            ("inline_training_eval", True),
+        ],
+    )
+    def test_other_values_are_rejected(self, key, value):
+        with pytest.raises(ConfigurationError) as excinfo:
+            SweepEngine.from_dict({**NINE_KEY_ENGINE, key: value})
+        assert key in str(excinfo.value) and "retired" in str(excinfo.value)
+
+    def test_retired_keys_are_not_override_fields(self):
+        with pytest.raises(ExperimentError) as excinfo:
+            REGISTRY.get("figure8", batched_eval=True)
+        assert "batched_eval" in str(excinfo.value)
+
+
 class TestFingerprints:
     def test_name_is_excluded(self):
         spec = ExperimentSpec(kind="table1")
@@ -186,13 +233,12 @@ class TestFingerprints:
         assert child_point_fp == point_fingerprint(spec, 1, 0.05)
 
     def test_point_fingerprint_ignores_execution_policy(self):
-        """workers/mode/batching are bit-identical — points must be shareable."""
+        """workers/mode/retry are bit-identical — points must be shareable."""
         base = ExperimentSpec(kind="sweep", method="group_deletion", grid=(0.01, 0.08))
         for overrides in (
             dict(workers=4),
             dict(mode="lockstep"),
-            dict(batched_eval=False),
-            dict(memoize_routing=False),
+            dict(retry={"max_attempts": 3}),
         ):
             other = base.with_updates(**overrides)
             assert point_fingerprint(base, 0, 0.01) == point_fingerprint(other, 0, 0.01)
