@@ -6,7 +6,8 @@
 #                           # the 2-worker sweep parity tests, the
 #                           # spec/store/CLI tests, the golden-artifact pins,
 #                           # and the crossbar-simulator parity/eval tests)
-#                           # plus `python -m repro` CLI smoke jobs
+#                           # plus `python -m repro` CLI smoke jobs and a
+#                           # perfbench payload-digest smoke
 #   ci/run_ci.sh --quick    # engine regression tests only (fast iteration)
 #   ci/run_ci.sh --bench    # tier-1 plus one BENCH_<suite>.json data point
 #                           # per registered suite (suite names come from the
@@ -99,6 +100,25 @@ else
   grep -q "1 computed, 1 reused" <<< "$HEAL_OUT"
   REREAD_OUT="$(python -m repro "${CHAOS_ARGS[@]}")"
   grep -q "0 computed" <<< "$REREAD_OUT"
+
+  echo "== payload digest smoke: perfbench --workload all --seconds 0 =="
+  # One fresh run, one resume run and the set-up children per benchmark
+  # workload, at small scale: every run's result payload must hash to its
+  # digest in perfbench/digests.json, so a change that moves a payload fails
+  # here and not only at the golden tiny presets.  On a host whose platform
+  # key (machine, numpy, CPU features, OpenBLAS kernel) differs from the one
+  # digests.json records there is no digest to match, and the step only
+  # checks that the later runs agree with the first fresh run: the resume
+  # run here, and the traced run too under --trace 1.
+  BENCH_OUT="$(python3 perfbench/run.py --workload all --seconds 0)"
+  echo "$BENCH_OUT"
+  tail -n 1 <<< "$BENCH_OUT" | python -c '
+import json, sys
+summary = json.load(sys.stdin)
+assert summary["failed"] == 0, "perfbench: %d of %d children failed" % (
+    summary["failed"], summary["attempted"])
+print("digest smoke OK: %d children, 0 failed" % summary["attempted"])
+'
 
   echo "== CLI smoke: device-level hardware evaluation (figure_hw) =="
   python -m repro run figure_hw --workload mlp --scale tiny --store "$CLI_STORE" --quiet

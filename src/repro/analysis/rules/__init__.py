@@ -8,7 +8,8 @@ Each module groups the rules guarding one contract family:
 * :mod:`~repro.analysis.rules.parity` — BLAS layout contiguity, shared-baseline
   aliasing.
 * :mod:`~repro.analysis.rules.picklability` — process-pool task contracts.
-* :mod:`~repro.analysis.rules.defaults` — mutable default arguments.
+* :mod:`~repro.analysis.rules.defaults` — mutable default arguments and
+  ``x or Factory()`` defaults that discard a falsy instance.
 * :mod:`~repro.analysis.rules.fingerprint` — resume-key coverage (semantic).
 * :mod:`~repro.analysis.rules.robustness` — no swallowed exceptions in the
   engine/store failure-accounting path.

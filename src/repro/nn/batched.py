@@ -484,7 +484,7 @@ class NetworkStack:
         else:
             out3 = np.matmul(x_ref, step.weight.data.transpose(0, 2, 1))
         if step.bias is not None:
-            out3 = out3 + step.bias.data[:, None, :]
+            out3 += step.bias.data[:, None, :]
         step.rows = out3.shape[1]
         return out3.reshape(k * out3.shape[1], out3.shape[2]), False
 
@@ -513,7 +513,7 @@ class NetworkStack:
             weight_matrix = step.weight.data.reshape(k, layer.out_channels, layer.fan_in)
             out3 = np.matmul(cols_ref, weight_matrix.transpose(0, 2, 1))
         if step.bias is not None:
-            out3 = out3 + step.bias.data[:, None, :]
+            out3 += step.bias.data[:, None, :]
         step.rows = rows
         step.point_input_shape = (n,) + value.shape[1:]
         step.out_hw = (out_h, out_w)
@@ -586,6 +586,9 @@ class NetworkStack:
                 f"{layer.name}: expected stacked grad of shape {expected}, "
                 f"got {grad.shape}"
             )
+        # Every layer above hands back an NHWC gradient buffer (pooling
+        # allocates like its forward input, conv input gradients accumulate
+        # channel-last), so grad_mat is a C-contiguous view, not a copy.
         grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, layer.out_channels)
         gm3 = grad_mat.reshape(k, step.rows, layer.out_channels)
         cols_ref = step.cols_shared if step.cols3 is None else step.cols3
@@ -627,9 +630,12 @@ class NetworkStack:
             else:
                 # The fused per-offset path multiplies each point's own weight
                 # slices; replicate it per point with identical operands.
-                grad_input = np.empty((k * n, c, h, w), dtype=grad_mat.dtype)
+                # Each result is a channel-last view, so the points fill one
+                # (K·N, H, W, C) buffer with row copies, and the layers
+                # below get an NHWC gradient, as serial backward gives them.
+                grad_nhwc = np.empty((k * n, h, w, c), dtype=grad_mat.dtype)
                 for slot in range(k):
-                    grad_input[slot * n : (slot + 1) * n] = F.conv_backward_input(
+                    grad_nhwc[slot * n : (slot + 1) * n] = F.conv_backward_input(
                         back_mats[slot],
                         weight_stack[slot],
                         (n, c, h, w),
@@ -637,6 +643,7 @@ class NetworkStack:
                         kernel,
                         layer.stride,
                         layer.padding,
-                    )
+                    ).transpose(0, 2, 3, 1)
+                grad_input = grad_nhwc.transpose(0, 3, 1, 2)
         step.release()
         return grad_input

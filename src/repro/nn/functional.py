@@ -8,10 +8,13 @@ math can be tested in isolation.
 
 The convolution/pooling kernels are vectorized:
 
-* :func:`im2col` extracts receptive fields through a **zero-copy**
-  :func:`numpy.lib.stride_tricks.sliding_window_view`; the only data movement
-  is the single gather that lays the patch matrix out contiguously for the
-  following matrix multiply.
+* :func:`im2col` pads the batch once in its own memory layout (conv and
+  pool outputs are NHWC buffers seen through an NCHW-shaped view, network
+  inputs are plain NCHW) and then builds the patch matrix with one
+  :func:`numpy.take` over per-image flat offsets, memoized per geometry.
+  The offsets address whichever layout the padded batch has, so neither
+  layout pays a transposing copy, and the column order is ``(C, kh, kw)``
+  either way: the matrix, and every GEMM over it, is the same bytes.
 * :func:`col2im` scatters with one strided slice-add per kernel offset (each
   statement is a full vectorized operation over a batch chunk's
   ``C·out_h·out_w`` entries), accumulating channel-last one cache-sized
@@ -22,6 +25,7 @@ The convolution/pooling kernels are vectorized:
 
 The pooling layers (:mod:`repro.nn.layers.pooling`) reduce over shifted
 zero-copy slices of :func:`pad_images` output and never materialize windows.
+:func:`channel_last` is the layout test both kinds of kernel share.
 
 The original offset-loop kernels are preserved in
 :mod:`repro.nn._reference` for parity tests and benchmarks.
@@ -29,6 +33,7 @@ The original offset-loop kernels are preserved in
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -53,7 +58,9 @@ def pad_images(x: np.ndarray, padding: int, *, value: float = 0.0) -> np.ndarray
     """Pad an NCHW batch symmetrically along the spatial axes with ``value``.
 
     Max pooling pads with ``-inf`` so padding can never win the max (and can
-    therefore never swallow gradient); everything else pads with zeros.
+    therefore never swallow gradient); everything else pads with zeros.  The
+    padded batch keeps the memory layout of ``x`` (an NHWC buffer stays
+    NHWC), so the interior copy never transposes.
     """
     if padding == 0:
         return x
@@ -61,9 +68,52 @@ def pad_images(x: np.ndarray, padding: int, *, value: float = 0.0) -> np.ndarray
     shape = (n, c, h + 2 * padding, w + 2 * padding)
     # One allocation plus one interior copy: ``np.pad`` fills the border
     # region by region and costs 2-4x more on the presets' small batches.
-    padded = np.zeros(shape, dtype=x.dtype) if value == 0 else np.full(shape, value, x.dtype)
+    padded = np.full_like(x, value, shape=shape)
     padded[:, :, padding:-padding, padding:-padding] = x
     return padded
+
+
+def channel_last(x: np.ndarray) -> bool:
+    """Whether an NCHW-shaped batch is a contiguous NHWC buffer in memory.
+
+    Convolutions emit their output this way (the GEMM result reshaped to
+    ``(N, H, W, C)`` and viewed as NCHW), and the element-wise layers and
+    pooling keep it.  A batch contiguous in both orders (``C = 1``) counts
+    as NCHW; the two layouts are then the same bytes.
+    """
+    return not x.flags.c_contiguous and x.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+# Bounded: a network needs one entry per convolution (three for the ConvNet).
+@lru_cache(maxsize=16)
+def patch_offsets(
+    channels: int,
+    height: int,
+    width: int,
+    kernel_h: int,
+    kernel_w: int,
+    stride: int,
+    nhwc: bool,
+) -> np.ndarray:
+    """Flat offsets, inside one padded image, of every im2col matrix entry.
+
+    Row ``oy·out_w + ox`` holds the offsets of receptive field ``(oy, ox)``
+    in ``(C, kh, kw)`` order, for an image of ``height × width`` (padding
+    included) stored as ``C × H × W`` or, with ``nhwc``, as ``H × W × C``.
+    The array is shared by every caller and so is read-only.
+    """
+    out_h = conv_output_size(height, kernel_h, stride, 0)
+    out_w = conv_output_size(width, kernel_w, stride, 0)
+    rows = np.arange(out_h)[:, None, None, None, None] * stride + np.arange(kernel_h)[:, None]
+    cols = np.arange(out_w)[:, None, None, None] * stride + np.arange(kernel_w)
+    channel = np.arange(channels)[:, None, None]
+    if nhwc:
+        offsets = (rows * width + cols) * channels + channel
+    else:
+        offsets = (channel * height + rows) * width + cols
+    offsets = offsets.reshape(out_h * out_w, channels * kernel_h * kernel_w).astype(np.intp)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def sliding_windows(
@@ -83,10 +133,16 @@ def im2col(
 ) -> Tuple[np.ndarray, int, int]:
     """Unfold an NCHW batch into a patch matrix for matrix-multiply convolution.
 
+    The batch is padded in its own memory layout (:func:`pad_images`), and
+    one :func:`numpy.take` per call gathers every image's patches through
+    the :func:`patch_offsets` of that layout.  An NHWC buffer (what a conv
+    or pool layer emits) and a plain NCHW array give the same matrix: same
+    ``(C, kh, kw)`` column order, same C-contiguous bytes.
+
     Parameters
     ----------
     x:
-        Input images of shape ``(N, C, H, W)``.
+        Input images of shape ``(N, C, H, W)``, in any memory layout.
     kernel_h, kernel_w:
         Spatial extent of the convolution kernel.
     stride, padding:
@@ -95,8 +151,9 @@ def im2col(
     Returns
     -------
     cols:
-        Array of shape ``(N * out_h * out_w, C * kernel_h * kernel_w)`` where
-        each row is one receptive field, flattened channel-major.
+        C-contiguous array of shape ``(N * out_h * out_w, C * kernel_h *
+        kernel_w)`` where each row is one receptive field, flattened
+        channel-major.
     out_h, out_w:
         Spatial output dimensions.
     """
@@ -106,13 +163,15 @@ def im2col(
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
     x_padded = pad_images(x, padding)
-    windows = sliding_windows(x_padded, kernel_h, kernel_w, stride)
-    # The transpose + reshape is the single gather that materializes the
-    # patch matrix; everything before it is stride arithmetic.
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        n * out_h * out_w, c * kernel_h * kernel_w
+    nhwc = channel_last(x_padded)
+    images = x_padded.transpose(0, 2, 3, 1) if nhwc else x_padded
+    offsets = patch_offsets(
+        c, h + 2 * padding, w + 2 * padding, kernel_h, kernel_w, stride, nhwc
     )
-    return cols, out_h, out_w
+    # ``images`` is C-contiguous except for an unpadded strided batch, which
+    # the reshape copies; the take then writes the matrix row by row.
+    cols = np.take(images.reshape(n, -1), offsets, axis=1)
+    return cols.reshape(n * out_h * out_w, c * kernel_h * kernel_w), out_h, out_w
 
 
 #: Byte budget of the column slice one :func:`col2im` chunk scatters from:

@@ -179,7 +179,7 @@ class LowRankConv2D(Layer):
             self.release_caches()
         out = mid @ self.u.data.T  # (N*oh*ow, out_channels)
         if self.bias is not None:
-            out = out + self.bias.data
+            out += self.bias.data
         n = x.shape[0]
         return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 

@@ -687,6 +687,100 @@ class TestMutableDefaultRule:
         assert report.suppressed == 1
 
 
+class TestFalsyDefaultRule:
+    def test_routing_cache_shape_is_flagged(self, tmp_path):
+        report = lint(
+            tmp_path,
+            "mod.py",
+            """\
+            from typing import Optional
+
+            from repro.hardware.routing import RoutingAnalysisCache
+
+            def analyse(routing_cache: Optional[RoutingAnalysisCache] = None):
+                cache = routing_cache or RoutingAnalysisCache()
+                return cache
+            """,
+            rules=["falsy-default"],
+        )
+        assert [finding.line for finding in report.findings] == [6]
+        assert "RoutingAnalysisCache" in report.findings[0].message
+
+    def test_union_pipe_string_and_inherited_forms_are_flagged(self, tmp_path):
+        report = lint(
+            tmp_path,
+            "mod.py",
+            """\
+            from typing import Optional, Union
+
+            class Bag:
+                def __bool__(self):
+                    return False
+
+            class SmallBag(Bag):
+                pass
+
+            def f(a: Union[Bag, None] = None, b: "SmallBag | None" = None,
+                  c: Optional["Sequential"] = None):
+                return a or Bag(), b or SmallBag(), c or Sequential()
+            """,
+            rules=["falsy-default"],
+        )
+        assert len(report.findings) == 3
+
+    def test_truthy_classes_and_is_none_are_clean(self, tmp_path):
+        report = lint(
+            tmp_path,
+            "mod.py",
+            """\
+            from typing import Optional
+
+            from repro.lowrank.factorization import LowRankApproximator
+            from repro.experiments.graph import ExperimentContext
+            from repro.hardware.routing import RoutingAnalysisCache
+
+            def run(context: Optional[ExperimentContext] = None,
+                    approximator: Optional[LowRankApproximator] = None,
+                    cache: Optional[RoutingAnalysisCache] = None,
+                    label: Optional[str] = None):
+                context = context or ExperimentContext()
+                approximator = approximator or LowRankApproximator(method="pca")
+                cache = RoutingAnalysisCache() if cache is None else cache
+                return context, approximator, cache, label or str()
+            """,
+            rules=["falsy-default"],
+        )
+        assert report.clean
+
+    def test_repo_sites_are_clean(self):
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        report = run_analysis(
+            [root / "src" / "repro"], root=root, rules=["falsy-default"],
+            include_project_rules=False,
+        )
+        assert report.clean, report.findings
+
+    def test_suppressed(self, tmp_path):
+        report = lint(
+            tmp_path,
+            "mod.py",
+            """\
+            from typing import Optional
+
+            from repro.hardware.routing import RoutingAnalysisCache
+
+            def analyse(routing_cache: Optional[RoutingAnalysisCache] = None):
+                # fresh cache on purpose.  repro: ignore[falsy-default]
+                return routing_cache or RoutingAnalysisCache()
+            """,
+            rules=["falsy-default"],
+        )
+        assert report.clean
+        assert report.suppressed == 1
+
+
 class TestFingerprintCoverageRule:
     def test_real_dataclasses_are_covered(self):
         assert coverage_messages() == []

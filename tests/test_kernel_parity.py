@@ -13,7 +13,7 @@ import pytest
 from repro.nn import _reference as ref
 from repro.nn import functional as F
 from repro.nn.layers import AvgPool2D, MaxPool2D
-from repro.nn.layers.pooling import _Pool2D
+from repro.nn.layers.pooling import _Pool2D, _window_cells
 
 ATOL = 1e-12
 
@@ -99,6 +99,72 @@ class TestConvKernelParity:
         lhs = float(np.sum(cols * g))
         rhs = float(np.sum(x * F.col2im(g, shape, 3, 3, 2, 1)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def batch_in_layout(rng, shape, layout, dtype=np.float64):
+    """A random NCHW-shaped batch stored the way ``layout`` names."""
+    n, c, h, w = shape
+    if layout == "nchw":
+        return rng.standard_normal(shape).astype(dtype)
+    if layout == "channel-last":
+        # What a conv layer emits: its (N, H, W, C) GEMM output viewed as NCHW.
+        return rng.standard_normal((n, h, w, c)).astype(dtype).transpose(0, 3, 1, 2)
+    if layout == "nchw-batch-slice":
+        return rng.standard_normal((2 * n, c, h, w)).astype(dtype)[::2]
+    assert layout == "channel-last-batch-slice"
+    return rng.standard_normal((2 * n, h, w, c)).astype(dtype).transpose(0, 3, 1, 2)[1::2]
+
+
+LAYOUTS = ["nchw", "channel-last", "nchw-batch-slice", "channel-last-batch-slice"]
+
+
+class TestIm2colOffsetGather:
+    """The offset gather must lay down the loop reference's bytes on every layout branch."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize(
+        "shape,kernel_h,kernel_w,stride,padding",
+        [
+            ((2, 1, 7, 6), 3, 3, 1, 1),     # C = 1: both layouts are the same bytes
+            ((3, 4, 9, 11), 2, 4, 1, 0),    # rectangular kernel, no padding
+            ((2, 3, 9, 8), 3, 1, 2, 2),     # rectangular kernel, stride 2, padding 2
+            ((4, 8, 8, 8), 3, 3, 1, 1),     # ConvNet conv2 (small scale)
+            ((2, 5, 10, 10), 5, 5, 2, 0),   # stride 2, no padding
+        ],
+    )
+    def test_bytes_match_loop_reference(
+        self, rng, dtype, layout, shape, kernel_h, kernel_w, stride, padding
+    ):
+        x = batch_in_layout(rng, shape, layout, dtype)
+        cols, out_h, out_w = F.im2col(x, kernel_h, kernel_w, stride, padding)
+        expected, ref_h, ref_w = ref.im2col_loop(x, kernel_h, kernel_w, stride, padding)
+        assert (out_h, out_w) == (ref_h, ref_w)
+        assert cols.dtype == x.dtype
+        assert cols.flags.c_contiguous
+        assert cols.tobytes() == expected.tobytes()
+
+    def test_layout_classification(self, rng):
+        """Only a contiguous NHWC buffer takes the channel-last offsets."""
+        assert F.channel_last(batch_in_layout(rng, (2, 3, 5, 5), "channel-last"))
+        for layout in ("nchw", "nchw-batch-slice", "channel-last-batch-slice"):
+            assert not F.channel_last(batch_in_layout(rng, (2, 3, 5, 5), layout))
+        assert not F.channel_last(batch_in_layout(rng, (2, 1, 5, 5), "channel-last"))
+
+    def test_padding_keeps_the_layout(self, rng):
+        x = batch_in_layout(rng, (2, 3, 5, 5), "channel-last")
+        padded = F.pad_images(x, 2)
+        assert F.channel_last(padded)
+        assert padded.tobytes() == ref.pad_images(x, 2).tobytes()
+
+    def test_offsets_are_memoized_read_only(self):
+        offsets = F.patch_offsets(3, 8, 8, 3, 3, 1, True)
+        assert F.patch_offsets(3, 8, 8, 3, 3, 1, True) is offsets
+        assert F.patch_offsets.cache_info().maxsize is not None  # bounded
+        assert not offsets.flags.writeable
+        with pytest.raises(ValueError):
+            offsets[0, 0] = 1
+        assert offsets.shape == (36, 27)
 
 
 class TestFusedConvBackwardParity:
@@ -293,6 +359,118 @@ class TestTiledPoolBackward:
         )
         assert took_scatter
         assert dispatched.tobytes() == scattered.tobytes()
+
+
+def copyto_argmax(x, pool, stride, padding):
+    """Oracle: the masked-copy arg-max loop ``MaxPool2D`` ran before the miss count.
+
+    Descending offsets, each overwriting where its slab equals the max, so
+    the lowest matching offset wins; a window nothing matches (a NaN) keeps
+    the initial 0.
+    """
+    out_h = F.conv_output_size(x.shape[2], pool, stride, padding)
+    out_w = F.conv_output_size(x.shape[3], pool, stride, padding)
+    x_padded = F.pad_images(x, padding, value=-np.inf)
+    slabs = [
+        x_padded[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+        for i in range(pool)
+        for j in range(pool)
+    ]
+    out = slabs[0].copy()
+    for slab in slabs[1:]:
+        np.maximum(out, slab, out=out)
+    argmax = np.zeros(out.shape, dtype=np.int16)
+    for t in range(len(slabs) - 1, -1, -1):
+        np.copyto(argmax, np.int16(t), where=(slabs[t] == out))
+    return argmax
+
+
+class TestMaxPoolMissCountArgmax:
+    """The miss-count arg-max map against the masked-copy loop it replaced."""
+
+    @staticmethod
+    def _windows(rng, kind, shape):
+        if kind == "tied":
+            return np.zeros(shape)  # every window fully tied, as after a ReLU
+        if kind == "signed-zero":
+            signs = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+            values = np.where(rng.random(shape) < 0.7, 0.0, -1.0)
+            return values * signs  # +0.0, -0.0, -1.0 and +1.0 mixed in each window
+        assert kind == "nan"
+        x = rng.integers(-2, 3, size=shape).astype(float)
+        x[0, 0] = np.nan  # all-NaN windows
+        x[-1, -1, 0, -1] = np.nan  # one NaN inside an otherwise finite window
+        return x
+
+    @pytest.mark.parametrize("kind", ["tied", "signed-zero", "nan"])
+    @pytest.mark.parametrize("layout", ["nchw", "channel-last"])
+    @pytest.mark.parametrize(
+        "pool,stride,padding", [(2, 2, 0), (3, 3, 0), (3, 2, 1), (2, 1, 0), (1, 1, 0)]
+    )
+    def test_matches_copyto_loop(self, rng, kind, layout, pool, stride, padding):
+        shape = (2, 3, 6, 7)
+        x = self._windows(rng, kind, shape)
+        if layout == "channel-last":
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        layer = MaxPool2D(pool, stride, padding=padding)
+        layer.forward(x)
+        argmax = layer._argmax
+        assert argmax.dtype == np.int16
+        np.testing.assert_array_equal(argmax, copyto_argmax(x, pool, stride, padding))
+
+    def test_nan_window_keeps_offset_zero(self):
+        x = np.full((1, 1, 2, 2), np.nan)
+        layer = MaxPool2D(2)
+        assert np.isnan(layer.forward(x)).all()
+        assert layer._argmax.item() == 0
+
+
+class TestChannelLastPoolBackward:
+    """Pool backward returns the forward input's layout, with the per-offset scatter's bytes."""
+
+    @pytest.mark.parametrize("layer_cls", [MaxPool2D, AvgPool2D])
+    @pytest.mark.parametrize("layout", ["nchw", "channel-last"])
+    @pytest.mark.parametrize(
+        "shape,pool,stride,padding",
+        [
+            ((32, 8, 16, 16), 2, 2, 0),  # ConvNet pool1 (small scale): tiled
+            ((4, 3, 5, 5), 2, 2, 0),     # trailing row and column uncovered
+            ((2, 2, 8, 7), 3, 3, 0),
+            ((2, 3, 7, 8), 3, 2, 1),     # overlapping: always the scatter
+            ((2, 3, 7, 8), 2, 2, 1),
+        ],
+    )
+    def test_matches_scatter_in_input_layout(
+        self, rng, monkeypatch, layer_cls, layout, shape, pool, stride, padding
+    ):
+        n, c, h, w = shape
+        values = rng.integers(-1, 2, size=(n, h, w, c)).astype(float)
+        x = values.transpose(0, 3, 1, 2)
+        if layout == "nchw":
+            x = np.ascontiguousarray(x)
+        layer = layer_cls(pool, stride, padding=padding)
+        grad_out = _signed_zero_grad(rng, layer.forward(x).shape)
+        dispatched = layer.backward(grad_out)
+        with monkeypatch.context() as patch:
+            patch.setattr(_Pool2D, "_windows_disjoint", lambda self: False)
+            layer.forward(x)
+            scattered = layer.backward(grad_out)
+        assert dispatched.tobytes() == scattered.tobytes()
+        for grad in (dispatched, scattered):
+            assert grad.shape == x.shape
+            # Same axis order in memory as the input (a padded scatter
+            # returns a cropped view, so compare stride order).
+            assert np.argsort(grad.strides).tolist() == np.argsort(x.strides).tolist()
+        if padding == 0:
+            assert F.channel_last(dispatched) == (layout == "channel-last")
+
+    def test_window_cells_are_memoized_read_only(self):
+        corners, deltas = _window_cells((2, 3, 4, 6), 2, (2, 3), True)
+        assert _window_cells((2, 3, 4, 6), 2, (2, 3), True)[0] is corners
+        assert not corners.flags.writeable and not deltas.flags.writeable
+        # NHWC buffer: a window step of one row is W·C cells, of one column C.
+        assert corners.shape == (2, 2, 3, 3)
+        assert deltas.tolist() == [0, 3, 18, 21]
 
 
 class TestPoolingLayerParity:

@@ -25,7 +25,7 @@ from repro.core import (
 from repro.data import ArrayDataset, DataLoader, make_gaussian_blobs, make_mnist_like
 from repro.data.transforms import train_test_statistics
 from repro.exceptions import LayerError, TrainingError
-from repro.models import build_mlp
+from repro.models import ConvNetConfig, build_convnet, build_mlp
 from repro.nn import (
     SGD,
     Callback,
@@ -579,3 +579,36 @@ class TestStackedParameter:
         np.testing.assert_array_equal(sp.data[1], np.full(3, 2.0))
         assert params[1].data.base is None  # released with its own copy
         assert params[0].data.base is sp.data  # remaining points re-attached
+
+
+class TestStackedChannelLastGradients:
+    """The stacked conv backward reads its ``grad_mat`` as a view, as the serial layers do."""
+
+    @pytest.mark.parametrize("lowrank", [False, True], ids=["dense", "lowrank"])
+    def test_figure8_shapes(self, monkeypatch, lowrank):
+        # figure8's small-scale ConvNet: 16x16 RGB images, batches of 32.
+        networks = [build_convnet(ConvNetConfig.small(image_size=16), rng=seed) for seed in range(K)]
+        if lowrank:
+            networks = [convert_to_lowrank(network) for network in networks]
+        seen = []
+        backward_conv = NetworkStack._backward_conv
+
+        def spy(stack, step, grad, need_input):
+            seen.append((step.layer.name, grad.transpose(0, 2, 3, 1).flags.c_contiguous))
+            return backward_conv(stack, step, grad, need_input)
+
+        monkeypatch.setattr(NetworkStack, "_backward_conv", spy)
+        rng = np.random.default_rng(9)
+        train_set = ArrayDataset(
+            rng.standard_normal((32, 3, 16, 16)), rng.integers(0, 10, size=32)
+        )
+        stack = NetworkStack(networks)
+        trainer = LockstepTrainer(
+            stack,
+            SoftmaxCrossEntropy(),
+            LockstepSGD(stack.parameters, lr=0.05, momentum=0.9),
+            DataLoader(train_set, batch_size=32, shuffle=False),
+        )
+        trainer.train_step()
+        assert [name for name, _ in seen] == ["conv3", "conv2", "conv1"]
+        assert all(view for _, view in seen), seen

@@ -12,10 +12,12 @@ from repro.models import ConvNetConfig, LeNetConfig, build_convnet, build_lenet,
 from repro.nn import (
     SGD,
     Callback,
+    Conv2D,
     Flatten,
     GroupLassoRegularizer,
     L2Regularizer,
     Linear,
+    LowRankConv2D,
     ReLU,
     Sequential,
     SoftmaxCrossEntropy,
@@ -358,3 +360,36 @@ class TestBackwardStopsAtFirstWeightedLayer:
         out = network.forward(np.random.default_rng(7).standard_normal((3, 2, 2)))
         assert network.backward(np.ones_like(out), need_input_grad=False) is None
         assert network[0]._input_shape is None and network[1]._mask is None
+
+
+class TestChannelLastGradientDataflow:
+    """Every conv backward receives an NHWC gradient buffer, so ``grad_mat`` is a view.
+
+    Pooling allocates its input gradient in its forward input's layout, and
+    conv input gradients accumulate channel-last, so the NCHW-shaped
+    ``grad_output`` a conv layer gets is an NHWC buffer and
+    ``grad_output.transpose(0, 2, 3, 1).reshape(-1, F)`` moves no data.  A
+    layer that hands back an NCHW gradient makes the conv below it copy
+    again; this pins the layout in tier-1 rather than only in the benchmark.
+    """
+
+    @pytest.mark.parametrize("name", ["convnet", "lenet", "lowrank-convnet"])
+    def test_every_conv_backward_reads_grad_mat_as_a_view(self, name, monkeypatch):
+        network, sample_shape = NETWORKS[name]()
+        seen = []
+        for cls in (Conv2D, LowRankConv2D):
+
+            def spy(layer, grad_output, need_input_grad=True, _backward=cls.backward):
+                seen.append((layer.name, grad_output.transpose(0, 2, 3, 1).flags.c_contiguous))
+                return _backward(layer, grad_output, need_input_grad)
+
+            monkeypatch.setattr(cls, "backward", spy)
+        rng = np.random.default_rng(8)
+        num_classes = network.output_shape(sample_shape)[0]
+        inputs = rng.standard_normal((6,) + sample_shape)
+        targets = rng.integers(0, num_classes, size=6)
+        loader = DataLoader(ArrayDataset(inputs, targets), batch_size=6, shuffle=False)
+        Trainer(network, SoftmaxCrossEntropy(), SGD(network.parameters(), lr=0.1), loader).train_step()
+        convs = [layer.name for layer in network if isinstance(layer, (Conv2D, LowRankConv2D))]
+        assert sorted(layer for layer, _ in seen) == sorted(convs)
+        assert all(view for _, view in seen), seen
