@@ -1,18 +1,17 @@
-"""Crossbar-simulator throughput benchmark: batched/vectorized vs tile loop.
+"""Crossbar-simulator throughput benchmark: vectorized tiles vs tile loop.
 
 Measures hardware-fidelity inference of K compressed network variants under
 a non-ideal device corner (6-bit writes, programming noise, faults, 8-bit
 ADC).  The networks are programmed once, untimed — deployment reprograms
 nothing between evaluations — and the same conductances then execute under
-two paths:
+two paths of :meth:`repro.hardware.sim.ProgrammedNetwork.predict`:
 
-* **reference** — one network at a time, each tile MVM a separate Python-loop
-  step (``ProgrammedNetwork.predict(reference=True)``): the naive per-tile
-  implementation a straightforward port of the execution model would use.
-* **batched** — :func:`repro.hardware.sim.stacked_programmed_predict`: all K
-  networks in one pass, the input-side prefix shared, every crossbar stage's
-  tile MVMs folded into batched blocked matmuls with the per-conversion ADC
-  vectorized across whole tile row-blocks.
+* **reference** — each tile MVM a separate Python-loop step
+  (``predict(reference=True)``): the naive per-tile implementation a
+  straightforward port of the execution model would use.
+* **serial vectorized** — the default ``predict()``: every crossbar stage's
+  tile MVMs folded into blocked matmuls with the per-conversion ADC
+  vectorized across whole tile row-blocks, one network after another.
 
 The benchmark pins the regime the simulator is built for: the **large
 fully-connected crossbar stages** that dominate the paper's designs (LeNet's
@@ -27,17 +26,17 @@ mappings with huge patch counts are memory-bandwidth-bound in *any*
 arrangement — both paths track DRAM speed there and the two land within
 ~1.3×; that regime is covered by the parity tests, not this guard.)
 
-The acceptance bar is a ≥ 2× wall-clock speedup of the batched simulator
+The acceptance bar is a ≥ 2× wall-clock speedup of the vectorized path
 with per-network results numerically equivalent to the reference loop
 (guarded by ``np.testing.assert_allclose`` at 1e-9).  Both paths are warmed
-once and timed best-of-``REPEATS`` (the PR-1 lesson: first-touch faults and
-allocator growth otherwise dominate sub-second measurements).
+once and timed best-of-``REPEATS`` (first-touch faults and allocator growth
+otherwise dominate sub-second measurements).
 
 The timing run takes tens of seconds, so it is not a pytest test: run it with
 ``python benchmarks/run_benchmarks.py --suite hardware [--check]``, which
 appends to ``BENCH_hardware.json`` and enforces the 2× bar.  The numerical
-gate (batched vs reference loop, both ADC execution branches) stays in the
-tier-1 suite as ``tests/test_hardware_sim.py``.
+gate (vectorized vs reference loop, both ADC execution branches) stays in
+the tier-1 suite as ``tests/test_hardware_sim.py``.
 """
 
 from __future__ import annotations
@@ -50,11 +49,7 @@ from bench_utils import _SRC  # noqa: F401  (puts src/ on sys.path)
 from repro.core.conversion import convert_to_lowrank
 from repro.hardware.library import CrossbarLibrary
 from repro.hardware.mapper import NetworkMapper
-from repro.hardware.sim import (
-    HardwareConfig,
-    program_network,
-    stacked_programmed_predict,
-)
+from repro.hardware.sim import HardwareConfig, program_network
 from repro.hardware.technology import TechnologyParameters
 from repro.models import build_mlp
 
@@ -104,33 +99,25 @@ def collect_hardware_stats():
     def run_serial_vectorized():
         return [pn.predict(inputs) for pn in programmed]
 
-    def run_batched():
-        return stacked_programmed_predict(programmed, inputs)
-
-    # Warm every path once, then interleave best-of-REPEATS measurements.
-    reference_logits = run_reference()
+    # Warm both paths once, then interleave best-of-REPEATS measurements.
+    run_reference()
     run_serial_vectorized()
-    batched_logits = run_batched()
-    reference_times, serial_times, batched_times = [], [], []
+    reference_times, serial_times = [], []
     for _ in range(REPEATS):
         start = time.perf_counter()
         reference_logits = run_reference()
         reference_times.append(time.perf_counter() - start)
         start = time.perf_counter()
-        run_serial_vectorized()
+        serial_logits = run_serial_vectorized()
         serial_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        batched_logits = run_batched()
-        batched_times.append(time.perf_counter() - start)
 
-    # Correctness gate: the batched simulator must agree with the per-tile
-    # reference loop on every network's logits.
-    for slot, logits in enumerate(reference_logits):
-        np.testing.assert_allclose(batched_logits[slot], logits, rtol=1e-9, atol=1e-9)
+    # Correctness gate: the vectorized simulator must agree with the
+    # per-tile reference loop on every network's logits.
+    for serial, reference in zip(serial_logits, reference_logits):
+        np.testing.assert_allclose(serial, reference, rtol=1e-9, atol=1e-9)
 
     reference_s = min(reference_times)
     serial_s = min(serial_times)
-    batched_s = min(batched_times)
     return {
         "networks": NUM_NETWORKS,
         "samples": SAMPLES,
@@ -138,7 +125,5 @@ def collect_hardware_stats():
         "program_s": program_s,
         "reference_s": reference_s,
         "serial_vectorized_s": serial_s,
-        "batched_s": batched_s,
         "serial_speedup": reference_s / serial_s,
-        "batched_speedup": reference_s / batched_s,
     }

@@ -19,7 +19,10 @@ the speedups, and the ``map_network`` throughput numbers.  The sweep records
 carry the median serial-engine and two-worker parallel-engine wall-clock of a
 multi-point λ sweep.  The lockstep
 records carry the serial-per-point vs lockstep-stacked training wall-clock of
-the λ sweep's point phase and the end-to-end sweep.
+the λ sweep's point phase and the end-to-end sweep.  The hardware records
+carry the crossbar simulator's per-tile-loop vs vectorized inference time,
+and the obs records the median figure8 wall-clock with and without
+observability.
 """
 
 from __future__ import annotations
@@ -141,67 +144,34 @@ def run_hardware(output: Path, check: bool) -> int:
     print(f"  per-tile reference     {record['reference_s']:.2f} s")
     print(f"  serial vectorized      {record['serial_vectorized_s']:.2f} s "
           f"({record['serial_speedup']:.2f}x)")
-    print(f"  batched simulator      {record['batched_s']:.2f} s "
-          f"({record['batched_speedup']:.2f}x)")
 
-    if check and record["batched_speedup"] < 2.0:
-        print("FAIL: batched crossbar-simulator speedup fell below 2x", file=sys.stderr)
+    if check and record["serial_speedup"] < 2.0:
+        print("FAIL: vectorized crossbar-simulator speedup fell below 2x", file=sys.stderr)
         return 1
     return 0
 
 
-def run_serving(output: Path, check: bool) -> int:
-    from repro.serving.bench import (
-        check_serving_stats,
-        collect_obs_overhead,
-        collect_serving_stats,
-    )
+def run_obs(output: Path, check: bool) -> int:
+    from bench_obs import collect_obs_stats
 
-    stats = collect_serving_stats()
-    overhead = collect_obs_overhead()
     record = _base_record()
-    record["capacity_rps"] = round(stats["capacity_rps"], 1)
-    record["requests_per_level"] = stats["requests_per_level"]
-    # Levels stay nested: per-level dicts (throughput, latency percentiles,
-    # typed rejection counts) are the record, not incidental detail.
-    record["levels"] = {
-        name: {k: round(v, 4) if isinstance(v, float) else v
-               for k, v in level.items()}
-        for name, level in stats["levels"].items()
-    }
-    record["obs_overhead"] = {
-        "requests": overhead["requests"],
-        "disabled_rps": round(overhead["disabled_rps"], 1),
-        "enabled_rps": round(overhead["enabled_rps"], 1),
-        "overhead_ratio": round(overhead["overhead_ratio"], 4),
-    }
+    record.update({k: round(v, 4) if isinstance(v, float) else v
+                   for k, v in collect_obs_stats().items()})
     _append(output, record)
 
-    print(f"serving benchmark ({record['timestamp']}) -> {output}")
-    print(f"  sustained capacity     {record['capacity_rps']:.0f} requests/s")
-    for name, level in record["levels"].items():
-        shed = sum(level["rejections"].values())
-        print(f"  {name:<5} load          served {level['throughput']:.0f}/s  "
-              f"p99 {level['p99_ms']:.2f} ms  shed {shed}/{level['requests']}")
-    obs = record["obs_overhead"]
-    print(f"  metrics overhead       {obs['enabled_rps']:.0f}/s enabled vs "
-          f"{obs['disabled_rps']:.0f}/s no-op (ratio {obs['overhead_ratio']:.3f})")
+    print(f"observability benchmark ({record['timestamp']}) -> {output}")
+    print(f"  NULL_OBS               {record['null_obs_s']:.3f} s "
+          f"({record['preset']} {record['scale']}, median of {record['pairs']})")
+    print(f"  metrics + tracing      {record['obs_s']:.3f} s "
+          f"(ratio {record['overhead_ratio']:.3f})")
 
-    if check:
-        try:
-            check_serving_stats(stats)
-        except AssertionError as error:
-            print(f"FAIL: shed-don't-collapse guard: {error}", file=sys.stderr)
-            return 1
-        if overhead["overhead_ratio"] < 0.9:
-            print(
-                "FAIL: metrics-enabled serving throughput "
-                f"{overhead['enabled_rps']:.0f}/s fell below 90% of the no-op "
-                f"baseline {overhead['disabled_rps']:.0f}/s "
-                f"(ratio {overhead['overhead_ratio']:.3f})",
-                file=sys.stderr,
-            )
-            return 1
+    if check and record["overhead_ratio"] < 0.9:
+        print(
+            f"FAIL: the instrumented run's throughput fell below 90% of NULL_OBS "
+            f"(ratio {record['overhead_ratio']:.3f})",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
@@ -242,13 +212,13 @@ SUITES: "OrderedDict[str, BenchmarkSuite]" = OrderedDict(
             "hardware",
             run_hardware,
             "BENCH_hardware.json",
-            "batched crossbar-simulator inference vs naive per-tile loop",
+            "vectorized crossbar-simulator inference vs naive per-tile loop",
         ),
         BenchmarkSuite(
-            "serving",
-            run_serving,
-            "BENCH_serving.json",
-            "serving-runtime load levels: shed under overload, don't collapse",
+            "obs",
+            run_obs,
+            "BENCH_obs.json",
+            "figure8 tiny wall-clock with metrics and tracing vs NULL_OBS",
         ),
     )
 )

@@ -44,7 +44,6 @@ ENGINE_TESTS=(
   tests/test_analysis.py
   tests/test_faultinject.py
   tests/test_resilience.py
-  tests/test_serving.py
   tests/test_graph.py
   tests/test_scheduler.py
   tests/test_store_concurrency.py
@@ -128,19 +127,6 @@ print("digest smoke OK: %d children, 0 failed" % summary["attempted"])
   # piping into `grep -q`, which would close the pipe mid-write.)
   HW_COMPARE="$(python -m repro compare figure_hw_baseline figure_hw --store "$CLI_STORE")"
   grep -q "simulated hardware accuracy" <<< "$HW_COMPARE"
-
-  echo "== serving chaos smoke: injected serve-infer faults -> breaker opens -> degraded -> recovery -> drain =="
-  # The drill injects consecutive serve-infer faults, asserts the circuit
-  # breaker opens, that responses flip to the flagged ideal-corner fallback
-  # while it is open, that the half-open probe recovers, and that the drain
-  # accounts for every request.  The greppable lines are the drill's own
-  # evidence trail; exit 0 means every internal assertion held.
-  DRILL_OUT="$(python -m repro serve-bench --drill)"
-  echo "$DRILL_OUT"
-  grep -q "circuit opened" <<< "$DRILL_OUT"
-  grep -q "degraded responses" <<< "$DRILL_OUT"
-  grep -q "recovered: state=healthy" <<< "$DRILL_OUT"
-  grep -q "drained" <<< "$DRILL_OUT"
 
   echo "== scheduler smoke: submit x2 -> daemon interleaves -> kill -9 -> cancel -> drain recovers =="
   # Two specs are queued, the daemon runs them concurrently (node events must
@@ -235,58 +221,21 @@ assert row["artifact"]["complete"] is True, row
 print("lockstep artifact complete")
 ' "$JOB_L"
 
-  echo "== observability smoke: serve-bench --metrics -> accounting + exact p99 agreement -> traced scheduler job =="
-  # The exported metrics snapshot must satisfy the serving accounting
-  # invariant, and its queue-wait percentiles must agree *exactly* with a
-  # histogram recomputed offline from traces.jsonl (same nearest-rank
-  # percentile over the same observations).
-  OBS_STORE="$CLI_STORE/obs-smoke"
-  python -m repro serve-bench --requests 50 --metrics --store "$OBS_STORE" > /dev/null
-  python -m repro metrics --store "$OBS_STORE" > /dev/null
-  python - "$OBS_STORE" <<'PY'
-import sys
-from repro.obs import (
-    load_metrics_snapshot, metrics_path, obs_root, percentile, read_trace_file,
-    traces_path,
-)
-
-root = obs_root(sys.argv[1])
-snap = load_metrics_snapshot(metrics_path(root))
-counters = snap["counters"]
-rejected = sum(v for k, v in counters.items() if k.startswith("serving.rejected."))
-assert counters["serving.submitted"] == counters["serving.completed"] + rejected, counters
-waits = [
-    r["queue_wait_s"]
-    for r in read_trace_file(traces_path(root))
-    if r.get("kind") == "request" and r.get("queue_wait_s") is not None
-]
-hist = snap["histograms"]["serving.queue_wait_s"]
-assert hist["count"] == len(waits) > 0, (hist["count"], len(waits))
-for q, key in ((50, "p50"), (99, "p99")):
-    assert hist[key] == percentile(waits, q), (key, hist[key], percentile(waits, q))
-print(f"observability OK: {counters['serving.submitted']} submitted accounted, "
-      f"p99 queue wait {hist['p99']*1000:.3f} ms agrees with traces.jsonl")
-PY
-  # The chaos drill under tracing must show the whole fault -> shed ->
-  # degrade -> recover arc: degraded responses plus every breaker state.
-  DRILL_STORE="$CLI_STORE/obs-drill"
-  python -m repro serve-bench --drill --metrics --store "$DRILL_STORE" > /dev/null
-  python -m repro trace --store "$DRILL_STORE" --json | python -c '
-import json, sys
-summary = json.load(sys.stdin)["summary"]["requests"]
-assert summary["degraded"] > 0, summary
-assert {"closed", "open", "half-open"} <= set(summary["breaker_states"]), summary
-print("drill trace OK: %d degraded, breaker states %s"
-      % (summary["degraded"], sorted(summary["breaker_states"])))
-'
+  echo "== observability smoke: traced scheduler jobs -> node accounting + exact percentile agreement =="
   # A traced scheduler run: two queued jobs on one worker guarantee at
-  # least one node dispatch observes a nonzero queue depth.
+  # least one node dispatch observes a nonzero queue depth.  The exported
+  # graph.node_s percentiles must agree *exactly* with the node records'
+  # elapsed_s in traces.jsonl (same nearest-rank percentile over the same
+  # observations), and the graph.nodes.<status> counters must account for
+  # every node record.
+  OBS_STORE="$CLI_STORE/obs-smoke"
   python -m repro submit figure6 --workload mlp --scale tiny --grid 0.05 0.3 \
     --store "$OBS_STORE" --json > /dev/null
   python -m repro submit figure6 --workload mlp --scale tiny --grid 0.05 0.3 \
     --seed 7 --store "$OBS_STORE" --json > /dev/null
   python -m repro serve-jobs --store "$OBS_STORE" --workers 1 --poll 0.1 \
     --drain --metrics > /dev/null
+  python -m repro metrics --store "$OBS_STORE" > /dev/null
   python -m repro trace --kind node --store "$OBS_STORE" --json | python -c '
 import json, sys
 summary = json.load(sys.stdin)["summary"]["nodes"]
@@ -296,6 +245,28 @@ assert depths and max(depths) > 0, depths
 print("scheduler trace OK: %d node records, max queue depth %d"
       % (summary["count"], max(depths)))
 '
+  python - "$OBS_STORE" <<'PY'
+import sys
+from repro.obs import (
+    load_metrics_snapshot, metrics_path, obs_root, percentile, read_trace_file,
+    traces_path,
+)
+
+root = obs_root(sys.argv[1])
+snap = load_metrics_snapshot(metrics_path(root))
+nodes = [r for r in read_trace_file(traces_path(root)) if r.get("kind") == "node"]
+counted = sum(
+    v for k, v in snap["counters"].items() if k.startswith("graph.nodes.")
+)
+assert counted == len(nodes) > 0, (counted, len(nodes))
+elapsed = [r["elapsed_s"] for r in nodes]
+hist = snap["histograms"]["graph.node_s"]
+assert hist["count"] == len(elapsed), (hist["count"], len(elapsed))
+for q, key in ((50, "p50"), (95, "p95"), (99, "p99")):
+    assert hist[key] == percentile(elapsed, q), (key, hist[key], percentile(elapsed, q))
+print(f"observability OK: {counted} node records accounted, "
+      f"p99 node time {hist['p99']*1000:.3f} ms agrees with traces.jsonl")
+PY
 fi
 
 if [[ "${1:-}" == "--bench" ]]; then

@@ -104,11 +104,11 @@ def accuracy_versus_noise() -> None:
     print(f"  {'corner':<18}{'accuracy':>10}")
     for noise in (0.0, 0.02, 0.05, 0.1, 0.2, 0.4):
         config = HardwareConfig(bits=6, program_noise=noise, adc_bits=8)
-        (accuracy,) = simulate_evaluate([network], inputs, targets, config)
+        accuracy = simulate_evaluate(network, inputs, targets, config)
         print(f"  {config.label:<18}{accuracy:>10.2%}")
     for bits in (2, 3, 4, 8):
         config = HardwareConfig(bits=bits)
-        (accuracy,) = simulate_evaluate([network], inputs, targets, config)
+        accuracy = simulate_evaluate(network, inputs, targets, config)
         print(f"  {config.label:<18}{accuracy:>10.2%}")
 
 

@@ -12,9 +12,8 @@ Each module groups the rules guarding one contract family:
   ``x or Factory()`` defaults that discard a falsy instance.
 * :mod:`~repro.analysis.rules.fingerprint` — resume-key coverage (semantic).
 * :mod:`~repro.analysis.rules.robustness` — no swallowed exceptions in the
-  engine/store failure-accounting path.
-* :mod:`~repro.analysis.rules.observability` — serving rejection/counter
-  coverage (semantic).
+  engine/store failure-accounting path, no unbounded waits in the job
+  scheduler.
 """
 
 from repro.analysis.rules import (  # noqa: F401  (import side effect: @register)
@@ -22,7 +21,6 @@ from repro.analysis.rules import (  # noqa: F401  (import side effect: @register
     determinism,
     dtype,
     fingerprint,
-    observability,
     parity,
     picklability,
     robustness,

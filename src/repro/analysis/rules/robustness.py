@@ -8,12 +8,12 @@ the artifact then reports as "complete".  That is precisely the failure mode
 the fault-tolerance work exists to eliminate, so the handlers themselves are
 linted: a broad catch in the supervised modules must either re-raise or log.
 
-The serving runtime (PR 8) adds a sibling invariant: **every blocking wait
-is bounded**.  A ``queue.get()`` / ``Event.wait()`` / ``Future.result()``
-without a timeout anywhere in the request path turns one stuck dependency
-into a wedged worker thread — and a wedged worker silently halves capacity
-with no failure accounted anywhere.  :class:`UnboundedWaitRule` enforces
-the no-hang contract statically over ``repro/serving/``.
+The job scheduler adds a sibling invariant: **every blocking wait is
+bounded**.  A ``queue.get()`` / ``Event.wait()`` / ``Future.result()``
+without a timeout in a daemon worker turns one stuck dependency into a
+wedged worker thread — and a wedged worker silently halves capacity with
+no failure accounted anywhere.  :class:`UnboundedWaitRule` enforces the
+no-hang contract statically over ``repro/scheduler/``.
 """
 
 from __future__ import annotations
@@ -122,8 +122,7 @@ class SwallowedExceptionRule(Rule):
 
 #: Attribute names whose calls block until resolution on stdlib primitives.
 #: ``.get`` covers ``queue.Queue.get``; ``.wait`` covers ``Event``/
-#: ``Condition``/``Barrier``; ``.result`` covers futures and the serving
-#: layer's own ResponseHandle.
+#: ``Condition``/``Barrier``; ``.result`` covers futures.
 _BLOCKING_ATTRS = {"get", "wait", "result"}
 
 
@@ -169,26 +168,25 @@ def _looks_like_mapping_get(call: ast.Call) -> bool:
 
 @register
 class UnboundedWaitRule(Rule):
-    """Blocking waits in the serving layer must carry explicit timeouts."""
+    """Blocking waits in the job scheduler must carry explicit timeouts."""
 
     id = "unbounded-wait"
     summary = (
-        "serving/scheduler-layer queue.get / Event.wait / Condition.wait / "
+        "scheduler-layer queue.get / Event.wait / Condition.wait / "
         "Future.result calls must pass an explicit, non-None timeout"
     )
     rationale = (
-        "The no-hang contract of the long-running layers: one stuck "
-        "dependency (a hung programming call, a dead leader thread, a "
-        "wedged graph node) must surface as a typed deadline rejection or "
-        "a requeue, never as a worker blocked forever — an unbounded wait "
-        "silently removes a worker from capacity with no failure accounted "
-        "anywhere.  Applies to the serving runtime and the job scheduler "
-        "daemon alike.  Justified exceptions carry a "
-        "`# repro: ignore[unbounded-wait]` with the reasoning."
+        "The no-hang contract of the job scheduler daemon: one stuck "
+        "dependency (a dead worker thread, a wedged graph node) must "
+        "surface as a typed failure or a requeue, never as a worker "
+        "blocked forever — an unbounded wait silently removes a worker "
+        "from capacity with no failure accounted anywhere.  Justified "
+        "exceptions carry a `# repro: ignore[unbounded-wait]` with the "
+        "reasoning."
     )
 
     def applies_to(self, relpath: str) -> bool:
-        return "repro/serving/" in relpath or "repro/scheduler/" in relpath
+        return "repro/scheduler/" in relpath
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -205,7 +203,7 @@ class UnboundedWaitRule(Rule):
                 self.id,
                 node,
                 f"blocking `.{func.attr}()` call without a bounded timeout; "
-                "the serving no-hang contract requires every wait to time "
+                "the scheduler no-hang contract requires every wait to time "
                 "out (pass `timeout=`, or justify with "
                 "`# repro: ignore[unbounded-wait]`)",
             )

@@ -8,7 +8,6 @@ Subcommands::
     python -m repro show table1                           # render one artifact
     python -m repro compare <fp-a> <fp-b>                 # diff two artifacts
     python -m repro bench --suite kernels                 # benchmark suites
-    python -m repro serve-bench [--drill]                 # serving runtime bench/drill
     python -m repro serve-jobs [--drain]                  # experiment job daemon
     python -m repro submit figure6 --scale tiny           # enqueue a job
     python -m repro status [JOB] [--json]                 # queue + artifact state
@@ -303,47 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--check", action="store_true", help="fail on regressions")
     bench.add_argument("--list", action="store_true", help="list suite names and exit")
 
-    serve = sub.add_parser(
-        "serve-bench",
-        help="serving-runtime load benchmark, or the deterministic chaos drill",
-    )
-    serve.add_argument(
-        "--drill",
-        action="store_true",
-        help="run the breaker/degradation chaos drill instead of the load bench",
-    )
-    serve.add_argument(
-        "--requests",
-        type=int,
-        default=80,
-        metavar="N",
-        help="requests offered per load level (load bench only; default: 80)",
-    )
-    serve.add_argument(
-        "--faults",
-        help=(
-            "extra deterministic fault-injection plan (JSON, inline or a file "
-            "path); exported as $REPRO_FAULTS — see repro.utils.faultinject"
-        ),
-    )
-    serve.add_argument(
-        "--json", action="store_true", help="emit the stats/summary as JSON"
-    )
-    serve.add_argument(
-        "--metrics",
-        action="store_true",
-        help=(
-            "record serving metrics and per-request trace records under "
-            "<store>/obs (snapshot exported on exit)"
-        ),
-    )
-    serve.add_argument(
-        "--store",
-        type=Path,
-        default=None,
-        help="run store whose obs/ directory receives --metrics output",
-    )
-
     metrics = sub.add_parser(
         "metrics",
         help="render the metrics snapshot exported by a --metrics run",
@@ -367,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--kind",
-        choices=("request", "node", "span"),
+        choices=("node", "span"),
         default=None,
         help="restrict to one record kind",
     )
@@ -666,84 +624,15 @@ def _cmd_bench(args) -> int:
     return runner.main(argv)
 
 
-def _obs_for(args):
-    """``(obs, obs_dir)`` for a ``--metrics`` verb, or ``(None, None)``.
-
-    Registries are process-local, so every surface that enables metrics
-    must export its snapshot before exiting — callers pair this with
-    :func:`_export_obs` in a ``finally`` block (the snapshot must land
-    even when a guard fails the run).
-    """
-    if not getattr(args, "metrics", False):
-        return None, None
-    from repro.obs import create_observability, obs_root
-
-    store_root = args.store if args.store is not None else default_store_root()
-    obs_dir = obs_root(store_root)
-    return create_observability(obs_dir), obs_dir
-
-
-def _export_obs(obs, obs_dir) -> None:
-    if obs is None:
-        return
-    from repro.obs import export_metrics
-
-    obs.tracer.close()
-    path = export_metrics(obs, obs_dir)
-    # stderr so --json stdout stays machine-parseable.
-    print(
-        f"observability: metrics -> {path}  traces -> {obs.tracer.path}",
-        file=sys.stderr,
-    )
-
-
-def _cmd_serve_bench(args) -> int:
-    # Deferred import: the serving stack pulls in the hardware simulator,
-    # which `list`/`show` callers should not pay for.
-    from repro.serving.bench import (
-        check_serving_stats,
-        collect_serving_stats,
-        run_chaos_drill,
-    )
-
-    _install_faults(args.faults)
-    obs, obs_dir = _obs_for(args)
-    try:
-        if args.drill:
-            summary = run_chaos_drill(obs=obs)
-            if args.json:
-                print(json.dumps(summary, indent=2, sort_keys=True, default=str))
-            return 0 if summary.get("ok") else 1
-        stats = collect_serving_stats(requests_per_level=args.requests, obs=obs)
-        if args.json:
-            print(json.dumps(stats, indent=2, sort_keys=True, default=str))
-        else:
-            print(f"serving capacity: {stats['capacity_rps']:.0f} requests/s sustained")
-            for name, level in stats["levels"].items():
-                rejected = sum(level["rejections"].values())
-                print(
-                    f"  {name:<5} offered {level['offered_rate']:.0f}/s  "
-                    f"served {level['throughput']:.0f}/s  "
-                    f"p50 {level['p50_ms']:.2f} ms  p99 {level['p99_ms']:.2f} ms  "
-                    f"shed {rejected}/{level['requests']}"
-                )
-        try:
-            check_serving_stats(stats)
-        except AssertionError as error:
-            print(f"FAIL: shed-don't-collapse guard: {error}", file=sys.stderr)
-            return 1
-        return 0
-    finally:
-        _export_obs(obs, obs_dir)
-
-
 def _cmd_serve_jobs(args) -> int:
     # Deferred import: the scheduler pulls in the full experiments stack,
     # which `list`/`show` callers should not pay for.
+    from repro.obs import create_observability, export_metrics, obs_root
     from repro.scheduler.daemon import serve_jobs
 
     store_root = args.store if args.store is not None else default_store_root()
-    obs, obs_dir = _obs_for(args)
+    obs_dir = obs_root(store_root)
+    obs = create_observability(obs_dir) if args.metrics else None
     try:
         serve_jobs(
             store_root,
@@ -755,7 +644,16 @@ def _cmd_serve_jobs(args) -> int:
             obs=obs,
         )
     finally:
-        _export_obs(obs, obs_dir)
+        # Registries are process-local: the snapshot must land on exit,
+        # even when the daemon dies on an error.
+        if obs is not None:
+            obs.tracer.close()
+            path = export_metrics(obs, obs_dir)
+            # stderr so --json stdout stays machine-parseable.
+            print(
+                f"observability: metrics -> {path}  traces -> {obs.tracer.path}",
+                file=sys.stderr,
+            )
     return 0
 
 
@@ -813,8 +711,7 @@ def _cmd_trace(args) -> int:
     path = traces_path(obs_root(store_root))
     if not path.exists():
         raise ReproError(
-            f"no trace stream at {path}; run `serve-bench --metrics` or "
-            "`serve-jobs --metrics` first"
+            f"no trace stream at {path}; run `serve-jobs --metrics` first"
         )
     records = read_trace_file(path)
     if args.kind:
@@ -841,20 +738,6 @@ def _cmd_trace(args) -> int:
         )
         return 0
     print(f"trace stream: {path} ({len(records)} matching record(s))")
-    if "requests" in summary:
-        req = summary["requests"]
-        print(
-            f"requests: {req['count']}  outcomes {req['outcomes']}  "
-            f"degraded {req['degraded']}"
-        )
-        wait = req["queue_wait_s"]
-        print(
-            f"  queue wait  p50 {_fmt_seconds(wait['p50'])}  "
-            f"p99 {_fmt_seconds(wait['p99'])}  (n={wait['count']})"
-        )
-        print(f"  batch sizes {req['batch_sizes']}")
-        if req["breaker_states"]:
-            print(f"  breaker states {req['breaker_states']}")
     if "nodes" in summary:
         nodes = summary["nodes"]
         print(f"nodes: {nodes['count']}  statuses {nodes['statuses']}")
@@ -972,7 +855,6 @@ _COMMANDS = {
     "show": _cmd_show,
     "compare": _cmd_compare,
     "bench": _cmd_bench,
-    "serve-bench": _cmd_serve_bench,
     "serve-jobs": _cmd_serve_jobs,
     "submit": _cmd_submit,
     "status": _cmd_status,

@@ -604,7 +604,10 @@ class GraphExecution:
             rebuilds = self.monitor.pool_rebuilds - rebuilds_before
             if node.kind in _POINT_KINDS:
                 attempts = max(
-                    (failure.attempts for failure in self._node_failures(node)),
+                    (
+                        self.monitor.attempts.get(slot, 1)
+                        for slot in self._node_slots(node)
+                    ),
                     default=1,
                 )
         self.obs.tracer.emit(

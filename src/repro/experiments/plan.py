@@ -463,8 +463,8 @@ def _run_hardware_stage(
         # batch_size bounds the im2col super-batch like the software eval
         # path; the per-conversion ADC makes the chunking value-neutral.
         hardware[config.label] = simulate_evaluate(
-            [network], inputs, targets, config, mapper=mapper, batch_size=256
-        )[0]
+            network, inputs, targets, config, mapper=mapper, batch_size=256
+        )
     timings["hardware_s"] = round(
         timings.get("hardware_s", 0.0) + time.perf_counter() - t0, 6
     )

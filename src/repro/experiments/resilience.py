@@ -208,7 +208,8 @@ class RunMonitor:
     graph executor sets it to its point finalizer so completed points are
     evaluated and journaled as they finish, not only at the end.
     ``pool_rebuilds`` counts the process pools torn down by a dead or
-    timed-out worker over the monitor's lifetime.
+    timed-out worker over the monitor's lifetime, and ``attempts`` holds
+    the attempt count of every finished slot, successes included.
     """
 
     def __init__(
@@ -219,17 +220,20 @@ class RunMonitor:
         self.strict = strict
         self.on_success = on_success
         self.failures: Dict[int, PointFailure] = {}
+        self.attempts: Dict[int, int] = {}
         self.interrupted = False
         self.pool_rebuilds = 0
         self._previous_sigint: Optional[Any] = None
 
     # ------------------------------------------------------------- records
-    def record_success(self, slot: int, outcome: Any) -> None:
+    def record_success(self, slot: int, outcome: Any, attempts: int = 1) -> None:
+        self.attempts[slot] = attempts
         if self.on_success is not None:
             self.on_success(slot, outcome)
 
     def record_failure(self, slot: int, failure: PointFailure) -> None:
         self.failures[slot] = failure
+        self.attempts[slot] = failure.attempts
         logger.warning(
             "point %s failed permanently after %d attempt(s): %s: %s",
             failure.label,
@@ -416,7 +420,7 @@ def _serial_map(
             results[slot] = outcome
             if absorb is not None:
                 absorb(outcome)
-            monitor.record_success(slot, outcome)
+            monitor.record_success(slot, outcome, failed + 1)
             break
     return results
 
@@ -561,7 +565,7 @@ def _pool_map(
     def record_success(slot: int, outcome: Any) -> None:
         results[slot] = outcome
         open_slots.discard(slot)
-        monitor.record_success(slot, outcome)
+        monitor.record_success(slot, outcome, failed_attempts[slot] + 1)
 
     try:
         for slot in sorted(open_slots):

@@ -39,14 +39,11 @@ from repro.hardware.sim import (
     HardwareConfig,
     ProgrammedMatrix,
     ProgrammedNetwork,
-    network_fingerprint,
     program_matrix,
     program_network,
     simulate_evaluate,
     simulate_mvm,
     simulate_predict,
-    stacked_programmed_predict,
-    stacked_simulate_predict,
 )
 from repro.hardware.technology import PAPER_TECHNOLOGY, TechnologyParameters
 from repro.hardware.tiling import TilingPlan, plan_for_matrix, plan_tiling
@@ -86,14 +83,11 @@ __all__ = [
     "HardwareConfig",
     "ProgrammedMatrix",
     "ProgrammedNetwork",
-    "network_fingerprint",
     "program_matrix",
     "program_network",
     "simulate_evaluate",
     "simulate_mvm",
     "simulate_predict",
-    "stacked_programmed_predict",
-    "stacked_simulate_predict",
     "CompactedCrossbar",
     "CompactionReport",
     "compact_matrix",

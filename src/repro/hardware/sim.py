@@ -42,8 +42,8 @@ Determinism
 -----------
 Every stochastic draw comes from a stream keyed by
 ``(config.seed, matrix name, purpose)`` via SHA-256 — never from global
-state — so results are bit-reproducible across processes, across the serial
-and batched execution paths, and regardless of evaluation order.  Networks
+state — so results are bit-reproducible across processes, across
+re-programming, and regardless of evaluation order.  Networks
 simulated with equal seeds see the *same* noise streams (the controlled
 comparison the experiment pipeline wants); pass distinct seeds for
 independent device instances.  The ADC auto-ranges per conversion (per
@@ -56,18 +56,21 @@ The ideal configuration (``HardwareConfig.ideal()``: infinite precision, no
 noise, no faults, no ADC) reproduces :meth:`Sequential.predict` within
 float64 round-off — guarded by ``tests/test_hardware_sim.py``.
 
-The batched path (:func:`stacked_simulate_predict` /
-:func:`simulate_evaluate`) mirrors :mod:`repro.nn.batched`: K
-same-architecture networks share one im2col patch extraction per
-convolution and ride one ``(K, …)`` stacked blocked matmul per tile
-row-block, bit-identical per network to the serial path.
+Driver
+------
+:class:`ProgrammedNetwork` is the one driver: it programs every matrix once
+and :meth:`ProgrammedNetwork.predict` runs inference against the stored
+conductances.  :func:`simulate_predict` and :func:`simulate_evaluate` are
+one-shot wrappers over it.  ``predict(reference=True)`` swaps the vectorized
+tile MVM for the naive per-tile loop (:func:`_mvm_tiles`), which is the
+benchmark baseline and the test oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -75,7 +78,6 @@ from repro.exceptions import ConfigurationError, ShapeError
 from repro.hardware.mapper import NetworkMapper, extract_crossbar_matrices
 from repro.hardware.tiling import TilingPlan
 from repro.nn import functional as F
-from repro.nn.batched import architecture_signature
 from repro.nn.dtype import as_float
 from repro.nn.layers import Conv2D, Linear, LowRankConv2D, LowRankLinear
 from repro.nn.metrics import accuracy
@@ -228,29 +230,6 @@ class HardwareConfig:
         return cls(**payload)
 
 
-# ------------------------------------------------------------ fingerprints
-def network_fingerprint(network: Sequential) -> str:
-    """Content hash of a network's architecture and parameter values.
-
-    Two networks with equal fingerprints program to bit-identical
-    conductances under any given :class:`HardwareConfig` (programming is a
-    pure function of the weight values, the tiling plan, and the seeded
-    noise streams), so the fingerprint — paired with the config — is a
-    correct cache key for programmed networks.  The hash covers the
-    architecture signature (layer types, configuration, parameter shapes)
-    and every parameter's raw bytes; the network's display name is
-    deliberately excluded.
-    """
-    digest = hashlib.sha256()
-    digest.update(repr(architecture_signature(network)).encode("utf-8"))
-    for parameter in network.parameters():
-        data = np.ascontiguousarray(parameter.data)
-        digest.update(str(data.dtype).encode("utf-8"))
-        digest.update(repr(data.shape).encode("utf-8"))
-        digest.update(data.tobytes())
-    return digest.hexdigest()
-
-
 # ------------------------------------------------------------- programming
 def _stream(seed: int, name: str, purpose: str) -> np.random.Generator:
     """Deterministic per-(seed, matrix, purpose) generator (process-stable)."""
@@ -364,8 +343,7 @@ _ADC_CHUNK_ELEMENTS = 1 << 18
 #: ADC path materializes every tile row-block's partials in one batched
 #:  matmul + one vectorized quantize call (the fat-kernel regime for the
 #: many-tile fully-connected stages); above it, a chunked per-row-block loop
-#: bounds memory.  Selection depends only on the plan and the batch, so the
-#: serial and stacked paths always agree.
+#: bounds memory.  Selection depends only on the plan and the batch.
 _ADC_BATCH_ELEMENTS = 1 << 21
 
 
@@ -468,8 +446,8 @@ def simulate_mvm(
     """Simulated crossbar product ``x @ W_effective`` with per-tile ADC.
 
     ``reference=True`` forces the naive per-tile Python loop (the benchmark
-    baseline); the default blocked path is numerically equivalent and is
-    what both the serial and batched predictors use.
+    baseline and test oracle); the default blocked path is numerically
+    equivalent.
     """
     x = as_float(x)
     if x.ndim != 2 or x.shape[1] != programmed.plan.matrix_rows:
@@ -482,53 +460,7 @@ def simulate_mvm(
     return _mvm_blocked(x, programmed, config)
 
 
-def _stacked_mvm(
-    x: np.ndarray,
-    programmed: Sequence[ProgrammedMatrix],
-    config: HardwareConfig,
-    *,
-    shared: bool,
-    num_networks: int,
-) -> np.ndarray:
-    """K-network tile MVM: ``(rows, in)`` shared or ``(K·rows, in)`` super-batch.
-
-    Returns the ``(K·rows, cols)`` super-batch.  Every per-network slice is
-    bit-identical to :func:`simulate_mvm` on that network alone: the blocked
-    matmul runs the same GEMM per ``(network, tile row)`` slice and the ADC
-    sees the same per-tile currents.
-    """
-    plan = programmed[0].plan
-    k = num_networks
-    if plan.padded:
-        per_rows = x.shape[0] if shared else x.shape[0] // k
-        out = np.empty((k * per_rows, plan.matrix_cols), dtype=as_float(x).dtype)
-        for slot in range(k):
-            chunk = x if shared else x[slot * per_rows : (slot + 1) * per_rows]
-            out[slot * per_rows : (slot + 1) * per_rows] = _mvm_tiles(
-                chunk, programmed[slot], config
-            )
-        return out
-    rows = x.shape[0] if shared else x.shape[0] // k
-    cols = plan.matrix_cols
-    x_ref = x if shared else x.reshape(k, rows, x.shape[1])
-    if config.adc_bits is None:
-        w_stack = np.stack([pm.weights for pm in programmed])  # (K, in, cols)
-        out = np.matmul(x_ref, w_stack)  # broadcast over K when shared
-        return out.reshape(k * rows, cols)
-    # With an ADC, each network runs the exact serial kernel on its slice of
-    # the super-batch: the batched win is the shared input-side prefix (one
-    # im2col per convolution), not cross-network GEMM batching — stacking the
-    # (K, grid_rows, rows, cols) partials would multiply the working set by K
-    # for no arithmetic saving, and reusing the serial kernel keeps the
-    # per-network bit-identity guarantee structural.
-    out = np.empty((k * rows, cols), dtype=np.result_type(x, programmed[0].weights))
-    for slot in range(k):
-        x_slot = x if shared else x_ref[slot]
-        out[slot * rows : (slot + 1) * rows] = _mvm_blocked(x_slot, programmed[slot], config)
-    return out
-
-
-# ------------------------------------------------------------ serial driver
+# ------------------------------------------------------------------ driver
 class ProgrammedNetwork:
     """A network programmed onto simulated crossbar hardware.
 
@@ -650,192 +582,23 @@ def simulate_predict(
     """Hardware-fidelity inference logits of ``network`` under ``config``.
 
     One-shot convenience over :class:`ProgrammedNetwork`; reuse a programmed
-    network (or :func:`simulate_evaluate`) when evaluating many batches.
+    network when evaluating many batches.
     """
     programmed = ProgrammedNetwork(network, config, mapper=mapper)
     return programmed.predict(inputs, batch_size=batch_size, reference=reference)
 
 
-# ----------------------------------------------------------- batched driver
-def stacked_simulate_predict(
-    networks: Sequence[Sequential],
-    inputs: np.ndarray,
-    config: HardwareConfig,
-    *,
-    mapper: Optional[NetworkMapper] = None,
-    batch_size: Optional[int] = None,
-) -> np.ndarray:
-    """Simulated logits ``(K, N, classes)`` of K same-architecture networks.
-
-    The batched twin of :func:`simulate_predict`: the pre-divergence prefix
-    and every convolution's im2col run once for all K networks, and each
-    weighted stage executes one stacked blocked matmul against the K
-    programmed weight stacks.  Per-network results are bit-identical to the
-    serial path.
-    """
-    networks = list(networks)
-    if not networks:
-        raise ShapeError("stacked_simulate_predict needs at least one network")
-    mapper = mapper if mapper is not None else NetworkMapper()
-    programmed = [ProgrammedNetwork(network, config, mapper=mapper) for network in networks]
-    return stacked_programmed_predict(programmed, inputs, batch_size=batch_size)
-
-
-def stacked_programmed_predict(
-    programmed: Sequence[ProgrammedNetwork],
-    inputs: np.ndarray,
-    *,
-    batch_size: Optional[int] = None,
-) -> np.ndarray:
-    """Batched inference over networks that are **already programmed**.
-
-    The deployment-shaped entry point: arrays are programmed once
-    (:func:`program_network`) and inference reruns against the stored
-    conductances — repeated evaluations pay no reprogramming.  All
-    programmed networks must share one architecture and one
-    :class:`HardwareConfig`.
-    """
-    programmed = list(programmed)
-    if not programmed:
-        raise ShapeError("stacked_programmed_predict needs at least one network")
-    networks = [pn.network for pn in programmed]
-    signatures = {architecture_signature(network) for network in networks}
-    if len(signatures) != 1:
-        raise ShapeError(
-            "stacked simulation requires identical architectures; "
-            "use simulate_evaluate to group mixed networks"
-        )
-    configs = {pn.config for pn in programmed}
-    if len(configs) != 1:
-        raise ShapeError("stacked simulation requires one shared HardwareConfig")
-    config = programmed[0].config
-    saved = [[layer.training for layer in network] for network in networks]
-    for network in networks:
-        network.eval()
-    try:
-        if batch_size is None:
-            return _stacked_forward(networks, programmed, inputs, config)
-        chunks = [
-            _stacked_forward(networks, programmed, inputs[start : start + batch_size], config)
-            for start in range(0, inputs.shape[0], batch_size)
-        ]
-        return np.concatenate(chunks, axis=1)
-    finally:
-        for network, flags in zip(networks, saved):
-            for layer, flag in zip(network, flags):
-                layer.training = flag
-
-
-def _stacked_forward(
-    networks: Sequence[Sequential],
-    programmed: Sequence[ProgrammedNetwork],
-    x: np.ndarray,
-    config: HardwareConfig,
-) -> np.ndarray:
-    k = len(networks)
-    n = x.shape[0]
-    value = as_float(x)
-    shared = True
-    for position, layer0 in enumerate(networks[0]):
-        if not isinstance(layer0, _WEIGHTED):
-            # Parameter-free layers are per-sample maps: the (K·N, …)
-            # super-batch (or the still-shared batch) rides one call.
-            value = layer0.forward(value)
-            continue
-        stage_maps = [
-            pn.stages[net[position].name] for pn, net in zip(programmed, networks)
-        ]
-        bias0 = getattr(networks[0][position], "bias", None)
-        bias_stack = (
-            None
-            if bias0 is None
-            else np.stack([net[position].bias.data for net in networks])[:, None, :]
-        )
-        if isinstance(layer0, (Conv2D, LowRankConv2D)):
-            per_rows = value.shape[0] if shared else value.shape[0] // k
-            cols, out_h, out_w = F.im2col(
-                value, layer0.kernel_size, layer0.kernel_size, layer0.stride, layer0.padding
-            )
-            if isinstance(layer0, LowRankConv2D):
-                mid = _stacked_mvm(
-                    cols, [s["v"] for s in stage_maps], config, shared=shared, num_networks=k
-                )
-                out = _stacked_mvm(
-                    mid, [s["u"] for s in stage_maps], config, shared=False, num_networks=k
-                )
-            else:
-                out = _stacked_mvm(
-                    cols, [s["w"] for s in stage_maps], config, shared=shared, num_networks=k
-                )
-            if bias_stack is not None:
-                rows = out.shape[0] // k
-                out = (out.reshape(k, rows, out.shape[1]) + bias_stack).reshape(out.shape)
-            value = out.reshape(
-                k * per_rows, out_h, out_w, layer0.out_channels
-            ).transpose(0, 3, 1, 2)
-        else:
-            if isinstance(layer0, LowRankLinear):
-                mid = _stacked_mvm(
-                    value, [s["v"] for s in stage_maps], config, shared=shared, num_networks=k
-                )
-                out = _stacked_mvm(
-                    mid, [s["u"] for s in stage_maps], config, shared=False, num_networks=k
-                )
-            else:
-                out = _stacked_mvm(
-                    value, [s["w"] for s in stage_maps], config, shared=shared, num_networks=k
-                )
-            if bias_stack is not None:
-                rows = out.shape[0] // k
-                out = (out.reshape(k, rows, out.shape[1]) + bias_stack).reshape(out.shape)
-            value = out
-        shared = False
-    if shared:  # pragma: no cover - extract_crossbar_matrices rejects this
-        value = np.broadcast_to(value[None], (k,) + value.shape)
-        return value.reshape(k, n, *value.shape[2:])
-    logits = value.reshape(k, n, *value.shape[1:])
-    if logits.ndim != 3:
-        raise ShapeError(
-            f"stacked simulation expected (K, N, classes) logits, got shape {logits.shape}"
-        )
-    return logits
-
-
 def simulate_evaluate(
-    networks: Sequence[Sequential],
+    network: Sequential,
     inputs: np.ndarray,
     targets: np.ndarray,
     config: HardwareConfig,
     *,
     mapper: Optional[NetworkMapper] = None,
     batch_size: Optional[int] = None,
-) -> List[float]:
-    """Simulated test accuracy of every network under one device corner.
-
-    Networks are grouped by
-    :func:`~repro.nn.batched.architecture_signature`; groups of two or more
-    ride :func:`stacked_simulate_predict` (shared im2col, stacked tile
-    MVMs), singletons the serial path.  Results are returned in input
-    order.
-    """
-    networks = list(networks)
-    if not networks:
-        return []
-    mapper = mapper if mapper is not None else NetworkMapper()
-    groups: Dict[Tuple, List[int]] = {}
-    for index, network in enumerate(networks):
-        groups.setdefault(architecture_signature(network), []).append(index)
-    accuracies: List[Optional[float]] = [None] * len(networks)
-    for indices in groups.values():
-        if len(indices) == 1:
-            logits = simulate_predict(
-                networks[indices[0]], inputs, config, mapper=mapper, batch_size=batch_size
-            )
-            accuracies[indices[0]] = accuracy(logits, targets)
-            continue
-        stacked = stacked_simulate_predict(
-            [networks[i] for i in indices], inputs, config, mapper=mapper, batch_size=batch_size
-        )
-        for slot, index in enumerate(indices):
-            accuracies[index] = accuracy(stacked[slot], targets)
-    return [float(value) for value in accuracies]
+) -> float:
+    """Simulated test accuracy of ``network`` under one device corner."""
+    logits = simulate_predict(
+        network, inputs, config, mapper=mapper, batch_size=batch_size
+    )
+    return float(accuracy(logits, targets))

@@ -2,8 +2,7 @@
 
 The package bundles a :class:`~repro.obs.metrics.MetricsRegistry` and a
 :class:`~repro.obs.trace.Tracer` into one :class:`Observability` handle
-that the serving runtime, the job scheduler, and the experiment graph all
-accept.  The default everywhere is :data:`NULL_OBS` — both halves
+that the job scheduler and the experiment graph both accept.  The default everywhere is :data:`NULL_OBS` — both halves
 disabled, every call a no-op — so observability is strictly opt-in and
 costs nothing when off.  See ``README.md`` in this directory for the
 instrument taxonomy, trace record schemas, and the clock-injection

@@ -9,8 +9,8 @@ README for the instrument taxonomy).  Design constraints, in order:
   one no-op call, nothing else.  Code never branches on "is observability
   on"; it just calls the instrument it was given.
 * **Thread-safe** — each instrument carries its own small lock; the
-  serving runtime's dispatcher threads, the scheduler's worker threads,
-  and a snapshot reader may all touch one registry concurrently.
+  scheduler's worker threads and a snapshot reader may all touch one
+  registry concurrently.
 * **Monotonic clock only** — timing helpers use an injectable
   ``perf_counter``-based clock, never the wall clock, so instrumenting a
   fingerprinted module (``experiments/graph.py``) cannot trip the
@@ -368,8 +368,7 @@ NULL_REGISTRY = NullRegistry()
 def write_metrics_snapshot(registry: MetricsRegistry, path: PathLike) -> Path:
     """Persist ``registry.snapshot()`` as JSON (the ``metrics`` CLI input).
 
-    Registries are process-local, so every surface that enables metrics
-    (``serve-bench --metrics``, ``serve-jobs --metrics``) exports its
+    Registries are process-local, so ``serve-jobs --metrics`` exports its
     snapshot on exit; ``python -m repro metrics`` renders the export.
     """
     return save_json(Path(path), registry.snapshot())
@@ -380,8 +379,8 @@ def load_metrics_snapshot(path: PathLike) -> Dict[str, Any]:
     path = Path(path)
     if not path.exists():
         raise ReproError(
-            f"no metrics snapshot at {path}; run `python -m repro serve-bench "
-            "--metrics` or `serve-jobs --metrics` first"
+            f"no metrics snapshot at {path}; run `python -m repro serve-jobs "
+            "--metrics` first"
         )
     snapshot = load_json(path)
     if not isinstance(snapshot, dict) or "counters" not in snapshot:

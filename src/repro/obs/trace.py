@@ -1,7 +1,7 @@
-"""Structured tracing: spans, per-request/per-node records, traces.jsonl.
+"""Structured tracing: spans, per-node records, traces.jsonl.
 
-Trace records are plain dicts with a ``kind`` field (``"request"``,
-``"node"``, ``"span"``; see the package README for the full schemas).
+Trace records are plain dicts with a ``kind`` field (``"node"``,
+``"span"``; see the package README for the full schemas).
 They stream to an append-only, per-line-checksummed ``traces.jsonl``
 using the same fcntl-flock discipline as the run-store journal, and are
 mirrored into a bounded in-memory ring buffer for live inspection.
@@ -27,7 +27,7 @@ from repro.obs.metrics import percentile
 from repro.utils.logging import get_logger
 from repro.utils.serialization import jsonify
 
-try:  # fcntl is POSIX-only; the serving/scheduler stack already requires it.
+try:  # fcntl is POSIX-only; the run store and the scheduler already require it.
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
@@ -40,10 +40,6 @@ PathLike = Union[str, Path]
 #: the trace-determinism contract (and from any fingerprint, ever).
 TIMING_FIELDS = frozenset(
     {
-        "queue_wait_s",
-        "service_s",
-        "latency_s",
-        "deadline_slack_s",
         "elapsed_s",
         "ready_wait_s",
         "start_s",
@@ -266,52 +262,22 @@ def _histogram_summary(values: List[float]) -> Dict[str, Any]:
 
 
 def summarize_traces(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Aggregate request/node records into the ``trace`` CLI summary.
+    """Aggregate node/span records into the ``trace`` CLI summary.
 
     Percentiles use the same nearest-rank :func:`~repro.obs.metrics.
     percentile` as live histograms, so this offline view agrees exactly
     with ``python -m repro metrics`` for the same observations.
     """
-    requests: List[Dict[str, Any]] = []
     nodes: List[Dict[str, Any]] = []
     spans: List[Dict[str, Any]] = []
     for record in records:
         kind = record.get("kind")
-        if kind == "request":
-            requests.append(record)
-        elif kind == "node":
+        if kind == "node":
             nodes.append(record)
         elif kind == "span":
             spans.append(record)
 
     summary: Dict[str, Any] = {}
-    if requests:
-        outcomes: Dict[str, int] = {}
-        batch_sizes: Dict[str, int] = {}
-        breaker_states: Dict[str, int] = {}
-        queue_waits: List[float] = []
-        degraded = 0
-        for record in requests:
-            outcome = str(record.get("outcome", "unknown"))
-            outcomes[outcome] = outcomes.get(outcome, 0) + 1
-            if record.get("queue_wait_s") is not None:
-                queue_waits.append(float(record["queue_wait_s"]))
-            if record.get("batch_size") is not None:
-                size = str(record["batch_size"])
-                batch_sizes[size] = batch_sizes.get(size, 0) + 1
-            if record.get("breaker_state") is not None:
-                state = str(record["breaker_state"])
-                breaker_states[state] = breaker_states.get(state, 0) + 1
-            if record.get("degraded"):
-                degraded += 1
-        summary["requests"] = {
-            "count": len(requests),
-            "outcomes": dict(sorted(outcomes.items())),
-            "queue_wait_s": _histogram_summary(queue_waits),
-            "batch_sizes": dict(sorted(batch_sizes.items(), key=lambda kv: int(kv[0]))),
-            "breaker_states": dict(sorted(breaker_states.items())),
-            "degraded": degraded,
-        }
     if nodes:
         statuses: Dict[str, int] = {}
         ready_waits: List[float] = []

@@ -31,17 +31,6 @@ point function runs (serial and process-pool paths alike):
 
 ``site="store-save"`` fires after an artifact write; ``kind="corrupt"``
 truncates and garbles the file (a torn write for quarantine tests).
-
-``site="serve-program"`` and ``site="serve-infer"`` fire inside the serving
-runtime (:mod:`repro.serving`): ``serve-program`` right before a network is
-programmed into the :class:`~repro.serving.cache.ProgrammedNetworkCache`
-(``index`` is the cache's programming sequence number), ``serve-infer``
-right before a micro-batch is dispatched to the *primary* programmed network
-(``index`` is the runtime's primary-dispatch sequence number).  The degraded
-ideal-corner fallback path is deliberately uninstrumented, so chaos drills
-can trip the circuit breaker without also breaking the fallback that proves
-recovery.  ``kind="raise"`` and ``kind="hang"`` are the useful kinds here;
-``kind="kill"`` would take down the whole serving process (all threads).
 """
 
 from __future__ import annotations
@@ -62,7 +51,7 @@ from repro.exceptions import ConfigurationError
 ENV_VAR = "REPRO_FAULTS"
 
 #: Hook locations fire()/corrupt_file() expose.
-SITES = ("point", "store-save", "serve-program", "serve-infer")
+SITES = ("point", "store-save")
 
 #: What a matching fault does at its site.
 KINDS = ("raise", "hang", "kill", "interrupt", "corrupt")

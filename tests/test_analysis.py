@@ -937,7 +937,7 @@ class TestSelfApplication:
 
 
 class TestUnboundedWaitRule:
-    REL = "src/repro/serving/pump.py"
+    REL = "src/repro/scheduler/pump.py"
 
     def test_flags_bare_blocking_calls(self, tmp_path):
         report = lint(
@@ -981,7 +981,7 @@ class TestUnboundedWaitRule:
         )
         assert report.clean
 
-    def test_only_applies_to_the_serving_tree(self, tmp_path):
+    def test_only_applies_to_the_scheduler_tree(self, tmp_path):
         report = lint(
             tmp_path,
             "src/repro/experiments/pump.py",

@@ -247,7 +247,7 @@ class TestBench:
         listed = capsys.readouterr().out.split()
         runner = _load_benchmark_runner()
         assert tuple(listed) == runner.suite_names()
-        assert set(listed) == {"kernels", "sweeps", "lockstep", "hardware", "serving"}
+        assert set(listed) == {"kernels", "sweeps", "lockstep", "hardware", "obs"}
 
 
 class TestLint:
@@ -325,30 +325,3 @@ class TestListHealthFlags:
         assert "no-checksum" in out
         assert "quarantined (corrupt, kept for inspection): 1 file(s)" in out
         assert "bbbb2222.json.corrupt" in out
-
-
-class TestServeBench:
-    @pytest.fixture(autouse=True)
-    def _no_leaked_faults(self, monkeypatch):
-        # serve-bench --faults exports $REPRO_FAULTS; scrub it either way.
-        monkeypatch.delenv(faultinject.ENV_VAR, raising=False)
-        faultinject.uninstall()
-        yield
-        os.environ.pop(faultinject.ENV_VAR, None)
-        faultinject.uninstall()
-
-    def test_drill_exits_zero_and_prints_recovery_evidence(self, capsys):
-        assert main(["serve-bench", "--drill"]) == 0
-        out = capsys.readouterr().out
-        assert "circuit opened" in out
-        assert "degraded responses" in out
-        assert "recovered: state=healthy" in out
-        assert "drained" in out
-
-    def test_load_levels_json_accounts_every_request(self, capsys):
-        assert main(["serve-bench", "--requests", "24", "--json"]) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert set(stats["levels"]) == {"0.5x", "1x", "2x"}
-        for level in stats["levels"].values():
-            accounted = level["completed"] + sum(level["rejections"].values())
-            assert accounted == level["requests"]

@@ -1,9 +1,9 @@
-"""Tests for the observability stack (``repro.obs``) and its lint rule.
+"""Tests for the observability stack (``repro.obs``).
 
 Unit coverage: typed instruments (counter monotonicity, histogram exact
 nearest-rank percentiles, registry type-collision errors), null-object
-no-ops, tracer ring/checksum/span semantics, the ``uncounted-rejection``
-project rule, and the ``metrics`` / ``trace`` CLI verbs.
+no-ops, tracer ring/checksum/span semantics, the offline trace summary,
+and the ``metrics`` / ``trace`` CLI verbs.
 """
 
 import json
@@ -159,7 +159,7 @@ class TestNullObjects:
 
     def test_null_tracer_emits_nothing(self):
         assert not NULL_TRACER.enabled
-        assert NULL_TRACER.emit("request", name="x") is None
+        assert NULL_TRACER.emit("node", node="x") is None
         with NULL_TRACER.span("s"):
             pass
         assert NULL_TRACER.records() == []
@@ -173,30 +173,30 @@ class TestNullObjects:
 class TestTracer:
     def test_emit_assigns_sequential_seq_and_checksum(self, tmp_path):
         tracer = Tracer(tmp_path / "traces.jsonl")
-        first = tracer.emit("request", name="a")
-        second = tracer.emit("request", name="b")
+        first = tracer.emit("node", node="a")
+        second = tracer.emit("node", node="b")
         assert (first["seq"], second["seq"]) == (0, 1)
         assert first["sha256"] == record_checksum(first)
 
     def test_ring_buffer_is_bounded_oldest_first(self):
         tracer = Tracer(None, capacity=3)
         for index in range(5):
-            tracer.emit("request", request=index)
-        kept = [record["request"] for record in tracer.records()]
+            tracer.emit("node", node=index)
+        kept = [record["node"] for record in tracer.records()]
         assert kept == [2, 3, 4]
 
     def test_file_roundtrip_skips_corruption(self, tmp_path):
         path = tmp_path / "traces.jsonl"
         tracer = Tracer(path)
-        tracer.emit("request", name="keep")
-        tampered = tracer.emit("request", name="tamper")
+        tracer.emit("node", node="keep")
+        tampered = tracer.emit("node", node="tamper")
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("not json\n")
             handle.write('"a string, not an object"\n')
-            broken = dict(tampered, name="edited")  # checksum now wrong
+            broken = dict(tampered, node="edited")  # checksum now wrong
             handle.write(json.dumps(broken) + "\n")
         records = read_trace_file(path)
-        assert [r["name"] for r in records] == ["keep", "tamper"]
+        assert [r["node"] for r in records] == ["keep", "tamper"]
 
     def test_span_parent_links_and_error_status(self):
         tracer = Tracer(None)
@@ -214,44 +214,43 @@ class TestTracer:
 
     def test_strip_timing_fields_removes_only_timing(self):
         record = {
-            "kind": "request",
-            "name": "x",
-            "queue_wait_s": 0.1,
-            "latency_s": 0.2,
+            "kind": "node",
+            "node": "baseline",
+            "ready_wait_s": 0.1,
             "elapsed_s": 0.3,
             "sha256": "deadbeef",
-            "outcome": "completed",
+            "status": "done",
         }
         assert strip_timing_fields(record) == {
-            "kind": "request",
-            "name": "x",
-            "outcome": "completed",
+            "kind": "node",
+            "node": "baseline",
+            "status": "done",
         }
 
     def test_close_stops_emission(self, tmp_path):
         tracer = Tracer(tmp_path / "t.jsonl")
-        tracer.emit("request", name="a")
+        tracer.emit("node", node="a")
         tracer.close()
-        assert tracer.emit("request", name="b") is None
+        assert tracer.emit("node", node="b") is None
         assert len(read_trace_file(tmp_path / "t.jsonl")) == 1
 
 
 class TestSummarize:
     def test_summary_matches_percentile_helper(self):
         records = [
-            {"kind": "request", "outcome": "completed", "queue_wait_s": w,
-             "batch_size": 2, "breaker_state": "closed", "degraded": w > 0.2}
-            for w in (0.1, 0.2, 0.3, 0.4)
+            {"kind": "node", "status": "done", "ready_wait_s": 0.0,
+             "elapsed_s": elapsed}
+            for elapsed in (0.1, 0.2, 0.3, 0.4)
         ]
-        records.append({"kind": "request", "outcome": "queue-full"})
-        summary = summarize_traces(records)["requests"]
+        records.append({"kind": "node", "status": "cancelled"})
+        summary = summarize_traces(records)["nodes"]
         assert summary["count"] == 5
-        assert summary["outcomes"] == {"completed": 4, "queue-full": 1}
-        assert summary["queue_wait_s"]["count"] == 4  # rejects have no wait
-        assert summary["queue_wait_s"]["p99"] == percentile(
-            [0.1, 0.2, 0.3, 0.4], 99
-        )
-        assert summary["degraded"] == 2
+        assert summary["statuses"] == {"cancelled": 1, "done": 4}
+        assert summary["elapsed_s"]["count"] == 4  # untimed records skipped
+        for q, key in ((50, "p50"), (95, "p95"), (99, "p99")):
+            assert summary["elapsed_s"][key] == percentile(
+                [0.1, 0.2, 0.3, 0.4], q
+            )
 
     def test_node_summary_collects_queue_depths(self):
         records = [
@@ -268,10 +267,10 @@ class TestSummarize:
 class TestSnapshotFiles:
     def test_write_and_load_roundtrip(self, tmp_path):
         registry = MetricsRegistry()
-        registry.counter("serving.submitted").inc(3)
+        registry.counter("graph.nodes.done").inc(3)
         path = write_metrics_snapshot(registry, tmp_path / "metrics.json")
         snapshot = load_metrics_snapshot(path)
-        assert snapshot["counters"]["serving.submitted"] == 3
+        assert snapshot["counters"]["graph.nodes.done"] == 3
 
     def test_load_missing_or_malformed_raises(self, tmp_path):
         with pytest.raises(ReproError):
@@ -292,60 +291,6 @@ class TestSnapshotFiles:
             obs.tracer.close()
 
 
-# ---------------------------------------------------------------- lint rule
-class TestUncountedRejectionRule:
-    def test_production_classes_are_all_counted(self):
-        from repro.analysis.rules.observability import rejection_messages
-
-        assert rejection_messages() == []
-
-    def test_missing_counter_key_is_caught(self):
-        from repro.analysis.rules.observability import rejection_messages
-        from repro.serving.types import Rejection
-
-        class OverheatRejection(Rejection):
-            code = "overheat"
-
-        problems = rejection_messages(rejection_classes=[OverheatRejection])
-        assert any("rejected.overheat" in message for _cls, message in problems)
-
-    def test_duplicate_and_missing_codes_are_caught(self):
-        from repro.analysis.rules.observability import rejection_messages
-        from repro.serving.types import (
-            QueueFullRejection,
-            Rejection,
-        )
-
-        class CloneRejection(Rejection):
-            code = "queue-full"
-
-        class CodelessRejection(Rejection):
-            pass  # inherits the parent's code attribute
-
-        problems = rejection_messages(
-            rejection_classes=[QueueFullRejection, CloneRejection, CodelessRejection],
-            counter_keys=("rejected.queue-full",),
-        )
-        messages = " | ".join(message for _cls, message in problems)
-        assert "reuses rejection code" in messages
-        assert "does not define its own" in messages
-
-    def test_stale_counter_key_is_caught(self):
-        from repro.analysis.rules.observability import rejection_messages
-        from repro.serving.types import QueueFullRejection
-
-        problems = rejection_messages(
-            rejection_classes=[QueueFullRejection],
-            counter_keys=("rejected.queue-full", "rejected.ghost"),
-        )
-        assert any("stale" in message for _cls, message in problems)
-
-    def test_registered_in_linter(self):
-        from repro.analysis.core import all_rules
-
-        assert "uncounted-rejection" in {rule.id for rule in all_rules()}
-
-
 # ---------------------------------------------------------------- CLI verbs
 class TestObsCli:
     def test_metrics_missing_snapshot_exits_2(self, tmp_path, capsys):
@@ -358,45 +303,43 @@ class TestObsCli:
         from repro.experiments.cli import main
 
         registry = MetricsRegistry()
-        registry.counter("serving.submitted").inc(7)
-        registry.histogram("serving.queue_wait_s").observe(0.002)
+        registry.counter("graph.nodes.done").inc(7)
+        registry.histogram("graph.node_s").observe(0.002)
         root = obs_root(tmp_path)
         root.mkdir(parents=True)
         write_metrics_snapshot(registry, metrics_path(root))
         assert main(["metrics", "--store", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "serving.submitted" in out and "7" in out
+        assert "graph.nodes.done" in out and "7" in out
         assert main(["metrics", "--store", str(tmp_path), "--json"]) == 0
         snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["counters"]["serving.submitted"] == 7
+        assert snapshot["counters"]["graph.nodes.done"] == 7
 
     def test_trace_filters_and_summarizes(self, tmp_path, capsys):
         from repro.experiments.cli import main
 
         root = obs_root(tmp_path)
         tracer = Tracer(traces_path(root))
-        tracer.emit(
-            "request", name="mlp", outcome="completed", queue_wait_s=0.001,
-            batch_size=1, breaker_state="closed", degraded=False,
-        )
+        with tracer.span("stage"):
+            pass
         tracer.emit("node", run="abc123", job="job-1", node="baseline",
                     status="done", queue_depth=2, ready_wait_s=0.0,
                     elapsed_s=0.1)
         tracer.close()
         assert main(["trace", "--store", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["requests"]["count"] == 1
+        assert payload["summary"]["spans"]["stage"]["count"] == 1
         assert payload["summary"]["nodes"]["queue_depth_samples"] == [2]
         assert len(payload["records"]) == 2
         # Filter by job id: only the node record survives.
         assert main(["trace", "job-1", "--store", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert "requests" not in payload["summary"]
+        assert "spans" not in payload["summary"]
         assert payload["summary"]["nodes"]["count"] == 1
         # Kind filter plus pretty rendering.
-        assert main(["trace", "--kind", "request", "--store", str(tmp_path)]) == 0
+        assert main(["trace", "--kind", "span", "--store", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "requests: 1" in out
+        assert "spans:" in out and "nodes:" not in out
 
     def test_trace_missing_stream_exits_2(self, tmp_path, capsys):
         from repro.experiments.cli import main

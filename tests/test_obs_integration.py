@@ -1,25 +1,17 @@
-"""Integration tests: observability threaded through serving/graph/scheduler.
+"""Integration tests: observability threaded through the graph and scheduler.
 
-Acceptance contract (PR 10): instrumenting a run never changes its
-numbers — obs-on and obs-off runs of one spec produce identical
-fingerprints and results; two identical seeded serve-bench drills emit
-identical trace records modulo timing fields; the live ``metrics``
-snapshot's queue-wait percentiles agree *exactly* with a histogram
-recomputed offline from ``traces.jsonl``; and scheduler node traces
-carry job attribution plus queue-depth samples.
+Acceptance contract: instrumenting a run never changes its numbers —
+obs-on and obs-off runs of one spec produce identical fingerprints and
+results; two identical seeded sweeps under one fault plan emit identical
+trace records modulo timing fields; the live ``graph.node_s`` percentiles
+agree *exactly* with the node records' ``elapsed_s`` read back from
+``traces.jsonl``; node traces count the attempts of recovered points; and
+scheduler node traces carry job attribution plus queue-depth samples.
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments import ExperimentSpec, RunStore, execute_spec
-from repro.hardware import (
-    CrossbarLibrary,
-    HardwareConfig,
-    NetworkMapper,
-    TechnologyParameters,
-)
-from repro.models import build_mlp
 from repro.obs import (
     MetricsRegistry,
     Observability,
@@ -27,10 +19,8 @@ from repro.obs import (
     percentile,
     read_trace_file,
     strip_timing_fields,
-    summarize_traces,
 )
-from repro.serving import ServingConfig, ServingRuntime
-from repro.serving.bench import run_chaos_drill
+from repro.utils import faultinject
 
 FAST = dict(
     train_samples=120,
@@ -45,7 +35,11 @@ FAST = dict(
     batch_size=24,
 )
 
-NOISY = HardwareConfig(bits=6, program_noise=0.02, fault_rate=0.001, adc_bits=8, seed=0)
+#: Point 0 fails on every attempt; point 1 fails once and recovers.
+FLAKY_PLAN = [
+    {"site": "point", "kind": "raise", "index": 0},
+    {"site": "point", "kind": "raise", "index": 1, "attempts": [1]},
+]
 
 
 def sweep_spec(**overrides) -> ExperimentSpec:
@@ -68,114 +62,8 @@ def live_obs(tmp_path, tag):
     )
 
 
-def tiny_runtime(obs):
-    technology = TechnologyParameters(max_crossbar_rows=32, max_crossbar_cols=32)
-    mapper = NetworkMapper(
-        technology=technology, library=CrossbarLibrary(technology=technology)
-    )
-    config = ServingConfig(
-        max_queue=64, max_batch=4, batch_window_s=0.002, workers=1,
-        default_deadline_s=5.0,
-    )
-    runtime = ServingRuntime(config, mapper=mapper, obs=obs)
-    runtime.register("mlp", build_mlp(16, [24], 4, rng=0, name="serve0"),
-                     corner=NOISY, warm=True)
-    return runtime
-
-
-# ------------------------------------------------------------------ serving
-class TestServingObservability:
-    def test_stats_snapshot_is_deep_copied(self):
-        runtime = tiny_runtime(None)
-        try:
-            before = runtime.stats()
-            before["completed"] = 10 ** 9  # mutating the snapshot ...
-            before["submitted"] = -1
-            after = runtime.stats()
-            assert after["completed"] == 0  # ... never touches the runtime
-            assert after["submitted"] == 0
-        finally:
-            runtime.close(drain=True)
-
-    def test_metrics_p99_agrees_exactly_with_offline_traces(self, tmp_path):
-        obs = live_obs(tmp_path, "p99")
-        runtime = tiny_runtime(obs)
-        try:
-            samples = np.random.default_rng(0).standard_normal((40, 16))
-            handles = [runtime.submit("mlp", samples[i]) for i in range(40)]
-            for handle in handles:
-                handle.result(timeout=10.0)
-        finally:
-            runtime.close(drain=True)
-            obs.tracer.close()
-        snapshot = obs.metrics.snapshot()
-        records = read_trace_file(obs.tracer.path)
-        waits = [
-            float(r["queue_wait_s"])
-            for r in records
-            if r.get("kind") == "request" and r.get("queue_wait_s") is not None
-        ]
-        hist = snapshot["histograms"]["serving.queue_wait_s"]
-        assert hist["count"] == len(waits) == 40
-        for q, key in ((50, "p50"), (95, "p95"), (99, "p99")):
-            assert hist[key] == percentile(waits, q)
-        # The offline summarizer agrees too (same percentile helper).
-        summary = summarize_traces(records)
-        assert summary["requests"]["queue_wait_s"]["p99"] == hist["p99"]
-
-    def test_accounting_invariant_holds_in_metrics(self, tmp_path):
-        obs = live_obs(tmp_path, "acct")
-        runtime = tiny_runtime(obs)
-        try:
-            samples = np.random.default_rng(1).standard_normal((10, 16))
-            for i in range(10):
-                runtime.submit("mlp", samples[i]).result(timeout=10.0)
-        finally:
-            runtime.close(drain=True)
-            obs.tracer.close()
-        counters = obs.metrics.snapshot()["counters"]
-        rejected = sum(
-            v for k, v in counters.items() if k.startswith("serving.rejected.")
-        )
-        assert counters["serving.submitted"] == counters["serving.completed"] + rejected
-        # The metrics counters mirror the runtime's own accounting dict.
-        assert counters["serving.completed"] == runtime.stats()["completed"]
-
-    def test_chaos_drill_traces_are_deterministic_modulo_timing(self, tmp_path):
-        def run(tag):
-            obs = live_obs(tmp_path, tag)
-            summary = run_chaos_drill(emit=lambda line: None, obs=obs)
-            obs.tracer.close()
-            assert summary["ok"], summary
-            return read_trace_file(obs.tracer.path)
-
-        first, second = run("a"), run("b")
-        assert len(first) == len(second) > 0
-        stripped_a = [strip_timing_fields(r) for r in first]
-        stripped_b = [strip_timing_fields(r) for r in second]
-        assert stripped_a == stripped_b
-        # ... and the stripped view still shows the whole drill arc:
-        requests = [r for r in stripped_a if r["kind"] == "request"]
-        assert any(r.get("degraded") for r in requests)
-        states = {r.get("breaker_state") for r in requests}
-        assert {"closed", "open", "half-open"} <= states
-
-    def test_timing_fields_present_before_strip(self, tmp_path):
-        obs = live_obs(tmp_path, "fields")
-        runtime = tiny_runtime(obs)
-        try:
-            sample = np.random.default_rng(2).standard_normal(16)
-            runtime.submit("mlp", sample).result(timeout=10.0)
-        finally:
-            runtime.close(drain=True)
-            obs.tracer.close()
-        [record] = [
-            r for r in read_trace_file(obs.tracer.path) if r.get("kind") == "request"
-        ]
-        for field in ("queue_wait_s", "latency_s", "service_s", "deadline_slack_s"):
-            assert field in record
-        assert record["outcome"] == "completed"
-        assert record["admission"] == "admitted"
+def node_records(obs):
+    return [r for r in read_trace_file(obs.tracer.path) if r.get("kind") == "node"]
 
 
 # -------------------------------------------------------------------- graph
@@ -210,9 +98,7 @@ class TestGraphObservability:
         # path too), so each of the four nodes emits its own trace record.
         run = execute_spec(sweep_spec(), store=store, obs=obs)
         obs.tracer.close()
-        nodes = [
-            r for r in read_trace_file(obs.tracer.path) if r.get("kind") == "node"
-        ]
+        nodes = node_records(obs)
         assert {r["node"] for r in nodes} == {
             "baseline", "point:0", "point:1", "assemble",
         }
@@ -223,8 +109,6 @@ class TestGraphObservability:
         assert counters["graph.nodes.done"] == 4
 
     def test_points_trace_reports_pool_rebuilds(self, tmp_path):
-        from repro.utils import faultinject
-
         obs = live_obs(tmp_path, "rebuilds")
         # A worker killed on its first attempt breaks the pool once; the
         # rebuilt pool finishes the point.
@@ -233,15 +117,64 @@ class TestGraphObservability:
             run = execute_spec(sweep_spec(workers=2), obs=obs)
         obs.tracer.close()
         assert not run.failures
-        records = {
-            r["node"]: r
-            for r in read_trace_file(obs.tracer.path)
-            if r.get("kind") == "node"
-        }
+        records = {r["node"]: r for r in node_records(obs)}
         assert set(records) == {"baseline", "points", "assemble"}
         assert records["points"]["pool_rebuilds"] >= 1
         assert records["baseline"]["pool_rebuilds"] == 0
         assert records["assemble"]["pool_rebuilds"] == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_recovered_retry_counts_its_attempts(self, tmp_path, workers):
+        # Point 1 fails once and succeeds on its retry: its node record must
+        # say so, on the serial per-point path and the 2-worker pool alike.
+        obs = live_obs(tmp_path, f"retry-{workers}")
+        plan = [{"site": "point", "kind": "raise", "index": 1, "attempts": [1]}]
+        spec = sweep_spec(workers=workers, retry={"max_attempts": 2})
+        with faultinject.injected(plan):
+            run = execute_spec(spec, obs=obs)
+        obs.tracer.close()
+        assert not run.failures
+        records = {r["node"]: r for r in node_records(obs)}
+        recovered = records["point:1" if workers == 1 else "points"]
+        assert recovered["status"] == "done"
+        assert (recovered["attempts"], recovered["retries"]) == (2, 1)
+
+    def test_fault_drill_traces_are_deterministic_modulo_timing(self, tmp_path):
+        def run(tag):
+            obs = live_obs(tmp_path, tag)
+            with faultinject.injected(FLAKY_PLAN):
+                execute_spec(sweep_spec(retry={"max_attempts": 2}), obs=obs)
+            obs.tracer.close()
+            return [strip_timing_fields(r) for r in read_trace_file(obs.tracer.path)]
+
+        first, second = run("a"), run("b")
+        assert first == second
+        nodes = {r["node"]: r for r in first if r["kind"] == "node"}
+        assert (nodes["point:0"]["status"], nodes["point:0"]["retries"]) == ("failed", 1)
+        assert (nodes["point:1"]["status"], nodes["point:1"]["retries"]) == ("done", 1)
+        for node in ("baseline", "assemble"):
+            assert (nodes[node]["status"], nodes[node]["retries"]) == ("done", 0)
+
+    def test_node_percentiles_agree_exactly_with_traces(self, tmp_path):
+        obs = live_obs(tmp_path, "percentiles")
+        execute_spec(sweep_spec(), obs=obs)
+        with faultinject.injected(FLAKY_PLAN):
+            execute_spec(sweep_spec(retry={"max_attempts": 2}), obs=obs)
+        obs.tracer.close()
+        records = node_records(obs)
+        elapsed = [record["elapsed_s"] for record in records]
+        snapshot = obs.metrics.snapshot()
+        hist = snapshot["histograms"]["graph.node_s"]
+        assert hist["count"] == len(elapsed) == 8
+        for q, key in ((50, "p50"), (95, "p95"), (99, "p99")):
+            assert hist[key] == percentile(elapsed, q)
+        statuses = {
+            name: value
+            for name, value in snapshot["counters"].items()
+            if name.startswith("graph.nodes.")
+        }
+        assert sum(statuses.values()) == len(records)
+        assert statuses["graph.nodes.failed"] == 1
 
 
 # ---------------------------------------------------------------- scheduler
@@ -261,9 +194,7 @@ class TestSchedulerObservability:
         obs.tracer.close()
         assert queue.state(first.job_id)["state"] == "done"
         assert queue.state(second.job_id)["state"] == "done"
-        nodes = [
-            r for r in read_trace_file(obs.tracer.path) if r.get("kind") == "node"
-        ]
+        nodes = node_records(obs)
         jobs = {r.get("job") for r in nodes}
         assert jobs == {first.job_id, second.job_id}
         # With one worker, the second job waits queued while the first
