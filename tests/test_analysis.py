@@ -981,6 +981,32 @@ class TestUnboundedWaitRule:
         )
         assert report.clean
 
+    @pytest.mark.parametrize(
+        "call, flagged",
+        [
+            ("jobs.get(timeout=None)", True),  # an explicit None waits forever
+            ("jobs.get(True)", True),  # a bool positional is the block flag
+            ("jobs.get(True, None)", True),
+            ("jobs.get(block=True)", True),
+            ("stop.wait(None)", True),
+            ("jobs.get(True, 0.5)", False),
+            ("handle.result(**options)", False),  # caller-supplied timeout
+            ("limits.get(default=0)", False),  # a mapping keyword, not a pop
+            ("limits.get(name)", False),
+        ],
+    )
+    def test_call_forms(self, tmp_path, call, flagged):
+        report = lint(
+            tmp_path,
+            self.REL,
+            f"""\
+            def pump(jobs, stop, handle, limits, name, options):
+                return {call}
+            """,
+            rules=["unbounded-wait"],
+        )
+        assert [finding.line for finding in report.findings] == ([2] if flagged else [])
+
     def test_only_applies_to_the_scheduler_tree(self, tmp_path):
         report = lint(
             tmp_path,

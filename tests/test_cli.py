@@ -2,6 +2,8 @@
 
 import json
 import os
+import sys
+import types
 
 import pytest
 
@@ -248,6 +250,83 @@ class TestBench:
         runner = _load_benchmark_runner()
         assert tuple(listed) == runner.suite_names()
         assert set(listed) == {"kernels", "sweeps", "lockstep", "hardware", "obs"}
+
+
+OBS_RECORD = {"preset": "figure8", "scale": "tiny", "pairs": 10, "null_obs_s": 1.0}
+HARDWARE_RECORD = {
+    "networks": 4,
+    "samples": 96,
+    "crossbars_per_network": 12,
+    "program_s": 0.5,
+    "reference_s": 4.0,
+}
+
+
+class TestBenchGates:
+    """The ``--check`` bars of the obs and hardware suites, on stubbed timings."""
+
+    @pytest.fixture
+    def runner(self):
+        return _load_benchmark_runner()
+
+    def stub(self, monkeypatch, module, collector, record):
+        fake = types.ModuleType(module)
+        setattr(fake, collector, lambda: dict(record))
+        monkeypatch.setitem(sys.modules, module, fake)
+
+    @pytest.mark.parametrize("ratio, status", [(0.85, 1), (0.9, 0), (1.02, 0)])
+    def test_obs_gate_holds_the_ratio_to_0_9(
+        self, runner, monkeypatch, tmp_path, capsys, ratio, status
+    ):
+        record = dict(OBS_RECORD, obs_s=1.0 / ratio, overhead_ratio=ratio)
+        self.stub(monkeypatch, "bench_obs", "collect_obs_stats", record)
+        output = tmp_path / "BENCH_obs.json"
+        assert runner.run_obs(output, check=True) == status
+        assert runner.run_obs(output, check=False) == 0
+        trajectory = json.loads(output.read_text())
+        assert [entry["overhead_ratio"] for entry in trajectory] == [ratio, ratio]
+        assert ("FAIL" in capsys.readouterr().err) == bool(status)
+
+    @pytest.mark.parametrize("speedup, status", [(1.95, 1), (2.0, 0), (2.7, 0)])
+    def test_hardware_gate_holds_the_serial_speedup_to_2(
+        self, runner, monkeypatch, tmp_path, capsys, speedup, status
+    ):
+        record = dict(
+            HARDWARE_RECORD,
+            serial_vectorized_s=HARDWARE_RECORD["reference_s"] / speedup,
+            serial_speedup=speedup,
+        )
+        self.stub(monkeypatch, "bench_hardware", "collect_hardware_stats", record)
+        output = tmp_path / "BENCH_hardware.json"
+        assert runner.run_hardware(output, check=True) == status
+        assert runner.run_hardware(output, check=False) == 0
+        trajectory = json.loads(output.read_text())
+        assert [entry["serial_speedup"] for entry in trajectory] == [speedup, speedup]
+        assert ("FAIL" in capsys.readouterr().err) == bool(status)
+
+    def test_main_returns_the_suite_status(self, runner, monkeypatch, tmp_path, capsys):
+        record = dict(OBS_RECORD, obs_s=2.0, overhead_ratio=0.5)
+        self.stub(monkeypatch, "bench_obs", "collect_obs_stats", record)
+        output = tmp_path / "obs.json"
+        argv = ["--suite", "obs", "--output", str(output)]
+        assert runner.main(argv) == 0
+        assert runner.main(argv + ["--check"]) == 1
+        assert len(json.loads(output.read_text())) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main(["--output", str(output)])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+
+    def test_append_starts_over_after_a_corrupt_trajectory(self, runner, tmp_path, capsys):
+        output = tmp_path / "BENCH_obs.json"
+        output.write_text("{not json")
+        runner._append(output, {"run": 1})
+        assert "invalid JSON" in capsys.readouterr().out
+        assert json.loads(output.read_text()) == [{"run": 1}]
+        # A single-record file (not a list) is kept as the first entry.
+        output.write_text(json.dumps({"run": 0}))
+        runner._append(output, {"run": 1})
+        assert json.loads(output.read_text()) == [{"run": 0}, {"run": 1}]
 
 
 class TestLint:

@@ -4,9 +4,10 @@ Covers the acceptance guards of the subsystem: ideal-device parity with
 ``Sequential.predict`` (1e-9 logits tolerance), bit-reproducibility of
 non-ideal runs under ``HardwareConfig.seed`` and across re-programming,
 agreement of the vectorized blocked MVM with the naive per-tile reference
-on both ADC branches (padded plans included), and the physics of each
-non-ideality (quantization, programming/read noise, stuck faults, per-tile
-ADC).
+on every branch of ``_mvm_blocked`` (padded plans included), the
+per-conversion ADC quantizer, batch invariance of ``ProgrammedNetwork.predict``,
+and the physics of each non-ideality (quantization, programming/read noise,
+stuck faults, per-tile ADC).
 """
 
 import numpy as np
@@ -26,6 +27,9 @@ from repro.hardware import (
     simulate_mvm,
     simulate_predict,
 )
+from repro.hardware import sim
+from repro.hardware.sim import _adc_quantize, _mvm_tiles
+from repro.hardware.tiling import TilingPlan
 from repro.nn import Conv2D, Flatten, Linear, MaxPool2D, ReLU, Sequential
 from repro.nn.metrics import accuracy
 
@@ -55,6 +59,19 @@ def conv_net(seed=0):
 
 def lowrank_net(seed=0):
     return convert_to_lowrank(conv_net(seed), layers=["conv1", "fc1"])
+
+
+def dense_net(seed=0):
+    rng = np.random.default_rng(seed)
+    return Sequential(
+        [
+            Flatten(name="f0"),
+            Linear(2 * 12 * 12, 40, name="fc1", rng=rng),
+            ReLU(name="r1"),
+            Linear(40, 10, name="fc2", rng=rng),
+        ],
+        name=f"dense{seed}",
+    )
 
 
 @pytest.fixture
@@ -178,6 +195,25 @@ class TestDeterminism:
         logits = simulate_predict(network, images, NOISY, mapper=mapper)
         assert score == accuracy(logits, targets)
 
+    @pytest.mark.parametrize("build", [conv_net, lowrank_net], ids=["conv", "lowrank"])
+    def test_ideal_corner_scores_like_software(self, build, images, rng):
+        # The hardware stage's ideal corner must report the digital accuracy.
+        targets = rng.integers(0, 10, images.shape[0])
+        network = build(0)
+        score = simulate_evaluate(
+            network, images, targets, HardwareConfig.ideal(), mapper=tiny_mapper()
+        )
+        assert score == accuracy(network.predict(images), targets)
+
+    def test_batch_size_does_not_change_the_score(self, images, rng):
+        targets = rng.integers(0, 10, images.shape[0])
+        network = lowrank_net(0)
+        whole = simulate_evaluate(network, images, targets, NOISY, mapper=tiny_mapper())
+        chunked = simulate_evaluate(
+            network, images, targets, NOISY, mapper=tiny_mapper(), batch_size=5
+        )
+        assert chunked == whole
+
 
 # -------------------------------------------------- vectorized vs reference
 class TestReferencePath:
@@ -235,6 +271,149 @@ class TestReferencePath:
             rtol=1e-9,
             atol=1e-9,
         )
+
+    @pytest.mark.parametrize(
+        "branch",
+        ["gemm-ideal", "gemm-write-noise", "adc-batched", "adc-chunked", "padded-adc"],
+    )
+    def test_every_blocked_branch_matches_tile_loop(self, branch, rng, monkeypatch):
+        """``simulate_mvm`` vs the per-tile loop, one ``_mvm_blocked`` branch each.
+
+        Without an ADC the tiles collapse to one GEMM; with one, small
+        batches quantize every row-block in one batched call and large ones
+        loop over row chunks (forced here by shrinking both budgets, so the
+        41-row batch spans two chunks); padded plans fall back to the loop.
+        """
+        configs = {
+            "gemm-ideal": HardwareConfig.ideal(),
+            "gemm-write-noise": HardwareConfig(bits=5, program_noise=0.05, fault_rate=0.02),
+            "adc-batched": NOISY,
+            "adc-chunked": NOISY,
+            "padded-adc": HardwareConfig(bits=6, read_noise=0.02, adc_bits=5, seed=1),
+        }
+        config = configs[branch]
+        if branch == "padded-adc":
+            plan = TilingPlan(50, 20, 16, 8, padded=True, name="m")
+        else:
+            plan = TilingPlan(48, 24, 16, 8, name="m")
+        if branch == "adc-chunked":
+            monkeypatch.setattr(sim, "_ADC_BATCH_ELEMENTS", 64)
+            monkeypatch.setattr(sim, "_ADC_CHUNK_ELEMENTS", 16 * plan.matrix_cols)
+        programmed = program_matrix(
+            rng.standard_normal((plan.matrix_rows, plan.matrix_cols)), plan, config
+        )
+        x = rng.standard_normal((41, plan.matrix_rows))
+        fast = simulate_mvm(x, programmed, config)
+        slow = simulate_mvm(x, programmed, config, reference=True)
+        np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-12)
+        if config.adc_bits is None:
+            np.testing.assert_allclose(fast, x @ programmed.weights, rtol=1e-12, atol=1e-12)
+
+
+# --------------------------------------------------------------- ADC model
+class TestAdcQuantizer:
+    """``_adc_quantize``: one auto-ranging conversion per (input row, tile)."""
+
+    GRID_COLS, TILE_COLS = 3, 4
+
+    def currents(self, rng, rows=6):
+        return rng.standard_normal((rows, self.GRID_COLS * self.TILE_COLS))
+
+    def quantize(self, currents, adc_bits):
+        return _adc_quantize(currents.copy(), self.GRID_COLS, self.TILE_COLS, adc_bits)
+
+    def conversions(self, array):
+        return array.reshape(array.shape[0], self.GRID_COLS, self.TILE_COLS)
+
+    @pytest.mark.parametrize("adc_bits", [2, 4, 8])
+    def test_codes_are_rounded_steps_of_each_conversion(self, rng, adc_bits):
+        currents = self.currents(rng)
+        quantized = self.quantize(currents, adc_bits)
+        levels = 2 ** (adc_bits - 1)
+        step = np.abs(self.conversions(currents)).max(axis=-1, keepdims=True) / levels
+        codes = self.conversions(quantized) / step
+        np.testing.assert_allclose(codes, np.rint(codes), rtol=0, atol=1e-9)
+        assert np.abs(codes).max() <= levels + 1e-9
+        error = np.abs(self.conversions(quantized) - self.conversions(currents))
+        assert (error <= 0.5 * step * (1 + 1e-9)).all()
+
+    def test_peak_current_converts_exactly(self, rng):
+        # The full-scale code maps back to the peak current bit for bit,
+        # which is why the quantizer needs no clip pass.
+        currents = self.currents(rng)
+        quantized = self.quantize(currents, 3)
+        peak = np.abs(self.conversions(currents)).argmax(axis=-1)[..., None]
+        np.testing.assert_array_equal(
+            np.take_along_axis(self.conversions(quantized), peak, axis=-1),
+            np.take_along_axis(self.conversions(currents), peak, axis=-1),
+        )
+
+    def test_zero_conversions_stay_zero(self, rng):
+        currents = self.currents(rng)
+        currents[1] = 0.0
+        currents[3, : self.TILE_COLS] = 0.0
+        quantized = self.quantize(currents, 4)
+        assert np.isfinite(quantized).all()
+        np.testing.assert_array_equal(quantized[1], 0.0)
+        np.testing.assert_array_equal(quantized[3, : self.TILE_COLS], 0.0)
+        assert np.abs(quantized[3, self.TILE_COLS :]).max() > 0
+
+    def test_conversions_range_independently_and_in_place(self, rng):
+        # Rescaling one (row, tile) conversion moves no other conversion's
+        # output: the property that makes simulated rows batch-invariant.
+        currents = self.currents(rng)
+        baseline = self.quantize(currents, 4)
+        louder = currents.copy()
+        louder[2, self.TILE_COLS : 2 * self.TILE_COLS] *= 1e3
+        out = _adc_quantize(louder, self.GRID_COLS, self.TILE_COLS, 4)
+        assert out is louder
+        changed = np.zeros(currents.shape, dtype=bool)
+        changed[2, self.TILE_COLS : 2 * self.TILE_COLS] = True
+        np.testing.assert_array_equal(out[~changed], baseline[~changed])
+
+
+# -------------------------------------------------------- batch invariance
+class TestBatchInvariance:
+    """A row's simulated logits do not depend on the rows run beside it.
+
+    The ADC ranges per (row, tile) conversion and every other stage is
+    row-wise, so chunking a batch changes nothing beyond BLAS round-off.
+    """
+
+    @pytest.mark.parametrize(
+        "build", [conv_net, lowrank_net, dense_net], ids=["conv", "lowrank", "dense"]
+    )
+    def test_each_row_alone_matches_the_batch(self, build, images):
+        programmed = program_network(build(0), NOISY, mapper=tiny_mapper())
+        whole = programmed.predict(images)
+        alone = np.concatenate(
+            [programmed.predict(images[i : i + 1]) for i in range(images.shape[0])]
+        )
+        np.testing.assert_allclose(alone, whole, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("batch_size", [5, 12, 100])
+    def test_batch_size_chunks_agree(self, images, batch_size):
+        programmed = program_network(lowrank_net(0), NOISY, mapper=tiny_mapper())
+        whole = programmed.predict(images)
+        chunked = programmed.predict(images, batch_size=batch_size)
+        assert chunked.shape == whole.shape
+        np.testing.assert_allclose(chunked, whole, rtol=1e-9, atol=1e-9)
+        if batch_size >= images.shape[0]:
+            np.testing.assert_array_equal(chunked, whole)
+
+    def test_predict_leaves_its_inputs_untouched(self, images):
+        programmed = program_network(conv_net(0), NOISY, mapper=tiny_mapper())
+        before = images.copy()
+        programmed.predict(images)
+        programmed.predict(images, reference=True)
+        np.testing.assert_array_equal(images, before)
+
+    def test_training_flags_restored_when_predict_raises(self, rng):
+        network = dense_net(0).train()
+        programmed = program_network(network, HardwareConfig.ideal())
+        with pytest.raises(ShapeError):
+            programmed.predict(rng.standard_normal((3, 2, 11, 11)))
+        assert all(layer.training for layer in network)
 
 
 # ----------------------------------------------------------- non-idealities

@@ -341,6 +341,28 @@ class TestObsCli:
         out = capsys.readouterr().out
         assert "spans:" in out and "nodes:" not in out
 
+    def test_trace_reads_streams_holding_retired_record_kinds(self, tmp_path, capsys):
+        # Streams written before the serving layer was retired hold
+        # ``request`` records: they stay listed but feed no summary.
+        from repro.experiments.cli import main
+
+        tracer = Tracer(traces_path(obs_root(tmp_path)))
+        tracer.emit("request", request_id=1, status="served", latency_s=0.01)
+        tracer.emit("node", run="abc123", node="baseline", status="done",
+                    ready_wait_s=0.0, elapsed_s=0.1)
+        tracer.close()
+        assert main(["trace", "--store", str(tmp_path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload["summary"]) == {"nodes"}
+        assert payload["summary"]["nodes"]["count"] == 1
+        assert [r["kind"] for r in payload["records"]] == ["request", "node"]
+        assert main(["trace", "--store", str(tmp_path)]) == 0
+        assert "nodes: 1" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "--kind", "request", "--store", str(tmp_path)])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+
     def test_trace_missing_stream_exits_2(self, tmp_path, capsys):
         from repro.experiments.cli import main
 

@@ -5,14 +5,16 @@ obs-on and obs-off runs of one spec produce identical fingerprints and
 results; two identical seeded sweeps under one fault plan emit identical
 trace records modulo timing fields; the live ``graph.node_s`` percentiles
 agree *exactly* with the node records' ``elapsed_s`` read back from
-``traces.jsonl``; node traces count the attempts of recovered points; and
-scheduler node traces carry job attribution plus queue-depth samples.
+``traces.jsonl``; node traces count the attempts of recovered and of
+permanently failed points; and scheduler node traces carry job attribution
+plus queue-depth samples, with the same exact percentile agreement.
 """
 
 import pytest
 
 from repro.experiments import ExperimentSpec, RunStore, execute_spec
 from repro.obs import (
+    TIMING_FIELDS,
     MetricsRegistry,
     Observability,
     Tracer,
@@ -64,6 +66,15 @@ def live_obs(tmp_path, tag):
 
 def node_records(obs):
     return [r for r in read_trace_file(obs.tracer.path) if r.get("kind") == "node"]
+
+
+def assert_node_percentiles_match(obs, records):
+    """Live ``graph.node_s`` equals ``percentile`` over the traced ``elapsed_s``."""
+    elapsed = [record["elapsed_s"] for record in records]
+    hist = obs.metrics.snapshot()["histograms"]["graph.node_s"]
+    assert hist["count"] == len(elapsed)
+    for q, key in ((50, "p50"), (95, "p95"), (99, "p99")):
+        assert hist[key] == percentile(elapsed, q)
 
 
 # -------------------------------------------------------------------- graph
@@ -139,6 +150,29 @@ class TestGraphObservability:
         assert recovered["status"] == "done"
         assert (recovered["attempts"], recovered["retries"]) == (2, 1)
 
+    def test_pool_failure_traces_the_failed_points_attempts(self, tmp_path):
+        obs = live_obs(tmp_path, "pool-failure")
+        plan = [{"site": "point", "kind": "raise", "index": 0}]  # every attempt
+        spec = sweep_spec(workers=2, retry={"max_attempts": 2})
+        with faultinject.injected(plan):
+            run = execute_spec(spec, obs=obs)
+        obs.tracer.close()
+        assert [failure.attempts for failure in run.failures] == [2]
+        records = {r["node"]: r for r in node_records(obs)}
+        assert (records["points"]["attempts"], records["points"]["retries"]) == (2, 1)
+
+    def test_node_records_carry_timing_until_stripped(self, tmp_path):
+        obs = live_obs(tmp_path, "timing")
+        execute_spec(sweep_spec(), obs=obs)
+        obs.tracer.close()
+        records = node_records(obs)
+        assert len(records) == 4
+        for record in records:
+            assert record["elapsed_s"] >= 0 and record["ready_wait_s"] >= 0
+            stripped = strip_timing_fields(record)
+            assert not set(stripped) & (TIMING_FIELDS | {"sha256"})
+            assert {k: v for k, v in record.items() if k in stripped} == stripped
+
     def test_fault_drill_traces_are_deterministic_modulo_timing(self, tmp_path):
         def run(tag):
             obs = live_obs(tmp_path, tag)
@@ -162,12 +196,9 @@ class TestGraphObservability:
             execute_spec(sweep_spec(retry={"max_attempts": 2}), obs=obs)
         obs.tracer.close()
         records = node_records(obs)
-        elapsed = [record["elapsed_s"] for record in records]
+        assert len(records) == 8
+        assert_node_percentiles_match(obs, records)
         snapshot = obs.metrics.snapshot()
-        hist = snapshot["histograms"]["graph.node_s"]
-        assert hist["count"] == len(elapsed) == 8
-        for q, key in ((50, "p50"), (95, "p95"), (99, "p99")):
-            assert hist[key] == percentile(elapsed, q)
         statuses = {
             name: value
             for name, value in snapshot["counters"].items()
@@ -203,3 +234,34 @@ class TestSchedulerObservability:
         assert depths and max(depths) >= 1
         counters = obs.metrics.snapshot()["counters"]
         assert counters["scheduler.jobs.done"] == 2
+
+    def test_scheduled_node_percentiles_agree_exactly_with_traces(self, tmp_path):
+        import threading
+
+        from repro.scheduler import JobQueue, JobScheduler
+
+        obs = live_obs(tmp_path, "sched-percentiles")
+        queue = JobQueue(tmp_path / "queue")
+        store = RunStore(tmp_path / "runs")
+        # Two concurrent jobs under one plan: in each, point 0 fails for good
+        # and point 1 recovers on its retry.
+        for seed in (0, 7):
+            queue.submit(sweep_spec(seed=seed, retry={"max_attempts": 2}))
+        with faultinject.injected(FLAKY_PLAN):
+            JobScheduler(queue, store, workers=2, poll_s=0.05, obs=obs).run(
+                threading.Event(), drain=True
+            )
+        obs.tracer.close()
+        records = node_records(obs)
+        assert len(records) == 8
+        assert_node_percentiles_match(obs, records)
+        counters = obs.metrics.snapshot()["counters"]
+        statuses = {}
+        for record in records:
+            statuses[record["status"]] = statuses.get(record["status"], 0) + 1
+        assert {
+            name[len("graph.nodes."):]: value
+            for name, value in counters.items()
+            if name.startswith("graph.nodes.")
+        } == statuses
+        assert statuses == {"done": 6, "failed": 2}

@@ -320,6 +320,15 @@ class TestMonitorUnit:
         monitor.record_success(1, "result")
         assert seen == {1: "result"}
 
+    def test_attempts_cover_successes_and_failures(self):
+        monitor = RunMonitor()
+        monitor.record_success(0, "first try")
+        monitor.record_success(1, "recovered", attempts=3)
+        failure = PointFailure(index=2, label="p2", error_type="E", message="m", attempts=2)
+        monitor.record_failure(2, failure)
+        assert monitor.attempts == {0: 1, 1: 3, 2: 2}
+        assert list(monitor.failures) == [2]
+
 
 class TestGroupDeletionParity:
     """The λ-sweep path threads the routing cache through supervision."""
