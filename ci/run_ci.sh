@@ -100,6 +100,23 @@ else
   REREAD_OUT="$(python -m repro "${CHAOS_ARGS[@]}")"
   grep -q "0 computed" <<< "$REREAD_OUT"
 
+  echo "== CLI chaos smoke: lost lockstep stack -> serial re-run(0), clean payload =="
+  # figure8 trains its λ points as one lockstep stack, which is every
+  # point's attempt 1.  A fault there must cost only time: the points re-run
+  # serially from pristine copies at attempt 2, all three compute (exit 0),
+  # and the result payload equals a clean run's.
+  FIG8_CLEAN="$(python -m repro run figure8 --scale tiny --no-store --json)"
+  FIG8_CHAOS="$(python -m repro run figure8 --scale tiny --no-store --json \
+    --faults '[{"site": "point", "kind": "raise", "index": 0, "attempts": [1]}]')"
+  python - "$FIG8_CLEAN" "$FIG8_CHAOS" <<'EOF'
+import json, sys
+clean, chaos = (json.loads(arg) for arg in sys.argv[1:])
+assert not chaos["failed_points"], chaos["failed_points"]
+assert chaos["computed_points"] == 3, chaos["computed_points"]
+assert chaos["result"] == clean["result"], "the lockstep fallback moved the payload"
+print("lockstep chaos smoke OK: 3 computed, payload equals the clean run")
+EOF
+
   echo "== payload digest smoke: perfbench --workload all --seconds 0 =="
   # One fresh run, one resume run and the set-up children per benchmark
   # workload, at small scale: every run's result payload must hash to its

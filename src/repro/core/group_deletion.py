@@ -457,9 +457,10 @@ def run_lockstep_deletion(
     :class:`~repro.nn.trainer.LockstepTrainer`) with a per-point-λ group
     Lasso, per-point record callbacks, a single shared deletion boundary and
     a stacked fine-tune over the per-point pruning masks.  Every per-point
-    result is bit-identical to K independent serial runs.  A point whose
-    network diverges structurally mid-run drops out of the stack and finishes
-    on the serial path inside the same loop.
+    result is bit-identical to K independent serial runs.  The stack is
+    fixed for its lifetime: the record callbacks only observe, and mask
+    installation keeps every shape, so a parameter that changes shape raises
+    :class:`~repro.exceptions.TrainingError`.
 
     ``lockstep_trainer_factory`` is a callable
     ``(networks, callbacks_per_point) -> LockstepTrainer`` — the lockstep

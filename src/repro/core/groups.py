@@ -182,9 +182,9 @@ class LockstepCrossbarGroupLasso(LockstepRegularizer):
     """Crossbar group Lasso over the ``(K, rows, cols)`` slabs of a stack.
 
     The lockstep counterpart of :class:`CrossbarGroupLasso`: the K sweep
-    points of one architecture group share the same tiling plans, so the
-    row/column group norms of all K points are computed with one set of
-    5-D block reductions over the parameter slabs, and the penalty gradient
+    points of one stack share one architecture, hence the same tiling plans,
+    so the row/column group norms of all K points are computed with one set
+    of 5-D block reductions over the parameter slabs, and the penalty gradient
     — with one λ per point — is written back into the gradient slabs in a
     single broadcast multiply-add per matrix.  Row ``k`` of every reduction
     ranges over exactly the elements (in the same order) as the serial
@@ -256,15 +256,15 @@ class LockstepCrossbarGroupLasso(LockstepRegularizer):
             j for j, m in enumerate(self._grouped[0]) if m.plan.padded
         ]
         self._norms_cache = None
-        self._point_regs: Optional[List[CrossbarGroupLasso]] = None
-        # position -> (values, grads) slab views; valid until a point drops
-        # (slabs are updated in place, so the views stay live across steps).
+        self._serial_regs: Optional[List[CrossbarGroupLasso]] = None
+        # position -> (values, grads) slab views; the slabs are updated in
+        # place, so the views stay live across steps.
         self._slab_views: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------ plumbing
     @property
     def num_points(self) -> int:
-        """Number of points this regularizer still penalizes."""
+        """Number of points this regularizer penalizes."""
         return len(self._grouped)
 
     def _slabs(self, position: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -292,18 +292,18 @@ class LockstepCrossbarGroupLasso(LockstepRegularizer):
     def _all_positive(self) -> bool:
         return all(s > 0.0 for s in self.strengths)
 
-    def _point_regularizers(self) -> List[CrossbarGroupLasso]:
+    def _serial_regularizers(self) -> List[CrossbarGroupLasso]:
         # Cached: the serial regularizers read/write through the per-point
         # Parameters (slab views), so the same instances stay valid across
         # steps — and each instance's own norms cache then links its
         # penalty() to the following apply_gradients(), like the serial
         # trainer's call pattern.
-        if self._point_regs is None:
-            self._point_regs = [
+        if self._serial_regs is None:
+            self._serial_regs = [
                 CrossbarGroupLasso(grouped, strength, eps=self.eps)
                 for grouped, strength in zip(self._grouped, self.strengths)
             ]
-        return self._point_regs
+        return self._serial_regs
 
     # ---------------------------------------------------------- evaluation
     def _block_norms(self):
@@ -332,7 +332,7 @@ class LockstepCrossbarGroupLasso(LockstepRegularizer):
     def penalties(self) -> np.ndarray:
         k = self.num_points
         if not self._all_positive():
-            return np.array([reg.penalty() for reg in self._point_regularizers()])
+            return np.array([reg.penalty() for reg in self._serial_regularizers()])
         entries = self._block_norms()
         self._norms_cache = entries
         totals = np.zeros(k)
@@ -356,7 +356,7 @@ class LockstepCrossbarGroupLasso(LockstepRegularizer):
 
     def apply_gradients(self) -> None:
         if not self._all_positive():
-            for reg in self._point_regularizers():
+            for reg in self._serial_regularizers():
                 reg.apply_gradients()
             return
         entries = self._norms_cache if self._norms_cache is not None else self._block_norms()
@@ -385,21 +385,6 @@ class LockstepCrossbarGroupLasso(LockstepRegularizer):
                     group.parameter.grad[group.index] += (
                         strength * values / max(norm, self.eps)
                     )
-
-    # ------------------------------------------------------- point handling
-    def point_regularizer(self, slot: int) -> CrossbarGroupLasso:
-        """The serial group Lasso for one point (used when it leaves the stack)."""
-        return CrossbarGroupLasso(
-            self._grouped[slot], self.strengths[slot], eps=self.eps
-        )
-
-    def drop_point(self, slot: int) -> None:
-        """Forget a point that left the stack."""
-        del self._grouped[slot]
-        del self.strengths[slot]
-        self._norms_cache = None
-        self._point_regs = None
-        self._slab_views.clear()
 
 
 def _matrix_shape(parameter: Parameter, transpose: bool) -> Tuple[int, int]:

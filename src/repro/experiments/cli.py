@@ -113,7 +113,12 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         "--engine-mode",
         dest="mode",
         choices=("points", "lockstep"),
-        help="engine execution mode",
+        help=(
+            "engine execution mode: 'points' runs each sweep point as its own "
+            "task; 'lockstep' trains a λ sweep's points together as one "
+            "stack (re-run serially from pristine copies if the stack "
+            "fails; ε sweeps keep the points path)"
+        ),
     )
     parser.add_argument(
         "--per-point-seed",

@@ -21,9 +21,11 @@ scheduler both drive ``start()`` / :meth:`GraphExecution.next_ready` /
 contract of :mod:`repro.experiments.resilience` (retry policy, typed
 :class:`~repro.experiments.resilience.PointFailure` records, interrupt
 draining).  A serial sweep runs one supervised slot per ``point:<i>`` node
-(:func:`~repro.experiments.resilience.supervised_slot`); a sweep the engine
-fans out over a process pool or stacks in lockstep runs as one ``points``
-node through :meth:`~repro.experiments.runner.SweepEngine.map_points` /
+(:func:`~repro.experiments.resilience.supervised_slot` for ε; λ points run
+the serial strength loop over the graph's shared routing cache); a sweep
+the engine fans out over a process pool or stacks in lockstep runs as one
+``points`` node through
+:meth:`~repro.experiments.runner.SweepEngine.map_points` /
 :meth:`~repro.experiments.runner.SweepEngine.run_strength_points`, pool
 supervision included.  Both shapes finish every point through one
 finalizer — per-point evaluation, hardware simulation on a shared
@@ -60,8 +62,13 @@ from repro.experiments.plan import (
     result_to_payload,
     sweep_failure_payloads,
 )
-from repro.experiments.resilience import PointFailure, RunMonitor, supervised_slot
-from repro.experiments.runner import run_strength_point, run_tolerance_point
+from repro.experiments.resilience import (
+    PointFailure,
+    RunMonitor,
+    _serial_strength_points,
+    supervised_slot,
+)
+from repro.experiments.runner import run_tolerance_point
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.training import train_baseline
 from repro.hardware.mapper import NetworkMapper
@@ -692,25 +699,15 @@ class GraphExecution:
 
     def _run_slot(self, slot: int, task) -> None:
         """One serial sweep point in its supervised slot."""
-        prepare = absorb = None
+        engine = self.spec.engine
         if self.spec.method == "rank_clipping":
-            point_fn = run_tolerance_point
+            supervised_slot(engine, run_tolerance_point, task, self.monitor, slot=slot)
         else:
-            point_fn = run_strength_point
             # Each point starts warm with every routing analysis the earlier
             # points discovered.
-            cache = self._routing_cache
-
-            def prepare(attempt_task):
-                attempt_task.routing_cache_entries = cache.export_entries()
-
-            def absorb(outcome):
-                cache.merge_entries(outcome.routing_cache_entries)
-
-        supervised_slot(
-            self.spec.engine, point_fn, task, self.monitor, slot=slot,
-            prepare=prepare, absorb=absorb,
-        )
+            _serial_strength_points(
+                engine, [task], self.monitor, cache=self._routing_cache, slots=[slot]
+            )
 
     def _finalize_point(self, slot: int, outcome) -> None:
         """Finish one trained sweep point (the monitor's ``on_success``).

@@ -28,10 +28,11 @@ Execution-policy only: none of this changes *what* a point computes, so
 spec/point fingerprints exclude the retry policy entirely
 (:meth:`repro.experiments.spec.ExperimentSpec.canonical` drops it).
 
-Every point attempt passes through :func:`_call_point`, which is also the
-:mod:`repro.utils.faultinject` hook site — the chaos test suites inject
-crashes, hangs, worker kills, and interrupts there to prove each recovery
-path above.
+Every point attempt fires the :mod:`repro.utils.faultinject` ``point``
+site — in :func:`_call_point` on the serial and pool paths, and once per
+stacked point before a lockstep stack trains — so the chaos test suites
+can inject crashes, hangs, worker kills, and interrupts there to prove each
+recovery path above.
 """
 
 from __future__ import annotations
@@ -209,7 +210,9 @@ class RunMonitor:
     evaluated and journaled as they finish, not only at the end.
     ``pool_rebuilds`` counts the process pools torn down by a dead or
     timed-out worker over the monitor's lifetime, and ``attempts`` holds
-    the attempt count of every finished slot, successes included.
+    the attempt count of every finished slot: a success's submission
+    count (the fault-injection attempt coordinate, so pool losses and a
+    lost lockstep stack count), a failure's :attr:`PointFailure.attempts`.
     """
 
     def __init__(
@@ -303,9 +306,6 @@ def supervised_map(
     point_fn: Callable,
     tasks: Iterable[Any],
     monitor: RunMonitor,
-    *,
-    prepare: Optional[Callable[[Any], None]] = None,
-    absorb: Optional[Callable[[Any], None]] = None,
 ) -> Dict[int, Any]:
     """Run ``point_fn`` over every task under supervision.
 
@@ -313,17 +313,13 @@ def supervised_map(
     failures land on ``monitor.failures`` keyed by the same slot (the task's
     position in ``tasks``).  Serial when ``engine.workers == 1`` (tasks
     consumed lazily, so a generator keeps one point's payload alive at a
-    time), process-fanned otherwise.  ``prepare``/``absorb`` are
-    serial-only hooks for threading shared caches through the attempt
-    stream.
+    time), process-fanned otherwise.
     """
     if engine.workers > 1:
         tasks = list(tasks)
         if len(tasks) > 1:
             return _pool_map(engine, point_fn, tasks, monitor)
-    return _serial_map(
-        engine, point_fn, tasks, monitor, prepare=prepare, absorb=absorb
-    )
+    return _serial_map(engine, point_fn, tasks, monitor)
 
 
 def supervised_slot(
@@ -333,10 +329,8 @@ def supervised_slot(
     monitor: RunMonitor,
     *,
     slot: int,
-    prepare: Optional[Callable[[Any], None]] = None,
-    absorb: Optional[Callable[[Any], None]] = None,
 ) -> Dict[int, Any]:
-    """Run ONE task under serial supervision at an explicit slot number.
+    """Run ONE ε task under serial supervision at an explicit slot number.
 
     The graph executor (:mod:`repro.experiments.graph`) runs a serial
     sweep's points one node at a time with the same bookkeeping as a whole
@@ -344,11 +338,11 @@ def supervised_slot(
     point's position in the pending list, retries run per the engine's
     :class:`RetryPolicy` from pristine task copies, and the fault-injection
     attempt coordinates stay per point.  This is exactly :func:`_serial_map`
-    with a pinned slot.
+    with a pinned slot; a λ point node runs through
+    :func:`_serial_strength_points` instead, which threads the graph's
+    routing cache.
     """
-    return _serial_map(
-        engine, point_fn, [task], monitor, prepare=prepare, absorb=absorb, slots=[slot]
-    )
+    return _serial_map(engine, point_fn, [task], monitor, slots=[slot])
 
 
 def _serial_map(
@@ -420,7 +414,7 @@ def _serial_map(
             results[slot] = outcome
             if absorb is not None:
                 absorb(outcome)
-            monitor.record_success(slot, outcome, failed + 1)
+            monitor.record_success(slot, outcome, submission)
             break
     return results
 
@@ -565,7 +559,7 @@ def _pool_map(
     def record_success(slot: int, outcome: Any) -> None:
         results[slot] = outcome
         open_slots.discard(slot)
-        monitor.record_success(slot, outcome, failed_attempts[slot] + 1)
+        monitor.record_success(slot, outcome, submissions[slot])
 
     try:
         for slot in sorted(open_slots):
@@ -709,13 +703,13 @@ def supervised_strength_points(
 ) -> Dict[int, Any]:
     """Execute λ group-deletion points under the engine's policy.
 
-    ``mode="lockstep"`` trains stackable architecture groups together,
-    ``workers >= 2`` fans the points over a supervised pool, and the serial
-    path threads one routing-analysis cache between points.  Failures
-    isolate per point: a lockstep group that dies mid-training is re-run
-    point-by-point under serial supervision from pristine task copies
-    (lockstep mutates networks in place, so the failed stack cannot be
-    reused).
+    ``mode="lockstep"`` trains the points as one stack, ``workers >= 2``
+    fans them over a supervised pool, and the serial path threads one
+    routing-analysis cache between points.  Failures isolate per point: a
+    lockstep stack that is refused at construction or fails mid-training
+    is re-run point-by-point under serial supervision from pristine task
+    copies (lockstep mutates networks in place, so the failed stack cannot
+    be reused).
     """
     from repro.experiments.runner import run_strength_point
 
@@ -728,12 +722,25 @@ def supervised_strength_points(
 
 
 def _serial_strength_points(
-    engine: Any, tasks: Sequence[Any], monitor: RunMonitor
+    engine: Any,
+    tasks: Sequence[Any],
+    monitor: RunMonitor,
+    *,
+    cache: Any = None,
+    slots: Optional[Sequence[int]] = None,
+    submissions: Optional[Mapping[int, int]] = None,
 ) -> Dict[int, Any]:
+    """Serial λ points threading one routing-analysis cache.
+
+    Each point starts warm with every analysis the earlier points — or the
+    earlier users of a passed-in ``cache``, such as the graph's shared one
+    — discovered.  ``slots``/``submissions`` are as for :func:`_serial_map`.
+    """
     from repro.experiments.runner import run_strength_point
     from repro.hardware.routing import RoutingAnalysisCache
 
-    cache = RoutingAnalysisCache()
+    if cache is None:
+        cache = RoutingAnalysisCache()
 
     def prepare(task):
         task.routing_cache_entries = cache.export_entries()
@@ -742,19 +749,34 @@ def _serial_strength_points(
         cache.merge_entries(outcome.routing_cache_entries)
 
     return _serial_map(
-        engine, run_strength_point, tasks, monitor, prepare=prepare, absorb=absorb
+        engine,
+        run_strength_point,
+        tasks,
+        monitor,
+        prepare=prepare,
+        absorb=absorb,
+        slots=slots,
+        submissions=submissions,
     )
 
 
 def _supervised_lockstep(
     engine: Any, tasks: List[Any], monitor: RunMonitor
 ) -> Dict[int, Any]:
+    """One lockstep stack, with a serial re-run from pristine copies as its fallback.
+
+    The stack is every point's attempt 1 (the ``point`` fault site fires
+    for each before it trains); the serial re-run starts at attempt 2.
+    Like a pool loss, the lost stack charges no point's retry budget.
+    """
     from repro.experiments.runner import _run_lockstep_strength_points
 
-    # Lockstep trains every network in the group in place; keep pristine
-    # copies so a mid-training failure can restart point-by-point cleanly.
+    # Lockstep trains every network in the stack in place; keep pristine
+    # copies so a failure can restart point-by-point cleanly.
     pristine = copy.deepcopy(tasks)
     try:
+        for slot, task in enumerate(tasks):
+            faultinject.fire("point", index=_task_index(task, slot), attempt=1)
         outcomes = _run_lockstep_strength_points(tasks)
     except KeyboardInterrupt:
         monitor.interrupted = True
@@ -766,7 +788,9 @@ def _supervised_lockstep(
             type(error).__name__,
             error,
         )
-        return _serial_strength_points(engine, pristine, monitor)
+        # The lost stack was every point's attempt 1.
+        lost = dict.fromkeys(range(len(pristine)), 1)
+        return _serial_strength_points(engine, pristine, monitor, submissions=lost)
     results: Dict[int, Any] = {}
     for slot, outcome in enumerate(outcomes):
         results[slot] = outcome

@@ -30,22 +30,21 @@ retrain from one shared baseline.  The points are mutually independent, so a
 
 Every execution is supervised (:mod:`repro.experiments.resilience`): the
 graph executor (:mod:`repro.experiments.graph`) runs a serial sweep one
-point task per node via :func:`~repro.experiments.resilience.supervised_slot`
-and a fanned-out or lockstep sweep as one node via :meth:`SweepEngine.
-map_points` / :meth:`SweepEngine.run_strength_points` — the same task
-functions either way, which is why their results are bit-identical.
+point task per node under serial supervision and a fanned-out or lockstep
+sweep as one node via :meth:`SweepEngine.map_points` /
+:meth:`SweepEngine.run_strength_points` — the same task functions either
+way, which is why their results are bit-identical.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.config import GroupDeletionConfig, RankClippingConfig
 from repro.core.group_deletion import GroupConnectionDeleter, run_lockstep_deletion
 from repro.core.rank_clipping import RankClipper
-from repro.exceptions import ConfigurationError, LayerError
+from repro.exceptions import ConfigurationError
 from repro.experiments.resilience import (
     RetryPolicy,
     RunMonitor,
@@ -54,12 +53,8 @@ from repro.experiments.resilience import (
 )
 from repro.experiments.training import TrainingSetup
 from repro.hardware.routing import RoutingAnalysisCache
-from repro.nn.batched import architecture_signature
 from repro.nn.network import Sequential
-from repro.utils.logging import get_logger
 from repro.utils.rng import derive_point_seed
-
-logger = get_logger("experiments.runner")
 
 TaskT = TypeVar("TaskT")
 OutcomeT = TypeVar("OutcomeT")
@@ -99,19 +94,19 @@ class SweepEngine:
         sharing the baseline's data stream across points.
     mode:
         ``"points"`` (default) executes sweep points as independent tasks
-        (inline or process-fanned).  ``"lockstep"`` trains all λ-points of
-        one architecture group together in a single process via
+        (inline or process-fanned).  ``"lockstep"`` trains a λ sweep's
+        points as one stack in a single process via
         :func:`repro.core.group_deletion.run_lockstep_deletion` — stacked
         forward/backward/SGD with per-point λ, bit-identical per point to the
-        serial path.  It is the faster policy for identical-shape λ grids:
-        on a 2-core x86_64 box (``OPENBLAS_NUM_THREADS=2``) small-scale
-        ``figure8`` took a median 12.6 s in lockstep against 14.8 s on the
-        points path, and lockstep won all 10 alternating fresh-store pairs
-        (interquartile range of the points runs: 1.65 s), so ``figure8`` is
-        registered lockstep.  Points that cannot be stacked (differing
-        architectures or configs, active dropout) fall back to the serial
-        path; ε rank-clipping sweeps always use the points path because their
-        points diverge structurally at the first clip.
+        serial path.  It is the faster policy for λ grids: on a 2-core
+        x86_64 box (``OPENBLAS_NUM_THREADS=2``) small-scale ``figure8`` took
+        a median 12.6 s in lockstep against 14.8 s on the points path, and
+        lockstep won all 10 alternating fresh-store pairs (interquartile
+        range of the points runs: 1.65 s), so ``figure8`` is registered
+        lockstep.  A stack is fixed for its lifetime; one that is refused
+        (e.g. active dropout) or fails mid-run re-runs its points serially
+        from pristine copies.  ε rank-clipping sweeps always use the points
+        path because their points change shape at the first clip.
     retry:
         The :class:`~repro.experiments.resilience.RetryPolicy` the supervised
         execution paths apply (retries, per-point timeouts, pool-rebuild
@@ -224,9 +219,8 @@ class SweepEngine:
     ) -> Dict[int, "StrengthPointOutcome"]:
         """Execute λ group-deletion points under this engine's policy.
 
-        ``mode="lockstep"`` trains every stackable architecture group in
-        lockstep (singletons and unstackable groups run serially, warm-seeded
-        from the group cache); ``mode="points"`` runs the tasks independently.
+        ``mode="lockstep"`` trains the points as one stack (a single point
+        runs serially); ``mode="points"`` runs the tasks independently.
         On the serial points path, routing-analysis cache entries are
         threaded between tasks — each point starts with every entry earlier
         points discovered.  On the parallel path every worker's entries come
@@ -324,78 +318,41 @@ def run_strength_point(task: StrengthPointTask) -> StrengthPointOutcome:
 
 
 # ----------------------------------------------------------- lockstep driver
-def _lockstep_group_key(task: StrengthPointTask) -> tuple:
-    """Tasks sharing this key can train as one lockstep stack."""
-    config = task.config
-    return (
-        architecture_signature(task.network),
-        config.iterations,
-        config.finetune_iterations,
-        config.zero_threshold,
-        config.relative_threshold,
-        config.include_small_matrices,
-        config.layers,
-        task.record_interval,
-    )
-
-
 def _run_lockstep_strength_points(
     tasks: List[StrengthPointTask],
 ) -> List[StrengthPointOutcome]:
-    """Train λ points in lockstep per architecture group (serial leftovers warm-cached)."""
-    outcomes: List[Optional[StrengthPointOutcome]] = [None] * len(tasks)
+    """Train a sweep's λ points as one lockstep stack.
+
+    A sweep's tasks deep-copy one base network under one config whose only
+    varying field is the strength, so they always stack together.  Any
+    error — a stack refused at construction included — propagates to
+    :func:`~repro.experiments.resilience.supervised_strength_points`, which
+    re-runs the points serially from pristine copies.
+    """
     cache = RoutingAnalysisCache()
-    groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
-    for position, task in enumerate(tasks):
-        groups.setdefault(_lockstep_group_key(task), []).append(position)
+    setups = [task.setup for task in tasks]
 
-    serial_positions: List[int] = []
-    for indices in groups.values():
-        if len(indices) < 2:
-            serial_positions.extend(indices)
-            continue
-        group = [tasks[i] for i in indices]
-        setups = [task.setup for task in group]
+    def factory(networks, callbacks_per_point):
+        return setups[0].lockstep_trainer_factory(
+            networks, callbacks_per_point, point_setups=setups
+        )
 
-        def factory(networks, callbacks_per_point, _setups=setups):
-            return _setups[0].lockstep_trainer_factory(
-                networks, callbacks_per_point, point_setups=_setups
-            )
-
-        before = cache.stats()
-        try:
-            results = run_lockstep_deletion(
-                [task.network for task in group],
-                [task.config for task in group],
-                factory,
-                record_interval=group[0].record_interval,
-                routing_cache=cache,
-            )
-        except LayerError as error:
-            logger.info("lockstep group fell back to serial points: %s", error)
-            serial_positions.extend(indices)
-            continue
-        after = cache.stats()
-        stats = {
-            "hits": after["hits"] - before["hits"],
-            "misses": after["misses"] - before["misses"],
-            "size": after["size"],
-        }
-        for slot, (position, result) in enumerate(zip(indices, results)):
-            task = tasks[position]
-            outcomes[position] = StrengthPointOutcome(
-                index=task.index,
-                strength=task.strength,
-                network=result.network,
-                wire_fractions=result.wire_fractions(),
-                routing_area_fractions=result.routing_area_fractions(),
-                routing_cache_stats=stats if slot == 0 else None,
-            )
-
-    for position in sorted(serial_positions):
-        task = tasks[position]
-        task.routing_cache_entries = cache.export_entries()
-        outcome = run_strength_point(task)
-        cache.merge_entries(outcome.routing_cache_entries)
-        outcomes[position] = outcome
-    return outcomes
+    results = run_lockstep_deletion(
+        [task.network for task in tasks],
+        [task.config for task in tasks],
+        factory,
+        record_interval=tasks[0].record_interval,
+        routing_cache=cache,
+    )
+    stats = cache.stats()
+    return [
+        StrengthPointOutcome(
+            index=task.index,
+            strength=task.strength,
+            network=result.network,
+            wire_fractions=result.wire_fractions(),
+            routing_area_fractions=result.routing_area_fractions(),
+            routing_cache_stats=stats if slot == 0 else None,
+        )
+        for slot, (task, result) in enumerate(zip(tasks, results))
+    ]

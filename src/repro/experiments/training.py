@@ -141,7 +141,6 @@ class TrainingSetup:
             loaders = [setup.make_loader() for setup in setups]
         return LockstepTrainer(
             stack,
-            SoftmaxCrossEntropy(),
             optimizer,
             loaders,
             eval_data=self.test_dataset.arrays() if self.evaluate_during_training else None,

@@ -15,9 +15,10 @@ bit-identical to K independent ``forward``/``backward`` passes.  The
 :class:`~repro.nn.optim.lockstep.LockstepSGD` updates the slabs in place so
 the per-point views stay valid.
 
-:func:`architecture_signature` is the stacking key: only networks with equal
-signatures share one stack.  Inference is not stacked — finished networks
-are evaluated one ``predict`` at a time.
+:func:`architecture_signature` is the stacking check: only networks with
+equal signatures share one stack, and the stack is fixed for its lifetime.
+Inference is not stacked — finished networks are evaluated one ``predict``
+at a time.
 """
 
 from __future__ import annotations
@@ -82,10 +83,11 @@ class StackedParameter:
     (``out=``/augmented assignment) — re-binding ``self.data`` would orphan
     the per-point views.
 
-    A point whose ``Parameter`` gets re-bound externally (mask installation
-    re-binds ``data``; rank clipping replaces the factor arrays) is detected
-    by :meth:`point_status` and either re-absorbed (:meth:`refresh_point`,
-    same shape) or dropped from the slab (:meth:`drop_point`, new shape).
+    The slab is fixed for its lifetime: a point whose ``Parameter`` gets
+    re-bound externally with the same shape (mask installation re-binds
+    ``data``) is detected by :meth:`point_status` and re-absorbed by
+    :meth:`refresh_point`; a new shape (rank clipping) reads ``"diverged"``,
+    which the :class:`~repro.nn.trainer.LockstepTrainer` refuses.
     """
 
     def __init__(self, parameters: Sequence[Parameter], name: str = ""):
@@ -114,7 +116,13 @@ class StackedParameter:
             )
         self._views: List[Tuple[np.ndarray, np.ndarray]] = []
         self._mask_refs: List[Optional[np.ndarray]] = []
-        self._attach()
+        for k, param in enumerate(self.points):
+            data_view = self.data[k]
+            grad_view = self.grad[k]
+            param.data = data_view
+            param.grad = grad_view
+            self._views.append((data_view, grad_view))
+            self._mask_refs.append(param.mask)
 
     # ----------------------------------------------------------- geometry
     @property
@@ -128,17 +136,6 @@ class StackedParameter:
         return self.data.shape[1:]
 
     # ------------------------------------------------------------ aliasing
-    def _attach(self) -> None:
-        self._views = []
-        self._mask_refs = []
-        for k, param in enumerate(self.points):
-            data_view = self.data[k]
-            grad_view = self.grad[k]
-            param.data = data_view
-            param.grad = grad_view
-            self._views.append((data_view, grad_view))
-            self._mask_refs.append(param.mask)
-
     def point_status(self, k: int) -> str:
         """``"intact"``, ``"rebound"`` (same shape) or ``"diverged"`` (new shape)."""
         param = self.points[k]
@@ -178,16 +175,6 @@ class StackedParameter:
             param.data = self.data[k].copy()
         if param.grad is grad_view:
             param.grad = self.grad[k].copy()
-
-    def drop_point(self, k: int) -> None:
-        """Remove point ``k`` from the slab (releasing its arrays first)."""
-        self.release_point(k)
-        del self.points[k]
-        self.data = np.delete(self.data, k, axis=0)
-        self.grad = np.delete(self.grad, k, axis=0)
-        if self.mask is not None:
-            self.mask = np.delete(self.mask, k, axis=0)
-        self._attach()
 
     def detach_all(self) -> None:
         """Release every point (used when lockstep training finishes)."""
@@ -302,8 +289,11 @@ class NetworkStack:
         self.first_weighted: Optional[int] = next(
             (i for i, step in enumerate(self._steps) if step.kind != "layer"), None
         )
-        self._param_index: Dict[int, Tuple[StackedParameter, int]] = {}
-        self._rebuild_index()
+        self._param_index: Dict[int, Tuple[StackedParameter, int]] = {
+            id(param): (sp, k)
+            for sp in self.parameters
+            for k, param in enumerate(sp.points)
+        }
 
     # ------------------------------------------------------------- compile
     def _stack_param(self, position: int, key: str) -> StackedParameter:
@@ -360,17 +350,10 @@ class NetworkStack:
                 step = _TrainStep("layer", layer0)
             self._steps.append(step)
 
-    def _rebuild_index(self) -> None:
-        self._param_index = {
-            id(param): (sp, k)
-            for sp in self.parameters
-            for k, param in enumerate(sp.points)
-        }
-
     # ------------------------------------------------------------ plumbing
     @property
     def num_points(self) -> int:
-        """Number of networks still riding the stack."""
+        """Number of stacked networks."""
         return len(self.networks)
 
     def slab_pair(self, param: Parameter) -> Tuple[StackedParameter, int]:
@@ -404,18 +387,9 @@ class NetworkStack:
         return status
 
     def refresh_point(self, k: int) -> None:
-        """Re-absorb point ``k`` after an in-place structural change (e.g. masks)."""
+        """Re-absorb point ``k`` after a same-shape re-bind (e.g. masks)."""
         for sp in self.parameters:
             sp.refresh_point(k)
-        self._rebuild_index()
-
-    def drop_point(self, k: int) -> Sequential:
-        """Remove point ``k`` from the stack, returning its (released) network."""
-        network = self.networks.pop(k)
-        for sp in self.parameters:
-            sp.drop_point(k)
-        self._rebuild_index()
-        return network
 
     def detach_all(self) -> None:
         """Release every network's parameters (end of lockstep training)."""

@@ -3,9 +3,8 @@
 :class:`LockstepSGD` is the :class:`~repro.nn.optim.sgd.SGD` update applied
 to the ``(K, …)`` parameter slabs of a
 :class:`~repro.nn.batched.NetworkStack`: velocity and weight decay live as
-slabs, the learning rate is either one shared schedule or K per-point
-schedules (broadcast down the stacking axis), and every update is **in
-place** so the per-point ``Parameter`` views into the slabs stay valid.
+slabs, one learning-rate schedule drives every point, and every update is
+**in place** so the per-point ``Parameter`` views into the slabs stay valid.
 Row ``k`` of every buffer evolves bit-identically to an independent ``SGD``
 driving point ``k`` alone — all update arithmetic is element-wise, so
 stacking changes memory layout, never values.
@@ -13,37 +12,38 @@ stacking changes memory layout, never values.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
 from repro.nn.optim.schedules import LRSchedule, as_schedule
-from repro.nn.optim.sgd import SGD
 from repro.utils.validation import check_non_negative
 
 
 class LockstepSGD:
     """SGD with momentum/weight decay over ``(K, …)`` parameter slabs.
 
+    A stack is fixed for its lifetime, so the slabs never change shape and
+    the momentum slabs are allocated once.
+
     Parameters
     ----------
     parameters:
         The :class:`~repro.nn.batched.StackedParameter` slabs to update.
     lr:
-        A float / :class:`~repro.nn.optim.schedules.LRSchedule` shared by all
-        points, or a sequence of K per-point floats/schedules.
-    momentum, weight_decay, nesterov:
+        A float or :class:`~repro.nn.optim.schedules.LRSchedule` shared by
+        all points.
+    momentum, weight_decay:
         As in :class:`~repro.nn.optim.sgd.SGD`, shared by all points.
     """
 
     def __init__(
         self,
         parameters: Sequence,
-        lr: Union[float, LRSchedule, Sequence] = 0.01,
+        lr: Union[float, LRSchedule] = 0.01,
         *,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        nesterov: bool = False,
     ):
         params = list(parameters)
         if not params:
@@ -53,21 +53,9 @@ class LockstepSGD:
             raise ValueError(f"stacked parameters disagree on K: {sorted(points)}")
         self._parameters = params
         self._num_points = points.pop()
-        self.schedules: Optional[List[LRSchedule]] = None
-        self.schedule: Optional[LRSchedule] = None
-        if isinstance(lr, (list, tuple)):
-            if len(lr) != self._num_points:
-                raise ValueError(
-                    f"expected {self._num_points} per-point learning rates, got {len(lr)}"
-                )
-            self.schedules = [as_schedule(value) for value in lr]
-        else:
-            self.schedule = as_schedule(lr)
+        self.schedule = as_schedule(lr)
         self.momentum = check_non_negative(momentum, "momentum")
         self.weight_decay = check_non_negative(weight_decay, "weight_decay")
-        self.nesterov = bool(nesterov)
-        if self.nesterov and self.momentum == 0.0:
-            raise ValueError("nesterov momentum requires momentum > 0")
         self._velocity: Dict[int, np.ndarray] = {}
         self.iteration = 0
 
@@ -79,18 +67,8 @@ class LockstepSGD:
 
     @property
     def num_points(self) -> int:
-        """Number of points currently in the stack."""
+        """Number of points in the stack."""
         return self._num_points
-
-    def current_lr(self):
-        """Learning rate(s) the next :meth:`step` will use (scalar or (K,))."""
-        if self.schedules is None:
-            return self.schedule(self.iteration)
-        return np.array([schedule(self.iteration) for schedule in self.schedules])
-
-    def point_schedule(self, k: int) -> LRSchedule:
-        """The schedule driving point ``k`` (the shared one when not per-point)."""
-        return self.schedule if self.schedules is None else self.schedules[k]
 
     # -------------------------------------------------------------- updates
     def zero_grad(self) -> None:
@@ -100,11 +78,7 @@ class LockstepSGD:
 
     def step(self) -> None:
         """Apply one in-place update to every trainable slab."""
-        if self.schedules is None:
-            lr = self.schedule(self.iteration)
-            lrs = None
-        else:
-            lrs = np.array([schedule(self.iteration) for schedule in self.schedules])
+        lr = self.schedule(self.iteration)
         for index, sp in enumerate(self._parameters):
             if not sp.trainable:
                 continue
@@ -113,55 +87,13 @@ class LockstepSGD:
                 grad = grad + self.weight_decay * sp.data
             if self.momentum > 0.0:
                 velocity = self._velocity.get(index)
-                if velocity is None or velocity.shape != sp.data.shape:
+                if velocity is None:
                     velocity = np.zeros_like(sp.data)
                     self._velocity[index] = velocity
                 # In place, element-wise: bit-identical to `m·v + grad`.
                 velocity *= self.momentum
                 velocity += grad
-                if self.nesterov:
-                    grad = grad + self.momentum * velocity
-                else:
-                    grad = velocity
-            if lrs is None:
-                update = lr * grad
-            else:
-                update = lrs.reshape((self._num_points,) + (1,) * (grad.ndim - 1)) * grad
-            np.subtract(sp.data, update, out=sp.data)
+                grad = velocity
+            np.subtract(sp.data, lr * grad, out=sp.data)
             sp.apply_mask()
         self.iteration += 1
-
-    def reset_state(self) -> None:
-        """Drop every momentum slab."""
-        self._velocity.clear()
-
-    # ------------------------------------------------------- point handling
-    def reset_point(self, k: int) -> None:
-        """Zero point ``k``'s momentum rows (the per-point ``reset_state``)."""
-        for velocity in self._velocity.values():
-            velocity[k] = 0.0
-
-    def drop_point(self, k: int) -> None:
-        """Remove point ``k``'s rows from every state buffer and lr list."""
-        for index in list(self._velocity):
-            self._velocity[index] = np.delete(self._velocity[index], k, axis=0)
-        if self.schedules is not None:
-            del self.schedules[k]
-        self._num_points -= 1
-
-    def make_point_optimizer(self, k: int, parameters: Sequence) -> SGD:
-        """A serial :class:`SGD` continuing point ``k`` outside the stack.
-
-        State starts empty — a point leaves the stack only on a structural
-        change, after which the serial path resets optimizer state too — but
-        the iteration counter carries over so schedules stay aligned.
-        """
-        optimizer = SGD(
-            parameters,
-            lr=self.point_schedule(k),
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            nesterov=self.nesterov,
-        )
-        optimizer.iteration = self.iteration
-        return optimizer

@@ -144,9 +144,7 @@ class LockstepRegularizer:
     The lockstep counterpart of :class:`Regularizer`:
     :meth:`penalties` returns one penalty value per stacked point and
     :meth:`apply_gradients` accumulates into the per-point gradients (which
-    alias the stack's gradient slabs).  :meth:`point_regularizer` materializes
-    the ordinary serial regularizer for a point that leaves the stack, and
-    :meth:`drop_point` removes a departed point's slot.
+    alias the stack's gradient slabs).
     """
 
     def penalties(self) -> np.ndarray:
@@ -155,12 +153,4 @@ class LockstepRegularizer:
 
     def apply_gradients(self) -> None:
         """Accumulate every point's penalty gradient into its parameters."""
-        raise NotImplementedError
-
-    def point_regularizer(self, k: int) -> Regularizer:
-        """The serial regularizer equivalent for stacked point ``k``."""
-        raise NotImplementedError
-
-    def drop_point(self, k: int) -> None:
-        """Forget stacked point ``k`` (it left the stack)."""
         raise NotImplementedError

@@ -11,7 +11,6 @@ new parameter arrays.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -21,7 +20,7 @@ from repro.data.loaders import DataLoader
 from repro.exceptions import ShapeError, TrainingError
 from repro.nn import functional as F
 from repro.nn.batched import NetworkStack
-from repro.nn.losses import Loss, SoftmaxCrossEntropy
+from repro.nn.losses import Loss
 from repro.nn.metrics import accuracy
 from repro.nn.network import Sequential
 from repro.nn.optim.base import Optimizer
@@ -213,51 +212,37 @@ def _stacked_softmax_ce(logits3: np.ndarray, targets: np.ndarray):
 
 
 class _LockstepPoint:
-    """Bookkeeping for one network riding (or having left) a lockstep stack."""
+    """Bookkeeping for one network riding a lockstep stack."""
 
     __slots__ = (
         "index",
         "network",
-        "loss",
         "callbacks",
         "history",
         "handle",
         "loader",
         "batch_iter",
-        "detached",
-        "optimizer",
-        "regularizers",
-        "rebind_requested",
     )
 
-    def __init__(self, index: int, network: Sequential, loss: Loss, callbacks):
+    def __init__(self, index: int, network: Sequential, callbacks):
         self.index = index
         self.network = network
-        self.loss = loss
         self.callbacks = list(callbacks)
         self.history = TrainingHistory()
         self.handle: Optional["LockstepPointHandle"] = None
         self.loader: Optional[DataLoader] = None
         self.batch_iter = None
-        self.detached = False
-        self.optimizer: Optional[Optimizer] = None
-        # (source lockstep regularizer, materialized serial regularizer)
-        # pairs, so removing the lockstep regularizer also detaches its
-        # serial counterpart from this point.
-        self.regularizers: List[tuple] = []
-        self.rebind_requested = False
 
 
 class LockstepPointHandle:
     """Per-point facade with the :class:`Trainer` surface callbacks rely on.
 
-    Callbacks written against ``Trainer`` (rank clipping, group deletion)
+    Callbacks written against ``Trainer`` (group deletion's recorder)
     receive one of these per point: ``network``, ``history``, ``iteration``
-    and ``evaluate()`` behave exactly like the serial trainer's, and
-    ``rebind_optimizer()`` flags the point so the lockstep trainer re-absorbs
-    an in-place restructure (same shapes: slab refresh + per-point momentum
-    reset) or detaches the point from the stack (new shapes: it finishes on
-    the serial path).
+    and ``evaluate()`` behave exactly like the serial trainer's.  A stacked
+    point's parameters are fixed for the stack's lifetime, so
+    ``rebind_optimizer()`` — the serial trainer's hook after a
+    shape-changing restructure — raises :class:`~repro.exceptions.TrainingError`.
     """
 
     def __init__(self, trainer: "LockstepTrainer", point: _LockstepPoint):
@@ -266,7 +251,7 @@ class LockstepPointHandle:
 
     @property
     def network(self) -> Sequential:
-        """The point's network (its parameters alias the stack while stacked)."""
+        """The point's network (its parameters alias the stack's slabs)."""
         return self._point.network
 
     @property
@@ -284,8 +269,12 @@ class LockstepPointHandle:
         return self._trainer._evaluate_point(self._point)
 
     def rebind_optimizer(self) -> None:
-        """Signal a structural change (mirrors ``Trainer.rebind_optimizer``)."""
-        self._point.rebind_requested = True
+        """Refuse a restructure: a lockstep stack is fixed for its lifetime."""
+        raise TrainingError(
+            f"lockstep point {self._point.index} cannot re-bind its optimizer: "
+            "a stacked point's parameters are fixed for the stack's lifetime; "
+            "train shape-changing points serially"
+        )
 
 
 class LockstepTrainer:
@@ -294,25 +283,24 @@ class LockstepTrainer:
     Mirrors the :class:`Trainer` iteration/callback/regularizer contract over
     a :class:`~repro.nn.batched.NetworkStack`: each iteration draws one
     mini-batch (shared by every point, or one per point), runs the stacked
-    forward/backward, applies :class:`~repro.nn.regularization.LockstepRegularizer`
+    forward/backward with one fused softmax cross-entropy over the
+    super-batch, applies :class:`~repro.nn.regularization.LockstepRegularizer`
     penalties (e.g. the per-point-λ crossbar group Lasso) and one
     :class:`~repro.nn.optim.lockstep.LockstepSGD` step over the slabs.  Every
     per-point trajectory — weights, losses, penalties, evaluation accuracies
-    — is bit-identical to running K serial :class:`Trainer` instances.
+    — is bit-identical to running K serial :class:`Trainer` instances with
+    :class:`~repro.nn.losses.SoftmaxCrossEntropy`.
 
-    Structural changes made by callbacks are handled per point: a mask
-    installation (same parameter shapes) is re-absorbed into the slabs, and a
-    shape-changing restructure (rank clipping) detaches the point, which
-    finishes the run on the ordinary serial path inside the same loop —
-    drawing the same batches — so remaining points keep the stacked fast
-    path.
+    The stack is fixed for its lifetime.  A same-shape re-bind made by a
+    callback or between runs (mask installation) is re-absorbed into the
+    slabs; a parameter that changes shape raises
+    :class:`~repro.exceptions.TrainingError` naming the point, and so does
+    ``rebind_optimizer()`` on a point handle.
 
     Parameters
     ----------
     stack:
         The compiled :class:`~repro.nn.batched.NetworkStack`.
-    loss:
-        Loss template; one deep copy is made per point.
     optimizer:
         A :class:`~repro.nn.optim.lockstep.LockstepSGD` over the stack's slabs.
     train_loader:
@@ -329,7 +317,6 @@ class LockstepTrainer:
     def __init__(
         self,
         stack: NetworkStack,
-        loss: Loss,
         optimizer: LockstepSGD,
         train_loader: Union[DataLoader, Sequence[DataLoader]],
         *,
@@ -361,22 +348,15 @@ class LockstepTrainer:
         if not per_point_callbacks:
             per_point_callbacks = [[] for _ in range(num_points)]
 
-        # With the (stateless) softmax CE, the stacked path fuses all K loss
-        # computations into one log-softmax over the super-batch.
-        self._fused_ce = type(loss) is SoftmaxCrossEntropy
         self._points: List[_LockstepPoint] = []
         for index, network in enumerate(stack.networks):
-            point = _LockstepPoint(
-                index, network, copy.deepcopy(loss), per_point_callbacks[index]
-            )
+            point = _LockstepPoint(index, network, per_point_callbacks[index])
             point.handle = LockstepPointHandle(self, point)
             self._points.append(point)
-        self._stacked: List[_LockstepPoint] = list(self._points)
-        self._detached: List[_LockstepPoint] = []
 
+        self._shared_iter = None
         if isinstance(train_loader, DataLoader):
             self._shared_loader: Optional[DataLoader] = train_loader
-            self._shared_iter = None
         else:
             loaders = list(train_loader)
             if len(loaders) != num_points:
@@ -384,52 +364,27 @@ class LockstepTrainer:
                     f"expected one loader per point ({num_points}), got {len(loaders)}"
                 )
             self._shared_loader = None
-            self._shared_iter = None
             for point, loader in zip(self._points, loaders):
                 point.loader = loader
 
     # ------------------------------------------------------------- plumbing
     @property
     def points(self) -> List[LockstepPointHandle]:
-        """Per-point handles, in original point order."""
+        """Per-point handles, in point order."""
         return [point.handle for point in self._points]
 
     @property
     def histories(self) -> List[TrainingHistory]:
-        """Per-point training histories, in original point order."""
+        """Per-point training histories, in point order."""
         return [point.history for point in self._points]
 
-    @property
-    def num_stacked(self) -> int:
-        """Number of points still on the stacked fast path."""
-        return len(self._stacked)
-
-    @property
-    def num_detached(self) -> int:
-        """Number of points that diverged structurally and run serially."""
-        return len(self._detached)
-
     def add_regularizer(self, regularizer: LockstepRegularizer) -> None:
-        """Attach a lockstep penalty term (e.g. the per-point-λ group Lasso).
-
-        The penalty covers the points currently in the stack; points that
-        already diverged onto the serial path are not retrofitted (a lockstep
-        regularizer has no slot for them), so attach penalties before
-        training starts, as :func:`~repro.core.group_deletion.run_lockstep_deletion`
-        does.
-        """
+        """Attach a lockstep penalty term (e.g. the per-point-λ group Lasso)."""
         self.regularizers.append(regularizer)
 
     def remove_regularizer(self, regularizer: LockstepRegularizer) -> None:
-        """Detach a previously-added penalty term — including the serial
-        counterparts materialized for points that left the stack."""
+        """Detach a previously-added penalty term."""
         self.regularizers = [r for r in self.regularizers if r is not regularizer]
-        for point in self._detached:
-            point.regularizers = [
-                (source, serial)
-                for source, serial in point.regularizers
-                if source is not regularizer
-            ]
 
     def _next_shared_batch(self):
         if self._shared_iter is None:
@@ -452,128 +407,56 @@ class LockstepTrainer:
 
     # ------------------------------------------------------- point handling
     def refresh_points(self) -> None:
-        """Re-absorb external in-place restructures (e.g. mask installation).
+        """Re-absorb same-shape re-binds (e.g. mask installation) into the slabs.
 
         Call after structural operations performed outside :meth:`run` —
         ``apply_deletion`` re-binds parameter data when it installs pruning
         masks — so the slabs pick the changes up before training resumes.
+        Raises :class:`~repro.exceptions.TrainingError` when a point's
+        parameter changed shape: the stack is fixed for its lifetime.
         """
-        self._absorb_point_changes()
-
-    def _absorb_point_changes(self) -> None:
-        # Reversed so a detach does not shift the slots still to be scanned.
-        for slot in range(len(self._stacked) - 1, -1, -1):
-            point = self._stacked[slot]
+        for slot, point in enumerate(self._points):
             status = self.stack.scan_point(slot)
             if status == "diverged":
-                self._detach_point(slot)
-            elif status == "rebound" or point.rebind_requested:
+                raise TrainingError(
+                    f"lockstep point {point.index} changed a parameter's shape; "
+                    "a lockstep stack is fixed for its lifetime, so "
+                    "shape-changing points must train serially"
+                )
+            if status == "rebound":
                 self.stack.refresh_point(slot)
-                if point.rebind_requested:
-                    self.optimizer.reset_point(slot)
-            point.rebind_requested = False
-        for point in self._detached:
-            if point.rebind_requested:
-                point.optimizer.set_parameters(point.network.parameters())
-                point.rebind_requested = False
-
-    def _detach_point(self, slot: int) -> None:
-        point = self._stacked.pop(slot)
-        # Materialize the serial equivalents before the lockstep objects
-        # forget the slot, keeping the source so remove_regularizer reaches
-        # them.
-        point.regularizers = [
-            (regularizer, regularizer.point_regularizer(slot))
-            for regularizer in self.regularizers
-        ]
-        network = self.stack.drop_point(slot)
-        point.optimizer = self.optimizer.make_point_optimizer(
-            slot, network.parameters()
-        )
-        self.optimizer.drop_point(slot)
-        for regularizer in self.regularizers:
-            regularizer.drop_point(slot)
-        point.detached = True
-        self._detached.append(point)
-        logger.info(
-            "lockstep point %d diverged structurally; finishing on the serial path",
-            point.index,
-        )
 
     # ------------------------------------------------------------- training
     def train_step(self) -> List[float]:
-        """Run one lockstep mini-batch update; returns per-point total losses.
-
-        Losses come back in original point order (stacked and detached points
-        alike).
-        """
+        """Run one lockstep mini-batch update; returns per-point total losses."""
         if self._shared_loader is not None:
-            shared_batch = self._next_shared_batch()
-            batch_of = {id(point): shared_batch for point in self._points}
+            inputs, targets = self._next_shared_batch()
+            targets = np.concatenate([targets] * len(self._points))
         else:
-            batch_of = {
-                id(point): self._next_point_batch(point) for point in self._points
-            }
+            batches = [self._next_point_batch(point) for point in self._points]
+            inputs = [batch[0] for batch in batches]
+            targets = np.concatenate([batch[1] for batch in batches])
 
         self.iteration += 1
-        totals: Dict[int, float] = {}
-
-        if self._stacked:
-            self.stack.train()
-            self.stack.zero_grad()
-            if self._shared_loader is not None:
-                inputs = shared_batch[0]
-                logits3 = self.stack.forward(inputs)
-            else:
-                logits3 = self.stack.forward(
-                    [batch_of[id(point)][0] for point in self._stacked]
-                )
-            if self._fused_ce:
-                targets = np.concatenate(
-                    [batch_of[id(point)][1] for point in self._stacked]
-                )
-                data_losses, grad_super = _stacked_softmax_ce(logits3, targets)
-            else:
-                data_losses = []
-                grads = []
-                for slot, point in enumerate(self._stacked):
-                    targets = batch_of[id(point)][1]
-                    data_losses.append(point.loss.forward(logits3[slot], targets))
-                    grads.append(point.loss.backward())
-                grad_super = np.concatenate(grads, axis=0)
-            self.stack.backward(grad_super)
-            penalties = [0.0 for _ in self._stacked]
-            for regularizer in self.regularizers:
-                values = regularizer.penalties()
-                regularizer.apply_gradients()
-                for slot in range(len(self._stacked)):
-                    penalties[slot] += float(values[slot])
-            self.optimizer.step()
-            for slot, point in enumerate(self._stacked):
-                point.history.iterations.append(self.iteration)
-                point.history.loss.append(float(data_losses[slot]))
-                point.history.penalty.append(float(penalties[slot]))
-                totals[point.index] = float(data_losses[slot] + penalties[slot])
-
-        for point in self._detached:
-            inputs, targets = batch_of[id(point)]
-            point.network.train()
-            point.network.zero_grad()
-            logits = point.network.forward(inputs)
-            data_loss = point.loss.forward(logits, targets)
-            grad = point.loss.backward()
-            point.network.backward(grad, need_input_grad=False)
-            penalty = 0.0
-            for _, regularizer in point.regularizers:
-                penalty += regularizer.penalty()
-                regularizer.apply_gradients()
-            point.optimizer.step()
+        self.stack.train()
+        self.stack.zero_grad()
+        logits3 = self.stack.forward(inputs)
+        data_losses, grad_super = _stacked_softmax_ce(logits3, targets)
+        self.stack.backward(grad_super)
+        penalties = [0.0 for _ in self._points]
+        for regularizer in self.regularizers:
+            values = regularizer.penalties()
+            regularizer.apply_gradients()
+            for slot in range(len(self._points)):
+                penalties[slot] += float(values[slot])
+        self.optimizer.step()
+        totals = []
+        for slot, point in enumerate(self._points):
             point.history.iterations.append(self.iteration)
-            point.history.loss.append(float(data_loss))
-            point.history.penalty.append(float(penalty))
-            totals[point.index] = float(data_loss + penalty)
-
-        return [totals[point.index] for point in self._points]
+            point.history.loss.append(float(data_losses[slot]))
+            point.history.penalty.append(float(penalties[slot]))
+            totals.append(float(data_losses[slot] + penalties[slot]))
+        return totals
 
     def _evaluate_point(self, point: _LockstepPoint) -> Optional[float]:
         if self.eval_data is None:
@@ -588,9 +471,9 @@ class LockstepTrainer:
     def evaluate(self) -> Optional[List[float]]:
         """Evaluate every point on the held-out data, recording histories.
 
-        Each point predicts on its own, stacked or detached alike.  Returns
-        per-point accuracies in original order, or ``None`` when no
-        evaluation data is attached (mirroring :class:`Trainer`).
+        Each point predicts on its own.  Returns per-point accuracies in
+        point order, or ``None`` when no evaluation data is attached
+        (mirroring :class:`Trainer`).
         """
         if self.eval_data is None:
             return None
@@ -603,27 +486,26 @@ class LockstepTrainer:
         for point in self._points:
             for callback in point.callbacks:
                 callback.on_train_begin(point.handle)
-        self._absorb_point_changes()
+        self.refresh_points()
         for _ in range(num_iterations):
             losses = self.train_step()
             if self.eval_data is not None and self.iteration % self.eval_interval == 0:
                 self.evaluate()
             if self.log_interval and self.iteration % self.log_interval == 0:
                 logger.info(
-                    "lockstep iter %d: mean loss=%.4f (%d stacked, %d serial)",
+                    "lockstep iter %d: mean loss=%.4f over %d points",
                     self.iteration,
                     float(np.mean(losses)),
-                    len(self._stacked),
-                    len(self._detached),
+                    len(self._points),
                 )
             for point in self._points:
                 for callback in point.callbacks:
                     callback.on_iteration_end(point.handle, self.iteration)
-            self._absorb_point_changes()
+            self.refresh_points()
         for point in self._points:
             for callback in point.callbacks:
                 callback.on_train_end(point.handle)
-        self._absorb_point_changes()
+        self.refresh_points()
         return self.histories
 
     def finalize(self) -> None:

@@ -20,13 +20,16 @@ Activation is process-wide, via either
 
 Sites and kinds
 ---------------
-``site="point"`` fires in the per-point worker wrapper, right before the
-point function runs (serial and process-pool paths alike):
+``site="point"`` fires right before a point trains, on the serial,
+process-pool and lockstep paths alike: in the per-point worker wrapper, and
+once per stacked point (attempt 1) before a lockstep stack trains, whose
+serial fallback then continues at attempt 2:
 
 * ``kind="raise"`` — raise :class:`InjectedFault` (a transient task crash);
 * ``kind="hang"`` — sleep ``seconds`` (a stuck point, for timeout tests);
 * ``kind="kill"`` — ``os._exit`` the process (an OOM-killed worker; breaks
-  the pool on the parallel path — never inject this on a serial run);
+  the pool on the parallel path — never inject this on a serial or
+  lockstep run, where it kills the parent);
 * ``kind="interrupt"`` — raise ``KeyboardInterrupt`` (a mid-run Ctrl-C).
 
 ``site="store-save"`` fires after an artifact write; ``kind="corrupt"``

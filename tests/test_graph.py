@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from repro.exceptions import ExperimentError, PointFailureError
+from repro.exceptions import ExperimentError, LayerError, PointFailureError
 from repro.experiments import (
     TINY,
     ExperimentContext,
@@ -28,7 +28,9 @@ from repro.experiments import (
     spec_for_workload,
     train_baseline,
 )
+from repro.experiments import training
 from repro.experiments.graph import GraphExecution, build_graph, run_graph
+from repro.nn.trainer import LockstepTrainer
 from repro.scheduler import JobQueue, JobScheduler
 from repro.utils import faultinject
 
@@ -339,6 +341,45 @@ class TestPointsNode:
         assert execution.status["baseline"] == execution.status["clip"] == "skipped"
         run = execution.run() if not execution.finished() else execution.run_result
         assert (run.computed_points, run.reused_points) == (0, 2)
+
+
+class TestLockstepFallback:
+    """A stack that is refused or fails re-runs its points serially from
+    pristine copies: the payload is the points-mode one, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def points_payload(self):
+        return canonical(execute_spec(sweep_spec(method="group_deletion")).payload)
+
+    def run_lockstep(self, caplog):
+        run = execute_spec(sweep_spec(method="group_deletion", mode="lockstep"))
+        assert "re-running its points under serial supervision" in caplog.text
+        return run
+
+    def test_stack_refused_at_construction(self, monkeypatch, caplog, points_payload):
+        def refuse(networks):
+            raise LayerError("cannot stack these networks")
+
+        monkeypatch.setattr(training, "NetworkStack", refuse)
+        run = self.run_lockstep(caplog)
+        assert not run.failures
+        assert canonical(run.payload) == points_payload
+
+    def test_stack_failing_mid_training(self, monkeypatch, caplog, points_payload):
+        train_step = LockstepTrainer.train_step
+        steps = []
+
+        def failing_step(trainer):
+            steps.append(trainer.iteration)
+            if len(steps) == 7:
+                raise RuntimeError("stack lost mid-training")
+            return train_step(trainer)
+
+        monkeypatch.setattr(LockstepTrainer, "train_step", failing_step)
+        run = self.run_lockstep(caplog)
+        assert len(steps) == 7  # the stack trained six steps, then failed
+        assert not run.failures
+        assert canonical(run.payload) == points_payload
 
 
 def run_as_job(spec, root):

@@ -4,8 +4,9 @@ The contract under test: K-point lockstep training — stacked forward/backward,
 stacked-state SGD, per-point-λ group Lasso — is **bit-identical** to K
 independent serial :class:`~repro.nn.trainer.Trainer` runs, for MLP and conv
 architectures, with and without regularizers, including mid-run pruning-mask
-application and structural divergence (a restructured point drops out of the
-stack and finishes on the serial path).
+application (a same-shape re-bind the slabs absorb).  A stack is fixed for
+its lifetime: a point whose parameters change shape, or that asks to re-bind
+its optimizer, raises ``TrainingError`` naming the point.
 """
 
 import copy
@@ -41,7 +42,6 @@ from repro.nn import (
     Sequential,
     SoftmaxCrossEntropy,
     StackedParameter,
-    StepLR,
     Trainer,
 )
 from repro.nn.parameter import Parameter
@@ -136,7 +136,6 @@ def lockstep_run(
         loaders = DataLoader(train_set, batch_size=16, shuffle=True, rng=LOADER_SEED)
     trainer = LockstepTrainer(
         stack,
-        SoftmaxCrossEntropy(),
         optimizer,
         loaders,
         eval_data=eval_data,
@@ -230,7 +229,6 @@ class TestLockstepParity:
         optimizer = LockstepSGD(stack.parameters, lr=0.05, momentum=0.9)
         trainer = LockstepTrainer(
             stack,
-            SoftmaxCrossEntropy(),
             optimizer,
             DataLoader(train_set, batch_size=16, shuffle=True, rng=LOADER_SEED),
         )
@@ -267,7 +265,6 @@ class TestLockstepParity:
         ]
         trainer = LockstepTrainer(
             stack,
-            SoftmaxCrossEntropy(),
             LockstepSGD(stack.parameters, lr=0.05, momentum=0.9),
             DataLoader(train_set, batch_size=16, shuffle=True, rng=LOADER_SEED),
             regularizers=[LockstepCrossbarGroupLasso(stack, grouped, lambdas)],
@@ -277,24 +274,6 @@ class TestLockstepParity:
         assert_networks_identical(serial_nets, lock_nets)
         for serial_trainer, history in zip(serial, trainer.histories):
             assert serial_trainer.history.penalty == history.penalty
-
-    def test_per_point_learning_rate_schedules(self, blob_data):
-        train_set, _ = blob_data
-        serial_nets = [build_mlp(12, [14], 4, rng=seed) for seed in range(2)]
-        lock_nets = [copy.deepcopy(n) for n in serial_nets]
-        schedules = [0.05, StepLR(0.08, step_size=5, gamma=0.5)]
-        for net, lr in zip(serial_nets, schedules):
-            serial_run(net, train_set, iterations=13, lr=lr)
-        stack = NetworkStack(lock_nets)
-        trainer = LockstepTrainer(
-            stack,
-            SoftmaxCrossEntropy(),
-            LockstepSGD(stack.parameters, lr=[0.05, StepLR(0.08, step_size=5, gamma=0.5)], momentum=0.9),
-            DataLoader(train_set, batch_size=16, shuffle=True, rng=LOADER_SEED),
-        )
-        trainer.run(13)
-        trainer.finalize()
-        assert_networks_identical(serial_nets, lock_nets)
 
     def test_per_point_loaders(self, blob_data):
         """Independent per-point data streams (per_point_seed) stay bit-identical."""
@@ -331,10 +310,11 @@ class _MaskCallback(Callback):
 
 
 class _ClipCallback(Callback):
-    """Halve fc1's rank mid-run (a shape-changing structural divergence)."""
+    """Halve fc1's rank mid-run (a shape-changing restructure)."""
 
-    def __init__(self, at_iteration=5):
+    def __init__(self, at_iteration=5, rebind=True):
         self.at_iteration = at_iteration
+        self.rebind = rebind
 
     def on_iteration_end(self, trainer, iteration):
         if iteration != self.at_iteration:
@@ -342,7 +322,20 @@ class _ClipCallback(Callback):
         layer = trainer.network.get_layer("fc1")
         new_rank = max(1, layer.rank // 2)
         layer.set_factors(layer.u.data[:, :new_rank], layer.v.data[:, :new_rank])
-        trainer.rebind_optimizer()
+        if self.rebind:
+            trainer.rebind_optimizer()
+
+
+def lowrank_trainer(train_set, callbacks=()):
+    """A K-point lockstep trainer over copies of one low-rank MLP."""
+    base = convert_to_lowrank(build_mlp(12, [16, 10], 4, rng=4))
+    stack = NetworkStack([copy.deepcopy(base) for _ in range(K)])
+    return LockstepTrainer(
+        stack,
+        LockstepSGD(stack.parameters, lr=0.05, momentum=0.9),
+        DataLoader(train_set, batch_size=16, shuffle=True, rng=LOADER_SEED),
+        callbacks=callbacks,
+    )
 
 
 class TestStructuralChanges:
@@ -359,96 +352,42 @@ class TestStructuralChanges:
         stack = NetworkStack(lock_nets)
         trainer = LockstepTrainer(
             stack,
-            SoftmaxCrossEntropy(),
             LockstepSGD(stack.parameters, lr=0.05, momentum=0.9),
             DataLoader(train_set, batch_size=16, shuffle=True, rng=LOADER_SEED),
             callbacks=[[_MaskCallback(index)] for index in range(K)],
         )
         trainer.run(16)
-        # Masks change no shapes: every point keeps the stacked fast path.
-        assert trainer.num_stacked == K and trainer.num_detached == 0
+        # Masks change no shapes: the slabs absorbed every point's re-bind.
+        for k, network in enumerate(lock_nets):
+            weight = network.get_layer("fc1").weight
+            slab, slot = stack.slab_pair(weight)
+            assert slot == k and weight.data.base is slab.data
+            np.testing.assert_array_equal(slab.mask[k], weight.mask)
         trainer.finalize()
         assert_networks_identical(serial_nets, lock_nets)
         assert_histories_identical(serial, trainer)
 
-    def test_structural_divergence_detaches_point(self, blob_data):
+    @pytest.mark.parametrize(
+        "rebind, message",
+        [(True, "cannot re-bind"), (False, "changed a parameter's shape")],
+        ids=["rebind", "silent"],
+    )
+    def test_mid_run_shape_change_raises(self, blob_data, rebind, message):
+        """A stack is fixed for its lifetime: point 1's rank clip is refused,
+        whether the callback asks to re-bind or the next scan finds it."""
         train_set, _ = blob_data
-        base = convert_to_lowrank(build_mlp(12, [16, 10], 4, rng=4))
-        serial_nets = [copy.deepcopy(base) for _ in range(K)]
-        lock_nets = [copy.deepcopy(base) for _ in range(K)]
-        # Only point 1 clips its rank mid-run.
-        serial = [
-            serial_run(
-                net,
-                train_set,
-                iterations=18,
-                callbacks=[_ClipCallback()] if index == 1 else (),
-            )
-            for index, net in enumerate(serial_nets)
-        ]
-        stack = NetworkStack(lock_nets)
-        trainer = LockstepTrainer(
-            stack,
-            SoftmaxCrossEntropy(),
-            LockstepSGD(stack.parameters, lr=0.05, momentum=0.9),
-            DataLoader(train_set, batch_size=16, shuffle=True, rng=LOADER_SEED),
-            callbacks=[[], [_ClipCallback()], []],
+        trainer = lowrank_trainer(
+            train_set, callbacks=[[], [_ClipCallback(rebind=rebind)], []]
         )
-        trainer.run(18)
-        assert trainer.num_stacked == K - 1 and trainer.num_detached == 1
-        trainer.finalize()
-        assert lock_nets[1].get_layer("fc1").rank == base.get_layer("fc1").rank // 2
-        assert_networks_identical(serial_nets, lock_nets)
-        assert_histories_identical(serial, trainer)
+        with pytest.raises(TrainingError, match=f"lockstep point 1 {message}"):
+            trainer.run(18)
+        assert trainer.iteration == 5  # nothing trains past the clip
 
-
-    def test_remove_regularizer_reaches_detached_points(self, blob_data):
-        """A penalty removed mid-run must also stop for points that diverged
-        onto the serial path (the run -> remove -> finetune driver flow)."""
+    def test_rebind_optimizer_on_a_handle_raises(self, blob_data):
         train_set, _ = blob_data
-        base = convert_to_lowrank(build_mlp(12, [16, 10], 4, rng=8))
-        serial_nets = [copy.deepcopy(base) for _ in range(2)]
-        lock_nets = [copy.deepcopy(base) for _ in range(2)]
-        lambdas = [0.03, 0.08]
-        # The penalty covers fc2 only: point 1 clips fc1 mid-way through the
-        # penalized phase (groups do not survive a rank change of their own
-        # layer, in serial and lockstep alike).
-        penalized = dict(layers=["fc2"], include_small_matrices=True)
-        for index, (net, lam) in enumerate(zip(serial_nets, lambdas)):
-            loader = DataLoader(train_set, batch_size=16, shuffle=True, rng=LOADER_SEED)
-            trainer = Trainer(
-                net,
-                SoftmaxCrossEntropy(),
-                SGD(net.parameters(), lr=0.05, momentum=0.9),
-                loader,
-                callbacks=[_ClipCallback()] if index == 1 else (),
-            )
-            regularizer = CrossbarGroupLasso(
-                derive_network_groups(net, **penalized), lam
-            )
-            trainer.add_regularizer(regularizer)
-            trainer.run(10)
-            trainer.remove_regularizer(regularizer)
-            trainer.run(8)
-        stack = NetworkStack(lock_nets)
-        grouped = [derive_network_groups(net, **penalized) for net in lock_nets]
-        trainer = LockstepTrainer(
-            stack,
-            SoftmaxCrossEntropy(),
-            LockstepSGD(stack.parameters, lr=0.05, momentum=0.9),
-            DataLoader(train_set, batch_size=16, shuffle=True, rng=LOADER_SEED),
-            callbacks=[[], [_ClipCallback()]],
-        )
-        regularizer = LockstepCrossbarGroupLasso(stack, grouped, lambdas)
-        trainer.add_regularizer(regularizer)
-        trainer.run(10)
-        assert trainer.num_detached == 1
-        trainer.remove_regularizer(regularizer)
-        trainer.run(8)
-        trainer.finalize()
-        assert_networks_identical(serial_nets, lock_nets)
-        for history in trainer.histories:
-            assert history.penalty[-1] == 0.0  # penalty gone for every point
+        trainer = lowrank_trainer(train_set)
+        with pytest.raises(TrainingError, match="lockstep point 2 "):
+            trainer.points[2].rebind_optimizer()
 
 
 class TestLockstepDeletionDriver:
@@ -483,7 +422,6 @@ class TestLockstepDeletionDriver:
             optimizer = LockstepSGD(stack.parameters, lr=0.05, momentum=0.9)
             return LockstepTrainer(
                 stack,
-                SoftmaxCrossEntropy(),
                 optimizer,
                 DataLoader(train_set, batch_size=16, shuffle=True, rng=LOADER_SEED),
                 callbacks=callbacks_per_point,
@@ -529,7 +467,6 @@ class TestStackingValidation:
         with pytest.raises(TrainingError):
             LockstepTrainer(
                 stack,
-                SoftmaxCrossEntropy(),
                 LockstepSGD(stack.parameters, lr=0.05),
                 DataLoader(train_set, batch_size=16, rng=1),
                 callbacks=[[]],
@@ -540,9 +477,7 @@ class TestStackingValidation:
         with pytest.raises(ValueError):
             LockstepSGD([])
         with pytest.raises(ValueError):
-            LockstepSGD([sp], lr=[0.1])  # 1 lr for 2 points
-        with pytest.raises(ValueError):
-            LockstepSGD([sp], nesterov=True)
+            LockstepSGD([sp, StackedParameter([Parameter(np.zeros(3))])])  # K = 2 vs 1
 
     def test_stacked_parameter_shape_mismatch(self):
         with pytest.raises(Exception):
@@ -571,15 +506,6 @@ class TestStackedParameter:
         np.testing.assert_array_equal(sp.mask[1], mask)
         np.testing.assert_array_equal(sp.data[1], np.array([1.0, 0.0, 1.0, 0.0]))
 
-    def test_drop_point_shrinks_slab(self):
-        params = [Parameter(np.full(3, float(k))) for k in range(3)]
-        sp = StackedParameter(params)
-        sp.drop_point(1)
-        assert sp.num_points == 2
-        np.testing.assert_array_equal(sp.data[1], np.full(3, 2.0))
-        assert params[1].data.base is None  # released with its own copy
-        assert params[0].data.base is sp.data  # remaining points re-attached
-
 
 class TestStackedChannelLastGradients:
     """The stacked conv backward reads its ``grad_mat`` as a view, as the serial layers do."""
@@ -605,7 +531,6 @@ class TestStackedChannelLastGradients:
         stack = NetworkStack(networks)
         trainer = LockstepTrainer(
             stack,
-            SoftmaxCrossEntropy(),
             LockstepSGD(stack.parameters, lr=0.05, momentum=0.9),
             DataLoader(train_set, batch_size=32, shuffle=False),
         )

@@ -133,6 +133,11 @@ class TestGraphObservability:
         assert records["points"]["pool_rebuilds"] >= 1
         assert records["baseline"]["pool_rebuilds"] == 0
         assert records["assemble"]["pool_rebuilds"] == 0
+        # Point 0 ran twice, so its node counts two attempts, as the fault
+        # plan's attempt coordinate does: a pool loss is an attempt, though
+        # it charges no retry budget.
+        assert records["points"]["status"] == "done"
+        assert (records["points"]["attempts"], records["points"]["retries"]) == (2, 1)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_recovered_retry_counts_its_attempts(self, tmp_path, workers):

@@ -17,9 +17,10 @@ from repro.exceptions import (
     PointFailureError,
     RunInterrupted,
 )
-from repro.experiments import ExperimentSpec, RunStore, execute_spec
+from repro.experiments import REGISTRY, ExperimentSpec, RunStore, execute_spec
 from repro.experiments.resilience import PointFailure, RetryPolicy, RunMonitor
 from repro.experiments.store import compare_artifacts, render_artifact
+from repro.obs import Observability, Tracer, read_trace_file
 from repro.utils import faultinject
 from repro.utils.faultinject import InjectedFault
 
@@ -343,3 +344,53 @@ class TestGroupDeletionParity:
         healed = execute_spec(spec, store=store)
         assert healed.computed_points == 1 and healed.reused_points == 1
         assert [(p.strength, p.accuracy) for p in healed.result.points] == ref_points
+
+
+def figure8_tiny() -> ExperimentSpec:
+    """The registered figure8 at tiny scale: three λ points in one lockstep stack."""
+    return REGISTRY.get("figure8", scale="tiny")
+
+
+@pytest.fixture(scope="module")
+def clean_figure8():
+    return execute_spec(figure8_tiny()).payload
+
+
+class TestLockstepFaults:
+    """The ``point`` site reaches the lockstep stack: attempt 1 is the stack,
+    and the serial re-run from pristine copies continues at attempt 2."""
+
+    def test_lost_stack_reruns_serially_bit_identically(self, tmp_path, clean_figure8):
+        obs = Observability(tracer=Tracer(tmp_path / "traces.jsonl"))
+        plan = [{"site": "point", "kind": "raise", "index": 0, "attempts": [1]}]
+        with faultinject.injected(plan):
+            run = execute_spec(figure8_tiny(), obs=obs)
+        obs.tracer.close()
+        # The lost stack charged no retry budget: the default policy (one
+        # attempt) still finishes every point, and the serial re-run counts
+        # on from the stack's attempt.
+        assert not run.failures
+        assert run.computed_points == 3
+        assert run.payload == clean_figure8
+        (points,) = [
+            r for r in read_trace_file(obs.tracer.path) if r.get("node") == "points"
+        ]
+        assert (points["status"], points["attempts"], points["retries"]) == ("done", 2, 1)
+
+    def test_persistent_fault_fails_only_its_point(self):
+        plan = [{"site": "point", "kind": "raise", "index": 0}]  # every attempt
+        with faultinject.injected(plan):
+            run = execute_spec(figure8_tiny())
+        assert [(f.index, f.attempts) for f in run.failures] == [(0, 1)]
+        assert "attempt=2" in run.failures[0].message
+        assert run.computed_points == 2
+
+    def test_interrupt_persists_then_resumes(self, store, clean_figure8):
+        plan = [{"site": "point", "kind": "interrupt", "index": 1}]
+        with faultinject.injected(plan):
+            with pytest.raises(RunInterrupted, match="partial artifact"):
+                execute_spec(figure8_tiny(), store=store)
+        resumed = execute_spec(figure8_tiny(), store=store)
+        assert not resumed.failures
+        assert (resumed.computed_points, resumed.reused_points) == (3, 0)
+        assert resumed.payload == clean_figure8

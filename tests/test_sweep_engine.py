@@ -2,9 +2,10 @@
 
 Covers: serial↔parallel bit-identity of sweep points (``workers=1`` vs
 ``workers=2``), single-threaded BLAS in pool workers, deterministic per-point
-seeding, the lockstep stacking key, routing-analysis memoization (hit counts
-during group-deletion record steps), the vectorized crossbar group Lasso,
-and the stub-row rendering of the sweep tables.
+seeding, lockstep sweeps and the architecture signature a stack checks,
+routing-analysis memoization (hit counts during group-deletion record
+steps), the vectorized crossbar group Lasso, and the stub-row rendering of
+the sweep tables.
 """
 
 import numpy as np
