@@ -26,15 +26,20 @@ mappings with huge patch counts are memory-bandwidth-bound in *any*
 arrangement — both paths track DRAM speed there and the two land within
 ~1.3×; that regime is covered by the parity tests, not this guard.)
 
-The acceptance bar is a ≥ 2× wall-clock speedup of the vectorized path
+The acceptance bar is a ≥ 4× wall-clock speedup of the vectorized path
 with per-network results numerically equivalent to the reference loop
-(guarded by ``np.testing.assert_allclose`` at 1e-9).  Both paths are warmed
-once and timed best-of-``REPEATS`` (first-touch faults and allocator growth
-otherwise dominate sub-second measurements).
+(guarded by ``np.testing.assert_allclose`` at 1e-9).  On 8-wide tiles the
+ADC's per-conversion peak decides that ratio: ranged by ``max``/``min``
+reductions over each 8-wide tile row it took most of the vectorized path's
+time and held the speedup near 2.5×; ranged one tile column at a time
+(``repro.hardware.sim._adc_quantize``) the speedup is about 8×, so a return
+of narrow-axis reductions fails the bar.  Both paths are warmed once and
+timed best-of-``REPEATS`` (first-touch faults and allocator growth otherwise
+dominate sub-second measurements).
 
 The timing run takes tens of seconds, so it is not a pytest test: run it with
 ``python benchmarks/run_benchmarks.py --suite hardware [--check]``, which
-appends to ``BENCH_hardware.json`` and enforces the 2× bar.  The numerical
+appends to ``BENCH_hardware.json`` and enforces the 4× bar.  The numerical
 gate (vectorized vs reference loop, both ADC execution branches) stays in
 the tier-1 suite as ``tests/test_hardware_sim.py``.
 """

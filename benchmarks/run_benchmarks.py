@@ -22,7 +22,7 @@ records carry the serial-per-point vs lockstep-stacked training wall-clock of
 the λ sweep's point phase and the end-to-end sweep.  The hardware records
 carry the crossbar simulator's per-tile-loop vs vectorized inference time,
 and the obs records the median figure8 wall-clock with and without
-observability.
+observability plus the median of the per-pair throughput ratios.
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ def run_hardware(output: Path, check: bool) -> int:
     print(f"  serial vectorized      {record['serial_vectorized_s']:.2f} s "
           f"({record['serial_speedup']:.2f}x)")
 
-    if check and record["serial_speedup"] < 2.0:
-        print("FAIL: vectorized crossbar-simulator speedup fell below 2x", file=sys.stderr)
+    if check and record["serial_speedup"] < 4.0:
+        print("FAIL: vectorized crossbar-simulator speedup fell below 4x", file=sys.stderr)
         return 1
     return 0
 
@@ -163,12 +163,13 @@ def run_obs(output: Path, check: bool) -> int:
     print(f"  NULL_OBS               {record['null_obs_s']:.3f} s "
           f"({record['preset']} {record['scale']}, median of {record['pairs']})")
     print(f"  metrics + tracing      {record['obs_s']:.3f} s "
-          f"(ratio {record['overhead_ratio']:.3f})")
+          f"(ratio of medians {record['overhead_ratio']:.3f}, "
+          f"median pair ratio {record['median_pair_ratio']:.3f})")
 
-    if check and record["overhead_ratio"] < 0.9:
+    if check and record["median_pair_ratio"] < 0.9:
         print(
             f"FAIL: the instrumented run's throughput fell below 90% of NULL_OBS "
-            f"(ratio {record['overhead_ratio']:.3f})",
+            f"(median pair ratio {record['median_pair_ratio']:.3f})",
             file=sys.stderr,
         )
         return 1

@@ -120,15 +120,29 @@ def make_prototypes(config: SyntheticImageConfig, rng: np.random.Generator) -> n
 
 
 def _shift_image(image: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Translate a CHW image by (dy, dx) pixels with zero fill."""
+    """Translate ``(..., H, W)`` images by (dy, dx) pixels with zero fill."""
     shifted = np.zeros_like(image)
-    h, w = image.shape[1], image.shape[2]
+    h, w = image.shape[-2], image.shape[-1]
     src_y = slice(max(0, -dy), min(h, h - dy))
     dst_y = slice(max(0, dy), min(h, h + dy))
     src_x = slice(max(0, -dx), min(w, w - dx))
     dst_x = slice(max(0, dx), min(w, w + dx))
-    shifted[:, dst_y, dst_x] = image[:, src_y, src_x]
+    shifted[..., dst_y, dst_x] = image[..., src_y, src_x]
     return shifted
+
+
+def _shifted_prototypes(prototypes: np.ndarray, max_shift: int) -> np.ndarray:
+    """Every prototype under every shift: ``(classes, span², C, H, W)``.
+
+    ``span = 2·max_shift + 1``; shift ``(dy, dx)`` sits at index
+    ``(dy + max_shift)·span + (dx + max_shift)``.
+    """
+    span = 2 * max_shift + 1
+    table = np.empty(prototypes.shape[:1] + (span * span,) + prototypes.shape[1:])
+    for index in range(span * span):
+        dy, dx = divmod(index, span)
+        table[:, index] = _shift_image(prototypes, dy - max_shift, dx - max_shift)
+    return table
 
 
 def _sample_split(
@@ -137,19 +151,22 @@ def _sample_split(
     config: SyntheticImageConfig,
     rng: np.random.Generator,
 ) -> ArrayDataset:
-    """Draw ``num_samples`` perturbed prototype images with balanced labels."""
+    """Draw ``num_samples`` perturbed prototype images with balanced labels.
+
+    Each sample gathers its class prototype under its shift from a table of
+    every shifted prototype, then takes its contrast in one broadcast
+    multiply and its noise in one add.  The draws come in a fixed order
+    (labels, shifts, contrasts, noise).
+    """
     labels = np.arange(num_samples) % config.num_classes
     rng.shuffle(labels)
-    images = np.empty(
-        (num_samples, config.channels, config.image_size, config.image_size)
-    )
-    shifts = rng.integers(-config.max_shift, config.max_shift + 1, size=(num_samples, 2))
+    shift = config.max_shift
+    shifts = rng.integers(-shift, shift + 1, size=(num_samples, 2))
     contrasts = 1.0 + config.contrast_jitter * rng.uniform(-1.0, 1.0, size=num_samples)
-    noise = rng.normal(0.0, config.noise_std, size=images.shape)
-    for i, label in enumerate(labels):
-        base = _shift_image(prototypes[label], int(shifts[i, 0]), int(shifts[i, 1]))
-        images[i] = contrasts[i] * base
-    images += noise
+    index = (shifts[:, 0] + shift) * (2 * shift + 1) + (shifts[:, 1] + shift)
+    images = _shifted_prototypes(prototypes, shift)[labels, index]
+    images *= contrasts[:, None, None, None]
+    images += rng.normal(0.0, config.noise_std, size=images.shape)
     return ArrayDataset(as_float(images), labels.astype(np.int64))
 
 

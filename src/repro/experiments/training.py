@@ -9,7 +9,7 @@ of one experiment and produces the ``trainer_factory`` callables consumed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
 from repro.data import ArrayDataset, DataLoader
@@ -150,8 +150,14 @@ class TrainingSetup:
 
     # -------------------------------------------------------------- helpers
     def train_network(self, network: Sequential, iterations: int) -> float:
-        """Train ``network`` for ``iterations`` steps and return its test accuracy."""
-        trainer = self.trainer_factory(network)
+        """Train ``network`` for ``iterations`` steps and return its test accuracy.
+
+        The trainer carries no held-out split: the network is evaluated once,
+        by the :meth:`evaluate` whose value is returned.  In-run evaluation
+        is a pure inference pass, so the trained weights are the same bytes
+        as with ``evaluate_during_training`` on.
+        """
+        trainer = replace(self, evaluate_during_training=False).trainer_factory(network)
         trainer.run(iterations)
         return self.evaluate(network)
 

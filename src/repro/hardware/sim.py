@@ -334,8 +334,8 @@ def program_matrix(
 
 
 # -------------------------------------------------------------- MVM kernels
-#: Target element count of one ADC partial chunk (~2 MB of float64): the
-#: chunk stays cache-resident across the quantizer's in-place passes.  Chunk
+#: Target element count of one ADC partial chunk (~2 MB of float64) in the
+#: chunked per-row-block loop, which bounds the partials held at once.  Chunk
 #: boundaries cannot change results — the ADC ranges per conversion (row).
 _ADC_CHUNK_ELEMENTS = 1 << 18
 
@@ -346,39 +346,54 @@ _ADC_CHUNK_ELEMENTS = 1 << 18
 #: bounds memory.  Selection depends only on the plan and the batch.
 _ADC_BATCH_ELEMENTS = 1 << 21
 
+#: Element count of one slice of conversions the quantizer works through at
+#: a time (~1 MB of float64), so its per-column peak passes and its
+#: scale/round/rescale passes reread a cache-resident slice instead of
+#: streaming a many-MB batch once per tile column.  Slices split between
+#: conversions, so their boundaries cannot change results.
+_ADC_SLICE_ELEMENTS = 1 << 17
+
 
 def _adc_quantize(partials: np.ndarray, grid_cols: int, tile_cols: int, adc_bits: int) -> np.ndarray:
     """Per-conversion signed ADC over column currents, **in place**.
 
-    ``partials`` is ``(..., cols)`` with the last axis covering ``grid_cols``
-    tiles of ``tile_cols`` columns.  Each analog read converts one input
-    row's currents through one tile's ADC, auto-ranging on that conversion's
-    peak current — so the quantization step is
+    ``partials`` is a C-contiguous ``(..., cols)`` array whose last axis
+    covers ``grid_cols`` tiles of ``tile_cols`` columns.  Each analog read
+    converts one input row's currents through one tile's ADC, auto-ranging
+    on that conversion's peak current — so the quantization step is
     ``max|currents| / 2^(adc_bits−1)`` per ``(row, tile)`` and every row is
     quantized independently (the quantization itself is invariant to batch
     chunking).  All-zero conversions pass through as zeros.
+
+    The peak is ranged one tile column at a time: an ``abs`` + ``maximum``
+    pass over each strided column ``blocks[..., j]`` spans every conversion
+    of a slice at once, where a ``max``/``min`` reduction over the last axis
+    runs its inner loop over a single 4–64-wide tile row.  ``abs`` and
+    ``maximum`` are exact, so the peak is the same value as
+    ``max(max(x), -min(x))`` and every code is the same bytes.
     """
-    shape = partials.shape
-    blocks = partials.reshape(shape[:-1] + (grid_cols, tile_cols))
-    # max(x, -min(x)) == max|x| without materializing a full |x| temporary;
-    # all further full-size work is three in-place passes (scale, round,
-    # rescale) against per-conversion scalars.  The peak code is
-    # ``fs · (levels/fs) = levels·(1 ± 2⁻⁵²)`` which rounds back to
-    # ``levels`` exactly, so no clip pass is needed.
-    full_scale = blocks.max(axis=-1, keepdims=True)
-    negative_min = blocks.min(axis=-1, keepdims=True)
-    np.negative(negative_min, out=negative_min)
-    np.maximum(full_scale, negative_min, out=full_scale)
+    conversions = partials.reshape(-1, grid_cols, tile_cols)
+    slice_rows = max(1, _ADC_SLICE_ELEMENTS // (grid_cols * tile_cols))
     levels = float(2 ** (adc_bits - 1))
-    # Zero-current conversions hold only zeros; a unit dummy scale keeps them
-    # exactly zero through the scale/round/rescale passes.
-    np.copyto(full_scale, 1.0, where=full_scale <= 0)
-    inverse_step = levels / full_scale
-    step = full_scale
-    step /= levels
-    blocks *= inverse_step
-    np.rint(blocks, out=blocks)
-    blocks *= step
+    for start in range(0, conversions.shape[0], slice_rows):
+        blocks = conversions[start : start + slice_rows]
+        full_scale = np.abs(blocks[..., 0])
+        column = np.empty_like(full_scale)
+        for j in range(1, tile_cols):
+            np.abs(blocks[..., j], out=column)
+            np.maximum(full_scale, column, out=full_scale)
+        full_scale = full_scale[..., None]
+        # Zero-current conversions hold only zeros; a unit dummy scale keeps
+        # them exactly zero through the scale/round/rescale passes.  The peak
+        # code is ``fs · (levels/fs) = levels·(1 ± 2⁻⁵²)``, which rounds back
+        # to ``levels`` exactly, so no clip pass is needed.
+        np.copyto(full_scale, 1.0, where=full_scale <= 0)
+        inverse_step = levels / full_scale
+        step = full_scale
+        step /= levels
+        blocks *= inverse_step
+        np.rint(blocks, out=blocks)
+        blocks *= step
     return partials
 
 
@@ -515,8 +530,9 @@ class ProgrammedNetwork:
                 out = simulate_mvm(mid, stages["u"], config, reference=reference)
             else:
                 out = simulate_mvm(cols, stages["w"], config, reference=reference)
+            # Every MVM path returns a fresh array, so the bias lands in place.
             if layer.bias is not None:
-                out = out + layer.bias.data
+                out += layer.bias.data
             n = value.shape[0]
             return out.reshape(n, out_h, out_w, layer.out_channels).transpose(0, 3, 1, 2)
         if isinstance(layer, LowRankLinear):
@@ -525,7 +541,7 @@ class ProgrammedNetwork:
         else:
             out = simulate_mvm(value, stages["w"], config, reference=reference)
         if layer.bias is not None:
-            out = out + layer.bias.data
+            out += layer.bias.data
         return out
 
     def _forward(self, x: np.ndarray, reference: bool) -> np.ndarray:

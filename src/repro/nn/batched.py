@@ -543,7 +543,9 @@ class NetworkStack:
             step.weight.grad += np.matmul(g3.transpose(0, 2, 1), x_ref)
             grad_in3 = np.matmul(g3, step.weight.data) if need_input else None
         if step.bias is not None:
-            step.bias.grad += g3.sum(axis=1)
+            # Sequential row adds over the C-contiguous slab, the same bytes
+            # as g3.sum(axis=1) (see Conv2D.backward).
+            step.bias.grad += np.einsum("kmc->kc", g3)
         step.release()
         if grad_in3 is None:
             return None
@@ -575,7 +577,7 @@ class NetworkStack:
             gw3 = np.matmul(gm3.transpose(0, 2, 1), cols_ref)  # (K, out, fan)
             step.weight.grad += gw3.reshape(step.weight.data.shape)
         if step.bias is not None:
-            step.bias.grad += gm3.sum(axis=1)
+            step.bias.grad += np.einsum("kmc->kc", gm3)  # == gm3.sum(axis=1)
         grad_input = None
         if need_input:
             kernel = layer.kernel_size

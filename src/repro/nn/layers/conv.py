@@ -125,7 +125,10 @@ class Conv2D(Layer):
         grad_weight = (grad_mat.T @ self._cols_cache).reshape(self.weight.data.shape)
         self.weight.accumulate_grad(grad_weight)
         if self.bias is not None:
-            self.bias.accumulate_grad(grad_mat.sum(axis=0))
+            # On this C-contiguous grad_mat, einsum adds the rows in sequence
+            # as .sum(axis=0) does (same bytes), without a reduction loop
+            # over one out_channels-wide row per step.
+            self.bias.accumulate_grad(np.einsum("mc->c", grad_mat))
         grad_input = None
         if need_input_grad:
             grad_input = F.conv_backward_input(

@@ -201,7 +201,10 @@ class LowRankConv2D(Layer):
         grad_mid = grad_mat @ self.u.data  # (N*oh*ow, K)
         self.v.accumulate_grad(self._cols_cache.T @ grad_mid)
         if self.bias is not None:
-            self.bias.accumulate_grad(grad_mat.sum(axis=0))
+            # On this C-contiguous grad_mat, einsum adds the rows in sequence
+            # as .sum(axis=0) does (same bytes), without a reduction loop
+            # over one out_channels-wide row per step.
+            self.bias.accumulate_grad(np.einsum("mc->c", grad_mat))
         # The V factor transposed to (rank, fan_in) plays the weight-matrix
         # role of the fused input-gradient kernel: grad_cols = grad_mid · Vᵀ.
         grad_input = None

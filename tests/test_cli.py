@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command line (run/list/show/compare/bench)."""
 
+import importlib
 import json
 import os
 import sys
@@ -278,17 +279,50 @@ class TestBenchGates:
     def test_obs_gate_holds_the_ratio_to_0_9(
         self, runner, monkeypatch, tmp_path, capsys, ratio, status
     ):
-        record = dict(OBS_RECORD, obs_s=1.0 / ratio, overhead_ratio=ratio)
+        # The gate reads the median pair ratio, not the ratio of the medians.
+        record = dict(
+            OBS_RECORD, obs_s=1.0, overhead_ratio=1.0, median_pair_ratio=ratio
+        )
         self.stub(monkeypatch, "bench_obs", "collect_obs_stats", record)
         output = tmp_path / "BENCH_obs.json"
         assert runner.run_obs(output, check=True) == status
         assert runner.run_obs(output, check=False) == 0
         trajectory = json.loads(output.read_text())
-        assert [entry["overhead_ratio"] for entry in trajectory] == [ratio, ratio]
+        assert [entry["median_pair_ratio"] for entry in trajectory] == [ratio, ratio]
         assert ("FAIL" in capsys.readouterr().err) == bool(status)
 
-    @pytest.mark.parametrize("speedup, status", [(1.95, 1), (2.0, 0), (2.7, 0)])
-    def test_hardware_gate_holds_the_serial_speedup_to_2(
+    @pytest.mark.parametrize(
+        "level, overhead, status",
+        [
+            # A steady 1%-per-run slowdown under a real 15% overhead.
+            (lambda run: 1.0 + 0.01 * run, 1.15, 1),
+            # No overhead; the host slows by a third from the tenth run on.
+            (lambda run: 1.0 if run < 9 else 1.35, 1.0, 0),
+        ],
+        ids=["overhead", "drift"],
+    )
+    def test_obs_gate_separates_overhead_from_host_drift(
+        self, runner, monkeypatch, tmp_path, capsys, level, overhead, status
+    ):
+        bench_obs = importlib.import_module("bench_obs")
+        runs = []
+
+        def timed(instrumented, index):
+            runs.append(instrumented)
+            return level(len(runs) - 1) * (overhead if instrumented else 1.0)
+
+        null_times, obs_times = bench_obs.alternate_pairs(timed)
+        assert runs == [False, True, True, False] * (bench_obs.PAIRS // 2)
+        record = dict(OBS_RECORD, **bench_obs.pair_statistics(null_times, obs_times))
+        if not status:
+            # The drift alone pushes the ratio of the medians under the bar.
+            assert record["overhead_ratio"] < 0.9
+        self.stub(monkeypatch, "bench_obs", "collect_obs_stats", record)
+        assert runner.run_obs(tmp_path / "BENCH_obs.json", check=True) == status
+        assert ("FAIL" in capsys.readouterr().err) == bool(status)
+
+    @pytest.mark.parametrize("speedup, status", [(3.9, 1), (4.0, 0), (9.3, 0)])
+    def test_hardware_gate_holds_the_serial_speedup_to_4(
         self, runner, monkeypatch, tmp_path, capsys, speedup, status
     ):
         record = dict(
@@ -305,7 +339,7 @@ class TestBenchGates:
         assert ("FAIL" in capsys.readouterr().err) == bool(status)
 
     def test_main_returns_the_suite_status(self, runner, monkeypatch, tmp_path, capsys):
-        record = dict(OBS_RECORD, obs_s=2.0, overhead_ratio=0.5)
+        record = dict(OBS_RECORD, obs_s=2.0, overhead_ratio=0.5, median_pair_ratio=0.5)
         self.stub(monkeypatch, "bench_obs", "collect_obs_stats", record)
         output = tmp_path / "obs.json"
         argv = ["--suite", "obs", "--output", str(output)]

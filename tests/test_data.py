@@ -19,7 +19,26 @@ from repro.data import (
     train_test_statistics,
     train_val_split,
 )
+from repro.data.synthetic import _sample_split, make_prototypes
 from repro.exceptions import ShapeError
+
+
+def per_sample_split(prototypes, num_samples, config, rng):
+    """Oracle: each sample's shifted, contrast-scaled prototype built alone."""
+    labels = np.arange(num_samples) % config.num_classes
+    rng.shuffle(labels)
+    size, pad = config.image_size, config.max_shift
+    images = np.empty((num_samples, config.channels, size, size))
+    shifts = rng.integers(-pad, pad + 1, size=(num_samples, 2))
+    contrasts = 1.0 + config.contrast_jitter * rng.uniform(-1.0, 1.0, size=num_samples)
+    noise = rng.normal(0.0, config.noise_std, size=images.shape)
+    for i, label in enumerate(labels):
+        padded = np.pad(prototypes[label], ((0, 0), (pad, pad), (pad, pad)))
+        dy, dx = shifts[i]
+        base = padded[:, pad - dy : pad - dy + size, pad - dx : pad - dx + size]
+        images[i] = contrasts[i] * base
+    images += noise
+    return images, labels
 
 
 class TestArrayDataset:
@@ -132,6 +151,18 @@ class TestSyntheticImages:
         train, _ = make_mnist_like(train_samples=100, test_samples=10, seed=0)
         counts = train.class_counts()
         assert counts.min() >= 9 and counts.max() <= 11
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("max_shift", [0, 1, 2])
+    def test_split_matches_the_per_sample_oracle(self, max_shift, channels):
+        config = SyntheticImageConfig(
+            image_size=9, channels=channels, max_shift=max_shift, seed=4
+        )
+        prototypes = make_prototypes(config, np.random.default_rng(0))
+        split = _sample_split(prototypes, 70, config, np.random.default_rng(1))
+        images, labels = per_sample_split(prototypes, 70, config, np.random.default_rng(1))
+        assert split.inputs.tobytes() == images.tobytes()
+        assert split.targets.tobytes() == labels.astype(np.int64).tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

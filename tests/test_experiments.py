@@ -27,6 +27,7 @@ from repro.experiments import (
 )
 from repro.models.convnet import PAPER_CONVNET_RANKS, PAPER_CONVNET_SHAPES
 from repro.models.lenet import PAPER_LENET_RANKS, PAPER_LENET_SHAPES
+from repro.nn.network import Sequential
 
 
 def run_spec(kind, workload, network, setup, accuracy=None, **fields):
@@ -90,6 +91,29 @@ class TestPresetsAndWorkloads:
         assert isinstance(setup, TrainingSetup)
         assert accuracy > 0.8  # blobs are easy
         assert setup.evaluate(network) == pytest.approx(accuracy)
+
+    def test_train_baseline_evaluates_the_test_split_once(self, monkeypatch):
+        workload = lenet_workload("tiny")
+        predicted = []
+        predict = Sequential.predict
+
+        def counting_predict(network, inputs, batch_size=None):
+            predicted.append(inputs.shape[0])
+            return predict(network, inputs, batch_size=batch_size)
+
+        monkeypatch.setattr(Sequential, "predict", counting_predict)
+        network, accuracy, setup = train_baseline(workload)
+        assert predicted == [len(setup.test_dataset)]
+        # The same training with in-run evaluation on: the same bytes.
+        reference = workload.build(workload.scale.seed)
+        trainer = TrainingSetup.from_workload(workload).trainer_factory(reference)
+        trainer.run(workload.scale.baseline_iterations)
+        assert len(trainer.history.eval_accuracy) == 3
+        for (name, param), (_, expected) in zip(
+            network.named_parameters(), reference.named_parameters()
+        ):
+            assert param.data.tobytes() == expected.data.tobytes(), name
+        assert accuracy == setup.evaluate(reference)
 
 
 class TestHeadlineNumbers:

@@ -372,6 +372,60 @@ class TestAdcQuantizer:
         np.testing.assert_array_equal(out[~changed], baseline[~changed])
 
 
+def reduction_adc_oracle(partials, grid_cols, tile_cols, adc_bits):
+    """The quantizer with each peak from ``max``/``-min`` reductions over a tile row."""
+    blocks = partials.reshape(partials.shape[:-1] + (grid_cols, tile_cols))
+    full_scale = np.maximum(
+        blocks.max(axis=-1, keepdims=True), -blocks.min(axis=-1, keepdims=True)
+    )
+    full_scale[full_scale <= 0] = 1.0
+    levels = float(2 ** (adc_bits - 1))
+    codes = np.rint(blocks * (levels / full_scale))
+    return (codes * (full_scale / levels)).reshape(partials.shape)
+
+
+class TestAdcPeakRanging:
+    """The per-column peak passes give the reduction oracle's bytes exactly."""
+
+    def currents(self, rng, batch, rows, grid_cols, tile_cols):
+        currents = rng.standard_normal(batch + (rows, grid_cols * tile_cols))
+        flat = currents.reshape(-1, grid_cols, tile_cols)
+        flat[0] = 0.0  # all-zero conversions
+        flat[1] = np.where(rng.random(flat[1].shape) < 0.5, 0.0, -0.0)
+        flat[2, :, tile_cols // 2] = np.nan
+        flat[3] = -np.abs(flat[3])  # peaks of negative sign
+        flat[4] = np.abs(flat[4])
+        flat[5] *= 1e-300  # tiny currents
+        return currents
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("tile_cols", [1, 4, 5, 8, 12, 25, 32, 64])
+    def test_bytes_match_the_reduction_oracle(self, rng, tile_cols, batch):
+        for grid_cols in range(1, 6):
+            currents = self.currents(rng, batch, 7, grid_cols, tile_cols)
+            for adc_bits in (1, 6, 8):
+                expected = reduction_adc_oracle(currents, grid_cols, tile_cols, adc_bits)
+                out = _adc_quantize(currents.copy(), grid_cols, tile_cols, adc_bits)
+                assert out.tobytes() == expected.tobytes(), (grid_cols, adc_bits)
+
+    @pytest.mark.parametrize("slice_elements", [1, 40, 97])
+    def test_slices_cannot_move_a_conversion(self, rng, monkeypatch, slice_elements):
+        # Slices of one, several and a ragged number of conversions.
+        monkeypatch.setattr(sim, "_ADC_SLICE_ELEMENTS", slice_elements)
+        currents = self.currents(rng, (2,), 9, 3, 8)
+        expected = reduction_adc_oracle(currents, 3, 8, 4)
+        out = _adc_quantize(currents.copy(), 3, 8, 4)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_zero_and_nan_conversions(self, rng):
+        currents = self.currents(rng, (), 7, 2, 4)
+        flat = _adc_quantize(currents.copy(), 2, 4, 6).reshape(-1, 2, 4)
+        assert not flat[0].any() and not flat[1].any()
+        np.testing.assert_array_equal(np.signbit(flat[1]), np.signbit(currents.reshape(-1, 2, 4)[1]))
+        assert np.isnan(flat[2]).all()
+        assert np.isfinite(np.delete(flat, 2, axis=0)).all()
+
+
 # -------------------------------------------------------- batch invariance
 class TestBatchInvariance:
     """A row's simulated logits do not depend on the rows run beside it.
@@ -407,6 +461,20 @@ class TestBatchInvariance:
         programmed.predict(images)
         programmed.predict(images, reference=True)
         np.testing.assert_array_equal(images, before)
+
+    @pytest.mark.parametrize(
+        "build", [conv_net, lowrank_net, dense_net], ids=["conv", "lowrank", "dense"]
+    )
+    def test_biases_land_on_the_outputs_not_the_network(self, build, images):
+        # Each weighted layer adds its bias in place on its MVM's fresh output.
+        network = build(0)
+        params = {name: p.data.copy() for name, p in network.named_parameters()}
+        programmed = program_network(network, NOISY, mapper=tiny_mapper())
+        first = programmed.predict(images)
+        programmed.predict(images, reference=True)
+        for name, param in network.named_parameters():
+            np.testing.assert_array_equal(param.data, params[name])
+        np.testing.assert_array_equal(programmed.predict(images), first)
 
     def test_training_flags_restored_when_predict_raises(self, rng):
         network = dense_net(0).train()

@@ -573,3 +573,59 @@ class TestMaxPoolPaddingFix:
         out = layer.forward(x)
         out_ref, _ = ref.avgpool_forward_backward_loop(x, 2, 2, 1, np.zeros_like(out))
         np.testing.assert_allclose(out, out_ref, atol=ATOL, rtol=0)
+
+
+def sequential_row_sum(mat):
+    """Oracle: the rows of ``(..., M, C)`` added one after another, in order."""
+    total = np.zeros(mat.shape[:-2] + mat.shape[-1:])
+    for m in range(mat.shape[-2]):
+        total += mat[..., m, :]
+    return total
+
+
+class TestBiasGradientSums:
+    """Bias gradients sum rows with einsum: the bytes of ``.sum`` and of a loop.
+
+    On a C-contiguous operand ``np.einsum`` and ``.sum`` over the row axis
+    both add the rows in sequence.  The shapes are each site's presets:
+    ``Conv2D``/``LowRankConv2D.backward`` on figure7/figure8's ConvNet and
+    figure_hw's LeNet (full and last batches), ``NetworkStack`` conv and
+    dense layers on figure8's three-point stack.  A numpy release that
+    changes einsum's summation order fails here before it moves a digest.
+    """
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(8192, 8), (2048, 8), (512, 16), (6144, 8), (1536, 8), (384, 16),
+         (6272, 5), (800, 12), (4704, 5), (600, 12)],
+    )
+    def test_layer_sum_is_sequential(self, rng, shape):
+        grad_mat = rng.standard_normal(shape)
+        expected = sequential_row_sum(grad_mat).tobytes()
+        assert np.einsum("mc->c", grad_mat).tobytes() == expected
+        assert grad_mat.sum(axis=0).tobytes() == expected
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 8192, 8), (3, 2048, 8), (3, 512, 16), (3, 6144, 8), (3, 1536, 8),
+         (3, 384, 16), (3, 32, 10), (3, 24, 10)],
+    )
+    def test_stacked_sum_is_sequential(self, rng, shape):
+        g3 = rng.standard_normal(shape)
+        expected = sequential_row_sum(g3).tobytes()
+        assert np.einsum("kmc->kc", g3).tobytes() == expected
+        assert g3.sum(axis=1).tobytes() == expected
+
+    @pytest.mark.parametrize("lowrank", [False, True], ids=["conv", "lowrank"])
+    def test_conv_backward_bias_grad(self, rng, lowrank):
+        from repro.nn.layers import Conv2D, LowRankConv2D
+
+        if lowrank:
+            layer = LowRankConv2D(3, 8, 5, rank=4, padding=2, rng=0)
+        else:
+            layer = Conv2D(3, 8, 5, padding=2, rng=0)
+        out = layer.forward(rng.standard_normal((4, 3, 8, 8)))
+        grad = rng.standard_normal(out.shape)
+        layer.backward(grad)
+        grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, 8)
+        assert layer.bias.grad.tobytes() == sequential_row_sum(grad_mat).tobytes()
