@@ -31,9 +31,9 @@ with per-network results numerically equivalent to the reference loop
 (guarded by ``np.testing.assert_allclose`` at 1e-9).  On 8-wide tiles the
 ADC's per-conversion peak decides that ratio: ranged by ``max``/``min``
 reductions over each 8-wide tile row it took most of the vectorized path's
-time and held the speedup near 2.5×; ranged one tile column at a time
-(``repro.hardware.sim._adc_quantize``) the speedup is about 8×, so a return
-of narrow-axis reductions fails the bar.  Both paths are warmed once and
+time and held the speedup at 2.3–2.7×; ranged one tile column at a time
+(``repro.hardware.sim._adc_quantize``) the speedup reads 9–12× on a 2-core
+x86_64 box, so a return of narrow-axis reductions fails the bar.  Both paths are warmed once and
 timed best-of-``REPEATS`` (first-touch faults and allocator growth otherwise
 dominate sub-second measurements).
 

@@ -37,14 +37,14 @@ SCALE = "tiny"
 PAIRS = 10
 
 
-def alternate_pairs(timed: Callable[[bool, int], float], pairs: int = PAIRS):
-    """``(null_times, obs_times)`` of ``pairs`` back-to-back run pairs.
+def alternate_pairs(timed: Callable[[bool, int], float]):
+    """``(null_times, obs_times)`` of ``PAIRS`` back-to-back run pairs.
 
     ``timed(instrumented, index)`` runs once and returns its wall time.  The
     ``NULL_OBS`` run goes first in even pairs and second in odd ones.
     """
     null_times, obs_times = [], []
-    for index in range(pairs):
+    for index in range(PAIRS):
         for instrumented in ((True, False) if index % 2 else (False, True)):
             times = obs_times if instrumented else null_times
             times.append(timed(instrumented, index))

@@ -393,8 +393,8 @@ class TestAdcPeakRanging:
         flat[0] = 0.0  # all-zero conversions
         flat[1] = np.where(rng.random(flat[1].shape) < 0.5, 0.0, -0.0)
         flat[2, :, tile_cols // 2] = np.nan
-        flat[3] = -np.abs(flat[3])  # peaks of negative sign
-        flat[4] = np.abs(flat[4])
+        flat[3] = -np.abs(flat[3])  # negative peaks
+        flat[4] = np.abs(flat[4])  # positive peaks
         flat[5] *= 1e-300  # tiny currents
         return currents
 
@@ -420,8 +420,9 @@ class TestAdcPeakRanging:
     def test_zero_and_nan_conversions(self, rng):
         currents = self.currents(rng, (), 7, 2, 4)
         flat = _adc_quantize(currents.copy(), 2, 4, 6).reshape(-1, 2, 4)
+        signed_zeros = currents.reshape(-1, 2, 4)[1]
         assert not flat[0].any() and not flat[1].any()
-        np.testing.assert_array_equal(np.signbit(flat[1]), np.signbit(currents.reshape(-1, 2, 4)[1]))
+        np.testing.assert_array_equal(np.signbit(flat[1]), np.signbit(signed_zeros))
         assert np.isnan(flat[2]).all()
         assert np.isfinite(np.delete(flat, 2, axis=0)).all()
 
