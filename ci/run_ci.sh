@@ -145,6 +145,39 @@ print("digest smoke OK: %d children, 0 failed" % summary["attempted"])
   HW_COMPARE="$(python -m repro compare figure_hw_baseline figure_hw --store "$CLI_STORE")"
   grep -q "simulated hardware accuracy" <<< "$HW_COMPARE"
 
+  echo "== corner-pass smoke: figure_hw payload under the full CPU mask and under one CPU =="
+  # The hardware stage scores every device corner in one pass whose runs of
+  # test batches are split across the CPUs the process may use, in forked
+  # workers.  Rows are independent and the batches are fixed, so the
+  # payload cannot depend on the CPU mask.  1,024 test samples make 4
+  # batches of 256; the second run pins itself to one CPU before it starts.
+  HW_SPEC="$CLI_STORE/figure_hw_1024.json"
+  python - "$HW_SPEC" <<'EOF'
+import json, sys
+from repro.experiments import REGISTRY
+
+spec = REGISTRY.get("figure_hw", scale_overrides={"test_samples": 1024})
+with open(sys.argv[1], "w", encoding="utf-8") as handle:
+    json.dump(spec.to_dict(), handle)
+EOF
+  HW_ALL_CPUS="$(python -m repro run "$HW_SPEC" --no-store --json)"
+  HW_ONE_CPU="$(python - "$HW_SPEC" <<'EOF'
+import os, sys
+
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+command = [sys.executable, "-m", "repro", "run", sys.argv[1], "--no-store", "--json"]
+os.execv(sys.executable, command)
+EOF
+)"
+  python - "$HW_ALL_CPUS" "$HW_ONE_CPU" <<'EOF'
+import json, os, sys
+
+all_cpus, one_cpu = (json.loads(arg) for arg in sys.argv[1:])
+assert all_cpus["result"] == one_cpu["result"], "the CPU mask moved the figure_hw payload"
+print("corner-pass smoke OK: %d CPUs and 1 CPU give the same payload"
+      % len(os.sched_getaffinity(0)))
+EOF
+
   echo "== scheduler smoke: submit x2 -> daemon interleaves -> kill -9 -> cancel -> drain recovers =="
   # Two specs are queued, the daemon runs them concurrently (node events must
   # switch jobs mid-run), then the daemon is killed hard mid-flight.  One job

@@ -101,15 +101,15 @@ def accuracy_versus_noise() -> None:
     network, software_accuracy, setup = train_baseline(workload)
     inputs, targets = setup.test_dataset.arrays()
     print(f"  software accuracy: {software_accuracy:.2%}")
+    corners = [
+        HardwareConfig(bits=6, program_noise=noise, adc_bits=8)
+        for noise in (0.0, 0.02, 0.05, 0.1, 0.2, 0.4)
+    ] + [HardwareConfig(bits=bits) for bits in (2, 3, 4, 8)]
+    # One call scores every corner in one pass over the test split.
+    scores = simulate_evaluate(network, inputs, targets, corners)
     print(f"  {'corner':<18}{'accuracy':>10}")
-    for noise in (0.0, 0.02, 0.05, 0.1, 0.2, 0.4):
-        config = HardwareConfig(bits=6, program_noise=noise, adc_bits=8)
-        accuracy = simulate_evaluate(network, inputs, targets, config)
-        print(f"  {config.label:<18}{accuracy:>10.2%}")
-    for bits in (2, 3, 4, 8):
-        config = HardwareConfig(bits=bits)
-        accuracy = simulate_evaluate(network, inputs, targets, config)
-        print(f"  {config.label:<18}{accuracy:>10.2%}")
+    for label, accuracy in scores.items():
+        print(f"  {label:<18}{accuracy:>10.2%}")
 
 
 def figure_hw_pipeline() -> None:

@@ -456,15 +456,11 @@ def _run_hardware_stage(
         return None
     t0 = time.perf_counter()
     inputs, targets = setup.test_dataset.arrays()
-    if mapper is None:
-        mapper = NetworkMapper()
-    hardware: Dict[str, float] = {}
-    for config in spec.hardware:
-        # batch_size bounds the im2col super-batch like the software eval
-        # path; the per-conversion ADC makes the chunking value-neutral.
-        hardware[config.label] = simulate_evaluate(
-            network, inputs, targets, config, mapper=mapper, batch_size=256
-        )
+    # batch_size bounds the im2col super-batch like the software eval path;
+    # the per-conversion ADC makes the chunking value-neutral.
+    hardware = simulate_evaluate(
+        network, inputs, targets, spec.hardware, mapper=mapper, batch_size=256
+    )
     timings["hardware_s"] = round(
         timings.get("hardware_s", 0.0) + time.perf_counter() - t0, 6
     )

@@ -38,7 +38,6 @@ recovery path above.
 from __future__ import annotations
 
 import copy
-import ctypes
 import multiprocessing as mp
 import signal
 import time
@@ -46,11 +45,11 @@ import traceback as traceback_module
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, PointFailureError, PointTimeoutError
 from repro.utils import faultinject
+from repro.utils.blas import pin_worker_blas
 from repro.utils.logging import get_logger
 
 logger = get_logger("experiments.resilience")
@@ -419,43 +418,6 @@ def _serial_map(
     return results
 
 
-def openblas_symbol(*names: str) -> Optional[Callable]:
-    """The first of ``names`` exported by the OpenBLAS numpy ships, or ``None``.
-
-    Looks in the ``numpy.libs`` directory of a wheel install; loading the
-    library numpy already loaded returns its live handle, so a setter called
-    through it acts on numpy's own BLAS.
-    """
-    import numpy
-
-    libs = Path(numpy.__file__).parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        try:
-            handle = ctypes.CDLL(str(lib))
-        except OSError:
-            continue
-        for name in names:
-            symbol = getattr(handle, name, None)
-            if symbol is not None:
-                return symbol
-    return None
-
-
-def _pin_worker_blas() -> None:
-    """Pool-worker initializer: run the worker's OpenBLAS on one thread.
-
-    Forked workers inherit the parent's multithreaded BLAS, so two workers on
-    a 2-core box would run four BLAS threads and oversubscribe the cores.
-    Does nothing when the library or its setter is not found.
-    """
-    setter = openblas_symbol(
-        "scipy_openblas_set_num_threads64_", "openblas_set_num_threads"
-    )
-    if setter is not None:
-        setter.argtypes = [ctypes.c_int]
-        setter(1)
-
-
 def _make_pool(engine: Any, size: int) -> ProcessPoolExecutor:
     try:
         context = mp.get_context("fork")
@@ -464,7 +426,7 @@ def _make_pool(engine: Any, size: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(
         max_workers=min(engine.workers, max(size, 1)),
         mp_context=context,
-        initializer=_pin_worker_blas,
+        initializer=pin_worker_blas,
     )
 
 

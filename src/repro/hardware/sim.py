@@ -52,6 +52,14 @@ construction; across different ``batch_size`` choices only BLAS kernel
 selection can perturb the underlying matmuls at the last-ulp level —
 results are always bit-stable for a fixed chunking.
 
+The corner pass (see Driver) cannot move a byte either: every row of a
+batch is computed independently, the batches are those of
+``ProgrammedNetwork.predict`` with the same ``batch_size``, a shared
+lowering is the same matrix each corner would build, and OpenBLAS's GEMM
+gives the same bytes on one thread as on several, so where a run of
+batches executes (in-process or in a worker pinned to one BLAS thread)
+does not matter.
+
 The ideal configuration (``HardwareConfig.ideal()``: infinite precision, no
 noise, no faults, no ADC) reproduces :meth:`Sequential.predict` within
 float64 round-off — guarded by ``tests/test_hardware_sim.py``.
@@ -60,17 +68,38 @@ Driver
 ------
 :class:`ProgrammedNetwork` is the one driver: it programs every matrix once
 and :meth:`ProgrammedNetwork.predict` runs inference against the stored
-conductances.  :func:`simulate_predict` and :func:`simulate_evaluate` are
-one-shot wrappers over it.  ``predict(reference=True)`` swaps the vectorized
-tile MVM for the naive per-tile loop (:func:`_mvm_tiles`), which is the
-benchmark baseline and the test oracle.
+conductances.  :func:`simulate_predict` is a one-shot wrapper over it.
+``predict(reference=True)`` swaps the vectorized tile MVM for the naive
+per-tile loop (:func:`_mvm_tiles`), which is the benchmark baseline and the
+test oracle.
+
+:func:`simulate_evaluate` scores a list of corners in one batch-major pass.
+It programs every corner once, on one shared mapper, and walks the test
+split batch by batch.  When the network starts with a conv, each batch is
+lowered through ``F.im2col`` once and the read-only matrix is handed to
+every corner's forward; each corner keeps only its per-batch arg-max
+classes, and its score, the accuracy of their concatenation, is the float
+``accuracy(predict(...), targets)`` gives.  The batches are cut into
+contiguous runs aligned to ``batch_size``, one per CPU in the process's
+affinity mask and no more than there are batches.  Two or more runs go to
+a fork-context process pool whose initializer pins each worker's OpenBLAS
+to one thread and receives the programmed corners and the inputs through
+``initargs``, which fork inherits without pickling; a task carries only
+``(start, stop)`` and returns per-corner class arrays.  With one run, no
+``fork`` start method, or a lost worker (``BrokenProcessPool``), the runs
+left run in-process.
 """
 
 from __future__ import annotations
 
 import hashlib
+import multiprocessing as mp
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,8 +111,14 @@ from repro.nn.dtype import as_float
 from repro.nn.layers import Conv2D, Linear, LowRankConv2D, LowRankLinear
 from repro.nn.metrics import accuracy
 from repro.nn.network import Sequential
+from repro.utils.blas import pin_worker_blas
+from repro.utils.logging import get_logger
+from repro.utils.validation import check_positive_int
 
-_WEIGHTED = (Linear, LowRankLinear, Conv2D, LowRankConv2D)
+logger = get_logger("hardware.sim")
+
+_CONV = (Conv2D, LowRankConv2D)
+_WEIGHTED = (Linear, LowRankLinear) + _CONV
 
 _MAX_BITS = 32
 
@@ -476,6 +511,23 @@ def simulate_mvm(
 
 
 # ------------------------------------------------------------------ driver
+def _lower(layer, value: np.ndarray) -> Tuple[np.ndarray, int, int]:
+    """A conv layer's ``F.im2col`` of its input: ``(cols, out_h, out_w)``."""
+    return F.im2col(value, layer.kernel_size, layer.kernel_size, layer.stride, layer.padding)
+
+
+@contextmanager
+def _inference(network: Sequential):
+    """Run ``network`` in inference mode, restoring each layer's flag after."""
+    saved = [layer.training for layer in network]
+    network.eval()
+    try:
+        yield
+    finally:
+        for layer, flag in zip(network, saved):
+            layer.training = flag
+
+
 class ProgrammedNetwork:
     """A network programmed onto simulated crossbar hardware.
 
@@ -518,35 +570,54 @@ class ProgrammedNetwork:
         return on, off
 
     # ------------------------------------------------------------ forward
-    def _simulate_weighted(self, layer, value: np.ndarray, reference: bool) -> np.ndarray:
+    def _simulate_conv(
+        self, layer, cols: np.ndarray, out_h: int, out_w: int, reference: bool
+    ) -> np.ndarray:
+        """A conv layer on its lowered input; ``cols`` is only read."""
         stages = self.stages[layer.name]
         config = self.config
-        if isinstance(layer, (Conv2D, LowRankConv2D)):
-            cols, out_h, out_w = F.im2col(
-                value, layer.kernel_size, layer.kernel_size, layer.stride, layer.padding
-            )
-            if isinstance(layer, LowRankConv2D):
-                mid = simulate_mvm(cols, stages["v"], config, reference=reference)
-                out = simulate_mvm(mid, stages["u"], config, reference=reference)
-            else:
-                out = simulate_mvm(cols, stages["w"], config, reference=reference)
-            # Every MVM path returns a fresh array, so the bias lands in place.
-            if layer.bias is not None:
-                out += layer.bias.data
-            n = value.shape[0]
-            return out.reshape(n, out_h, out_w, layer.out_channels).transpose(0, 3, 1, 2)
-        if isinstance(layer, LowRankLinear):
-            mid = simulate_mvm(value, stages["v"], config, reference=reference)
+        if isinstance(layer, LowRankConv2D):
+            mid = simulate_mvm(cols, stages["v"], config, reference=reference)
             out = simulate_mvm(mid, stages["u"], config, reference=reference)
         else:
-            out = simulate_mvm(value, stages["w"], config, reference=reference)
+            out = simulate_mvm(cols, stages["w"], config, reference=reference)
+        # Every MVM path returns a fresh C-contiguous array, so the bias
+        # lands in place.
+        if layer.bias is not None:
+            F.add_conv_bias(out, layer.bias.data, out_h * out_w)
+        n = cols.shape[0] // (out_h * out_w)
+        return out.reshape(n, out_h, out_w, layer.out_channels).transpose(0, 3, 1, 2)
+
+    def _simulate_weighted(self, layer, value: np.ndarray, reference: bool) -> np.ndarray:
+        if isinstance(layer, _CONV):
+            return self._simulate_conv(layer, *_lower(layer, value), reference)
+        stages = self.stages[layer.name]
+        if isinstance(layer, LowRankLinear):
+            mid = simulate_mvm(value, stages["v"], self.config, reference=reference)
+            out = simulate_mvm(mid, stages["u"], self.config, reference=reference)
+        else:
+            out = simulate_mvm(value, stages["w"], self.config, reference=reference)
         if layer.bias is not None:
             out += layer.bias.data
         return out
 
-    def _forward(self, x: np.ndarray, reference: bool) -> np.ndarray:
+    def _forward(
+        self,
+        x: np.ndarray,
+        reference: bool,
+        lowered: Optional[Tuple[np.ndarray, int, int]] = None,
+    ) -> np.ndarray:
+        """Simulated logits of one batch.
+
+        ``lowered`` is the first layer's :func:`_lower` of ``x`` when the
+        network starts with a conv; the corner pass lowers each batch once
+        and hands the same read-only matrix to every corner.
+        """
+        layers = list(self.network)
         value = as_float(x)
-        for layer in self.network:
+        if lowered is not None:
+            value = self._simulate_conv(layers.pop(0), *lowered, reference)
+        for layer in layers:
             if isinstance(layer, _WEIGHTED):
                 value = self._simulate_weighted(layer, value, reference)
             else:
@@ -561,9 +632,7 @@ class ProgrammedNetwork:
         reference: bool = False,
     ) -> np.ndarray:
         """Simulated inference logits (inference mode enforced and restored)."""
-        saved = [layer.training for layer in self.network]
-        self.network.eval()
-        try:
+        with _inference(self.network):
             if batch_size is None:
                 return self._forward(inputs, reference)
             chunks = [
@@ -571,9 +640,6 @@ class ProgrammedNetwork:
                 for start in range(0, inputs.shape[0], batch_size)
             ]
             return np.concatenate(chunks, axis=0)
-        finally:
-            for layer, flag in zip(self.network, saved):
-                layer.training = flag
 
 
 def program_network(
@@ -604,17 +670,138 @@ def simulate_predict(
     return programmed.predict(inputs, batch_size=batch_size, reference=reference)
 
 
+# -------------------------------------------------------------- corner pass
+def _batch_classes(corners: Sequence[ProgrammedNetwork], batch: np.ndarray) -> List[np.ndarray]:
+    """Every corner's arg-max classes on one batch.
+
+    All corners run one network, so a first conv's lowering depends only on
+    the batch: it is built once, made read-only and shared.
+    """
+    first = next(iter(corners[0].network), None)
+    lowered = None
+    if isinstance(first, _CONV):
+        lowered = _lower(first, as_float(batch))
+        lowered[0].flags.writeable = False
+    return [
+        np.argmax(corner._forward(batch, reference=False, lowered=lowered), axis=1)
+        for corner in corners
+    ]
+
+
+def _run_classes(
+    corners: Sequence[ProgrammedNetwork],
+    inputs: np.ndarray,
+    batch_size: int,
+    start: int,
+    stop: int,
+) -> List[np.ndarray]:
+    """Per-corner classes of the batches of ``inputs[start:stop]``."""
+    parts: List[List[np.ndarray]] = [[] for _ in corners]
+    for begin in range(start, stop, batch_size):
+        batch = inputs[begin : min(begin + batch_size, stop)]
+        for part, classes in zip(parts, _batch_classes(corners, batch)):
+            part.append(classes)
+    return [np.concatenate(part) for part in parts]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _batch_runs(samples: int, batch_size: int, cpus: int) -> List[Tuple[int, int]]:
+    """Contiguous ``(start, stop)`` runs of whole batches, at most one per CPU."""
+    batches = -(-samples // batch_size)
+    runs = min(cpus, batches)
+    cuts = [batch_size * (batches * index // runs) for index in range(runs + 1)]
+    return [(cuts[index], min(cuts[index + 1], samples)) for index in range(runs)]
+
+
+#: ``(corners, inputs, batch_size)`` of the pass a forked worker serves.
+_WORKER_PASS: Optional[Tuple[Sequence[ProgrammedNetwork], np.ndarray, int]] = None
+
+
+def _start_pass_worker(
+    corners: Sequence[ProgrammedNetwork], inputs: np.ndarray, batch_size: int
+) -> None:
+    """Pool initializer; fork hands it the parent's objects unpickled."""
+    global _WORKER_PASS
+    pin_worker_blas()
+    _WORKER_PASS = (corners, inputs, batch_size)
+
+
+def _worker_classes(start: int, stop: int) -> List[np.ndarray]:
+    """Pool task: the per-corner classes of one run of batches."""
+    corners, inputs, batch_size = _WORKER_PASS
+    return _run_classes(corners, inputs, batch_size, start, stop)
+
+
+def _corner_pass(
+    corners: Sequence[ProgrammedNetwork], inputs: np.ndarray, batch_size: int
+) -> List[np.ndarray]:
+    """Each corner's classes over all of ``inputs``, runs split across CPUs."""
+    runs = _batch_runs(inputs.shape[0], batch_size, _usable_cpus())
+    done: Dict[int, List[np.ndarray]] = {}
+    if len(runs) > 1 and "fork" in mp.get_all_start_methods():
+        try:
+            with ProcessPoolExecutor(
+                max_workers=len(runs),
+                mp_context=mp.get_context("fork"),
+                initializer=_start_pass_worker,
+                initargs=(corners, inputs, batch_size),
+            ) as pool:
+                futures = [pool.submit(_worker_classes, *run) for run in runs]
+                for index, future in enumerate(futures):
+                    done[index] = future.result()
+        except BrokenProcessPool as error:
+            logger.warning(
+                "corner pass lost a worker (%s); running %d of %d runs in-process",
+                error,
+                len(runs) - len(done),
+                len(runs),
+            )
+    classes = [
+        done[index] if index in done else _run_classes(corners, inputs, batch_size, *run)
+        for index, run in enumerate(runs)
+    ]
+    return [np.concatenate(per_corner) for per_corner in zip(*classes)]
+
+
 def simulate_evaluate(
     network: Sequential,
     inputs: np.ndarray,
     targets: np.ndarray,
-    config: HardwareConfig,
+    configs: Sequence[HardwareConfig],
     *,
     mapper: Optional[NetworkMapper] = None,
     batch_size: Optional[int] = None,
-) -> float:
-    """Simulated test accuracy of ``network`` under one device corner."""
-    logits = simulate_predict(
-        network, inputs, config, mapper=mapper, batch_size=batch_size
-    )
-    return float(accuracy(logits, targets))
+) -> Dict[str, float]:
+    """Simulated test accuracy of ``network`` under each device corner.
+
+    Returns ``{config.label: accuracy}`` in ``configs`` order.  Every corner
+    is programmed once on the shared ``mapper`` and all of them are scored
+    in one batch-major pass, split across the CPUs (see the module
+    docstring); each score is the float ``accuracy(predict(...), targets)``
+    gives for that corner.
+    """
+    labels = [config.label for config in configs]
+    if len(set(labels)) != len(labels):
+        raise ConfigurationError(f"hardware corners must have distinct labels, got {labels}")
+    samples = inputs.shape[0]
+    if samples == 0 or len(targets) != samples:
+        raise ShapeError(
+            f"expected a non-empty test split with one target per sample, got "
+            f"{samples} samples and {len(targets)} targets"
+        )
+    if not labels:
+        return {}
+    if mapper is None:
+        mapper = NetworkMapper()
+    corners = [ProgrammedNetwork(network, config, mapper=mapper) for config in configs]
+    batch_size = samples if batch_size is None else check_positive_int(batch_size, "batch_size")
+    with _inference(network):
+        classes = _corner_pass(corners, inputs, batch_size)
+    return {label: accuracy(found, targets) for label, found in zip(labels, classes)}

@@ -487,7 +487,7 @@ class NetworkStack:
             weight_matrix = step.weight.data.reshape(k, layer.out_channels, layer.fan_in)
             out3 = np.matmul(cols_ref, weight_matrix.transpose(0, 2, 1))
         if step.bias is not None:
-            out3 += step.bias.data[:, None, :]
+            F.add_conv_bias(out3, step.bias.data, out_h * out_w)
         step.rows = rows
         step.point_input_shape = (n,) + value.shape[1:]
         step.out_hw = (out_h, out_w)

@@ -22,6 +22,8 @@ The convolution/pooling kernels are vectorized:
   a loop-free strided *assignment*.
 * :func:`conv_backward_input` fuses the input-gradient matmul with that
   scatter, one small matmul per kernel offset accumulated channel-last.
+* :func:`add_conv_bias` adds a conv's channel bias to its GEMM output one
+  image row at a time, the same single add per element as ``out += bias``.
 
 The pooling layers (:mod:`repro.nn.layers.pooling`) reduce over shifted
 zero-copy slices of :func:`pad_images` output and never materialize windows.
@@ -172,6 +174,24 @@ def im2col(
     # the reshape copies; the take then writes the matrix row by row.
     cols = np.take(images.reshape(n, -1), offsets, axis=1)
     return cols.reshape(n * out_h * out_w, c * kernel_h * kernel_w), out_h, out_w
+
+
+def add_conv_bias(out: np.ndarray, bias: np.ndarray, positions: int) -> np.ndarray:
+    """Add a channel bias **in place** to a convolution's GEMM output.
+
+    ``out`` is a C-contiguous ``(..., N·positions, C)`` array, one row per
+    output position of each image, and ``bias`` is ``(..., C)`` over the
+    same leading axes (one bias row per stacked point).  The add runs as
+    ``out.reshape(..., N, positions·C) += np.tile(bias, positions)``, so
+    numpy's inner loop spans a whole image instead of one ``C``-wide row.
+    Each element gets the same single add as ``out += bias``: the bytes are
+    the same.  Returns ``out``.
+    """
+    if not out.flags.c_contiguous:
+        raise ShapeError("add_conv_bias needs a C-contiguous GEMM output")
+    images = out.reshape(out.shape[:-2] + (-1, positions * out.shape[-1]))
+    images += np.tile(bias, positions)[..., None, :]
+    return out
 
 
 #: Byte budget of the column slice one :func:`col2im` chunk scatters from:

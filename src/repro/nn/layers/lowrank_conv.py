@@ -179,7 +179,7 @@ class LowRankConv2D(Layer):
             self.release_caches()
         out = mid @ self.u.data.T  # (N*oh*ow, out_channels)
         if self.bias is not None:
-            out += self.bias.data
+            F.add_conv_bias(out, self.bias.data, out_h * out_w)
         n = x.shape[0]
         return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 

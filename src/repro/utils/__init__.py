@@ -9,6 +9,8 @@ The submodules are intentionally small and dependency-free:
   experiment runners.
 * :mod:`repro.utils.serialization` — save/load of parameter dictionaries and
   experiment records to ``.npz`` / JSON files.
+* :mod:`repro.utils.blas` — handles on numpy's OpenBLAS, which forked pool
+  workers use to pin their BLAS to one thread.
 """
 
 from repro.utils.logging import get_logger, set_verbosity

@@ -38,7 +38,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.experiments import REGISTRY, RunStore, build_plan, execute_spec  # noqa: E402
-from repro.experiments.resilience import openblas_symbol  # noqa: E402
+from repro.utils.blas import openblas_symbol  # noqa: E402
 
 #: Engine-policy variants pinned on top of the registered presets:
 #: ``entry name -> (preset, overrides)``.

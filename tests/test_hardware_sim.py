@@ -10,6 +10,9 @@ and the physics of each non-ideality (quantization, programming/read noise,
 stuck faults, per-tile ADC).
 """
 
+import os
+import pickle
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from repro.hardware import (
     CrossbarLibrary,
     HardwareConfig,
     NetworkMapper,
+    ProgrammedNetwork,
     TechnologyParameters,
     plan_tiling,
     program_matrix,
@@ -186,31 +190,32 @@ class TestDeterminism:
         )
         assert (quiet.stuck_on, quiet.stuck_off) == (noisy.stuck_on, noisy.stuck_off)
 
-    def test_simulate_evaluate_scores_one_network(self, images, rng):
+    def test_simulate_evaluate_scores_each_corner(self, images, rng):
         targets = rng.integers(0, 10, images.shape[0])
         network = lowrank_net(0)
         mapper = tiny_mapper()
-        score = simulate_evaluate(network, images, targets, NOISY, mapper=mapper)
-        assert isinstance(score, float)
+        scores = simulate_evaluate(network, images, targets, [NOISY], mapper=mapper)
+        assert list(scores) == [NOISY.label]
+        assert isinstance(scores[NOISY.label], float)
         logits = simulate_predict(network, images, NOISY, mapper=mapper)
-        assert score == accuracy(logits, targets)
+        assert scores[NOISY.label] == accuracy(logits, targets)
 
     @pytest.mark.parametrize("build", [conv_net, lowrank_net], ids=["conv", "lowrank"])
     def test_ideal_corner_scores_like_software(self, build, images, rng):
         # The hardware stage's ideal corner must report the digital accuracy.
         targets = rng.integers(0, 10, images.shape[0])
         network = build(0)
-        score = simulate_evaluate(
-            network, images, targets, HardwareConfig.ideal(), mapper=tiny_mapper()
+        scores = simulate_evaluate(
+            network, images, targets, [HardwareConfig.ideal()], mapper=tiny_mapper()
         )
-        assert score == accuracy(network.predict(images), targets)
+        assert scores == {"ideal": accuracy(network.predict(images), targets)}
 
     def test_batch_size_does_not_change_the_score(self, images, rng):
         targets = rng.integers(0, 10, images.shape[0])
         network = lowrank_net(0)
-        whole = simulate_evaluate(network, images, targets, NOISY, mapper=tiny_mapper())
+        whole = simulate_evaluate(network, images, targets, [NOISY], mapper=tiny_mapper())
         chunked = simulate_evaluate(
-            network, images, targets, NOISY, mapper=tiny_mapper(), batch_size=5
+            network, images, targets, [NOISY], mapper=tiny_mapper(), batch_size=5
         )
         assert chunked == whole
 
@@ -482,6 +487,204 @@ class TestBatchInvariance:
         programmed = program_network(network, HardwareConfig.ideal())
         with pytest.raises(ShapeError):
             programmed.predict(rng.standard_normal((3, 2, 11, 11)))
+        assert all(layer.training for layer in network)
+
+
+# ------------------------------------------------------------- corner pass
+def padded_mlp(seed=0):
+    # 67 inputs: no divisor fits a 16-wide crossbar, so fc1's plan pads.
+    rng = np.random.default_rng(seed)
+    return Sequential(
+        [
+            Linear(67, 24, name="fc1", rng=rng),
+            ReLU(name="r1"),
+            Linear(24, 10, name="fc2", rng=rng),
+        ],
+        name=f"padded{seed}",
+    )
+
+
+#: An ideal corner, two ADC corners and a write-noise-only corner.
+CORNERS = [
+    HardwareConfig.ideal(),
+    NOISY,
+    HardwareConfig(bits=4, program_noise=0.05, seed=1),
+    HardwareConfig(bits=6, read_noise=0.02, adc_bits=5, seed=2),
+]
+
+#: ``(samples, batch_size)``: one batch, a ragged last batch, two batches.
+SPLITS = [(8, 16), (23, 5), (23, 16)]
+
+
+def corner_inputs(build, samples):
+    shape = (samples, 67) if build is padded_mlp else (samples, 2, 12, 12)
+    rng = np.random.default_rng(samples)
+    return rng.standard_normal(shape), rng.integers(0, 10, samples)
+
+
+@pytest.fixture
+def cpus(request, monkeypatch):
+    """Force the pass's CPU count (``indirect`` parameter, default 1)."""
+    count = getattr(request, "param", 1)
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: count)
+    return count
+
+
+@pytest.fixture
+def run_log(monkeypatch, tmp_path):
+    """Record ``(start, pid)`` for every run of batches, whichever process runs it."""
+    run_classes = sim._run_classes
+
+    def recording(corners, inputs, batch_size, start, stop):
+        (tmp_path / f"{start}-{os.getpid()}").touch()
+        return run_classes(corners, inputs, batch_size, start, stop)
+
+    monkeypatch.setattr(sim, "_run_classes", recording)
+    return lambda: sorted(
+        tuple(int(part) for part in path.name.split("-")) for path in tmp_path.iterdir()
+    )
+
+
+class TestCornerPass:
+    """``simulate_evaluate`` scores every corner in one batch-major pass.
+
+    The oracle is each corner alone through ``ProgrammedNetwork.predict``
+    with the same ``batch_size``: the pass must give its classes byte for
+    byte, in-process and split across forked workers alike.
+    """
+
+    def oracle(self, network, inputs, batch_size, configs=CORNERS):
+        mapper = tiny_mapper()
+        return {
+            config.label: np.argmax(
+                ProgrammedNetwork(network, config, mapper=mapper).predict(
+                    inputs, batch_size=batch_size
+                ),
+                axis=1,
+            )
+            for config in configs
+        }
+
+    def assert_oracle_scores(self, network, inputs, targets, batch_size):
+        expected = {
+            label: accuracy(classes, targets)
+            for label, classes in self.oracle(network, inputs, batch_size).items()
+        }
+        scores = simulate_evaluate(
+            network, inputs, targets, CORNERS, mapper=tiny_mapper(), batch_size=batch_size
+        )
+        assert scores == expected
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3], indirect=True)
+    @pytest.mark.parametrize("samples, batch_size", SPLITS)
+    @pytest.mark.parametrize(
+        "build", [conv_net, lowrank_net, padded_mlp], ids=["conv", "lowrank", "linear"]
+    )
+    def test_classes_match_the_per_corner_oracle(self, build, samples, batch_size, cpus):
+        network = build(0)
+        inputs, targets = corner_inputs(build, samples)
+        corners = [ProgrammedNetwork(network, c, mapper=tiny_mapper()) for c in CORNERS]
+        with sim._inference(network):
+            classes = sim._corner_pass(corners, inputs, batch_size)
+        expected = self.oracle(network, inputs, batch_size)
+        for config, found in zip(CORNERS, classes):
+            assert found.tobytes() == expected[config.label].tobytes(), config.label
+        self.assert_oracle_scores(network, inputs, targets, batch_size)
+
+    def test_the_padded_mlp_has_a_padded_plan(self):
+        corner = ProgrammedNetwork(padded_mlp(0), NOISY, mapper=tiny_mapper())
+        assert corner.stages["fc1"]["w"].plan.padded
+
+    @pytest.mark.parametrize("cpus", [2], indirect=True)
+    def test_two_workers_run_the_batches(self, cpus, run_log):
+        # The pool hands each run to whichever worker is free, so the two
+        # runs may share a worker; neither runs in this process.
+        network = lowrank_net(0)
+        inputs, targets = corner_inputs(lowrank_net, 23)
+        self.assert_oracle_scores(network, inputs, targets, 5)
+        runs = run_log()
+        assert [start for start, _ in runs] == [0, 10]
+        assert os.getpid() not in {pid for _, pid in runs}
+
+    @pytest.mark.parametrize(
+        "samples, cpu_count, runs",
+        [
+            (4, 2, [(0, 4)]),
+            (8, 2, [(0, 5), (5, 8)]),
+            (23, 2, [(0, 10), (10, 23)]),
+            (23, 3, [(0, 5), (5, 15), (15, 23)]),
+            (10, 4, [(0, 5), (5, 10)]),
+        ],
+    )
+    def test_runs_are_whole_batches_one_per_cpu_at_most(self, samples, cpu_count, runs):
+        assert sim._batch_runs(samples, 5, cpu_count) == runs
+
+    @pytest.mark.parametrize("corners", [1, 3])
+    def test_the_first_conv_is_lowered_once_per_batch(self, corners, cpus, monkeypatch):
+        im2col = sim.F.im2col
+        calls = []
+
+        def counting(x, *args):
+            calls.append(x.shape)
+            return im2col(x, *args)
+
+        monkeypatch.setattr(sim.F, "im2col", counting)
+        network = conv_net(0)
+        inputs, targets = corner_inputs(conv_net, 23)
+        simulate_evaluate(network, inputs, targets, CORNERS[:corners], batch_size=5)
+        assert calls == [(5, 2, 12, 12)] * 4 + [(3, 2, 12, 12)]
+
+    def test_a_corner_writing_into_the_shared_lowering_raises(self, cpus, monkeypatch):
+        simulate_mvm_ = sim.simulate_mvm
+
+        def writing(x, *args, **kwargs):
+            x[0, 0] = x[0, 0]
+            return simulate_mvm_(x, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "simulate_mvm", writing)
+        inputs, targets = corner_inputs(conv_net, 8)
+        with pytest.raises(ValueError, match="read-only"):
+            simulate_evaluate(conv_net(0), inputs, targets, CORNERS, batch_size=4)
+
+    @pytest.mark.parametrize("cpus", [2], indirect=True)
+    def test_nothing_is_pickled(self, cpus, run_log, monkeypatch):
+        def refuse(self):
+            raise TypeError("a network must reach the workers through fork")
+
+        monkeypatch.setattr(Sequential, "__reduce__", refuse, raising=False)
+        network = conv_net(0)
+        with pytest.raises(TypeError, match="through fork"):
+            pickle.dumps(network)
+        inputs, targets = corner_inputs(conv_net, 23)
+        self.assert_oracle_scores(network, inputs, targets, 5)
+        assert os.getpid() not in {pid for _, pid in run_log()}
+
+    @pytest.mark.parametrize("cpus", [2], indirect=True)
+    def test_a_lost_worker_is_rerun_in_process(self, cpus, monkeypatch, caplog):
+        parent = os.getpid()
+        run_classes = sim._run_classes
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return run_classes(*args)
+
+        monkeypatch.setattr(sim, "_run_classes", dying)
+        network = lowrank_net(0)
+        inputs, targets = corner_inputs(lowrank_net, 23)
+        with caplog.at_level("WARNING", logger="repro.hardware.sim"):
+            self.assert_oracle_scores(network, inputs, targets, 5)
+        assert "lost a worker" in caplog.text
+
+    def test_duplicate_labels_raise(self, images, rng):
+        targets = rng.integers(0, 10, images.shape[0])
+        with pytest.raises(ConfigurationError, match="distinct labels"):
+            simulate_evaluate(conv_net(0), images, targets, [NOISY, NOISY])
+
+    def test_training_flags_restored(self, images, rng):
+        network = conv_net(0).train()
+        targets = rng.integers(0, 10, images.shape[0])
+        simulate_evaluate(network, images, targets, CORNERS, batch_size=5)
         assert all(layer.training for layer in network)
 
 

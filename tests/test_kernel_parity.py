@@ -10,6 +10,7 @@ did not intentionally change (max pooling with ``padding > 0`` now pads with
 import numpy as np
 import pytest
 
+from repro.exceptions import ShapeError
 from repro.nn import _reference as ref
 from repro.nn import functional as F
 from repro.nn.layers import AvgPool2D, MaxPool2D
@@ -629,3 +630,64 @@ class TestBiasGradientSums:
         layer.backward(grad)
         grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, 8)
         assert layer.bias.grad.tobytes() == sequential_row_sum(grad_mat).tobytes()
+
+
+class TestConvBiasAdd:
+    """``F.add_conv_bias`` adds one image row at a time: the bytes of ``out += bias``.
+
+    Each element of the GEMM output gets one add of its channel's bias
+    either way.  The shapes are each conv site's presets as ``(N·positions,
+    C, positions)``: ``Conv2D``/``LowRankConv2D.forward`` on figure7/figure8's
+    ConvNet and figure_hw's LeNet (full and last batches), the simulator's
+    conv path on figure_hw's 256-image test batches (and the last batch of a
+    10,000-sample split), ``NetworkStack._forward_conv`` on figure8's
+    three-point stack, and a 1×1 output (``positions = 1``).
+    """
+
+    @pytest.mark.parametrize(
+        "rows, channels, positions",
+        [(8192, 8, 1024), (2048, 8, 256), (512, 16, 64), (6144, 8, 1024),
+         (1536, 8, 256), (384, 16, 64), (6272, 5, 196), (800, 12, 25),
+         (4704, 5, 196), (600, 12, 25), (50176, 5, 196), (6400, 12, 25),
+         (3136, 5, 196), (400, 12, 25), (32, 10, 1)],
+    )
+    def test_matches_the_broadcast_add(self, rng, rows, channels, positions):
+        out = rng.standard_normal((rows, channels))
+        bias = rng.standard_normal(channels)
+        expected = out + bias
+        assert F.add_conv_bias(out, bias, positions) is out
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows, channels, positions",
+        [(8192, 8, 1024), (2048, 8, 256), (512, 16, 64), (32, 10, 1)],
+    )
+    def test_stacked_matches_the_broadcast_add(self, rng, rows, channels, positions):
+        out = rng.standard_normal((3, rows, channels))
+        bias = rng.standard_normal((3, channels))
+        expected = out + bias[:, None, :]
+        F.add_conv_bias(out, bias, positions)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_a_strided_output_is_refused(self, rng):
+        out = rng.standard_normal((8, 12))[:, ::2]
+        with pytest.raises(ShapeError):
+            F.add_conv_bias(out, np.zeros(6), 2)
+
+    @pytest.mark.parametrize("lowrank", [False, True], ids=["conv", "lowrank"])
+    def test_conv_forward_is_the_gemm_plus_the_bias(self, rng, lowrank):
+        from repro.nn.layers import Conv2D, LowRankConv2D
+
+        if lowrank:
+            layer = LowRankConv2D(3, 8, 5, rank=4, padding=2, rng=0)
+        else:
+            layer = Conv2D(3, 8, 5, padding=2, rng=0)
+        layer.bias.data = rng.standard_normal(8)
+        x = rng.standard_normal((4, 3, 8, 8))
+        cols, out_h, out_w = F.im2col(x, 5, 5, 1, 2)
+        if lowrank:
+            gemm = (cols @ layer.v.data) @ layer.u.data.T
+        else:
+            gemm = cols @ layer.weight_matrix.T
+        expected = (gemm + layer.bias.data).reshape(4, out_h, out_w, 8).transpose(0, 3, 1, 2)
+        assert layer.eval().forward(x).tobytes() == expected.tobytes()

@@ -33,9 +33,10 @@ from repro.experiments import (
     spec_for_workload,
     train_baseline,
 )
-from repro.experiments.resilience import RunMonitor, openblas_symbol
+from repro.experiments.resilience import RunMonitor
 from repro.hardware.routing import RoutingAnalysisCache, analyze_routing, mask_fingerprint
 from repro.nn import GroupLassoRegularizer
+from repro.utils.blas import openblas_symbol
 from repro.utils.rng import derive_point_seed
 
 
