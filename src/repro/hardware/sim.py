@@ -696,12 +696,11 @@ def _run_classes(
     stop: int,
 ) -> List[np.ndarray]:
     """Per-corner classes of the batches of ``inputs[start:stop]``."""
-    parts: List[List[np.ndarray]] = [[] for _ in corners]
-    for begin in range(start, stop, batch_size):
-        batch = inputs[begin : min(begin + batch_size, stop)]
-        for part, classes in zip(parts, _batch_classes(corners, batch)):
-            part.append(classes)
-    return [np.concatenate(part) for part in parts]
+    batches = [
+        _batch_classes(corners, inputs[begin : min(begin + batch_size, stop)])
+        for begin in range(start, stop, batch_size)
+    ]
+    return [np.concatenate(per_corner) for per_corner in zip(*batches)]
 
 
 def _usable_cpus() -> int:
