@@ -174,6 +174,9 @@ def _register_paper_presets(registry: ExperimentRegistry) -> None:
             workload="convnet",
             scale="small",
             grid=(0.02, 0.08, 0.20),
+            # One process per ε point: the points' layer shapes diverge at
+            # the first clip, so they cannot stack, but they train side by side.
+            engine=SweepEngine(workers=3),
         ),
         description="Figure 7: crossbar area versus classification error over ε (ConvNet)",
     )

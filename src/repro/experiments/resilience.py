@@ -11,15 +11,24 @@ at point granularity:
   the run; the remaining points still execute and the caller persists a
   partial artifact.  ``strict=True`` restores abort-on-first-failure.
 * **Retry with deterministic results** — :class:`RetryPolicy` re-runs
-  transiently failing points.  Tasks are pure values and each attempt runs
-  on a fresh copy (the pool pickles the pristine parent-side task per
-  submission; the serial path deep-copies), with per-point seeds derived
-  from ``(setup.seed, index)``, so a retried point's payload is
+  transiently failing points.  Point functions train their task's network
+  in place, so every pool attempt (and every serial attempt when retries
+  are possible) trains a fresh deep copy of the pristine network; setups
+  and datasets are only read, so attempts share them.  Per-point seeds
+  derive from ``(setup.seed, index)``, so a retried point's payload is
   bit-identical to a clean run's.
 * **Worker supervision** — per-point wall-clock timeouts on the pool path
   (a hung worker is terminated and the pool rebuilt), ``BrokenProcessPool``
   recovery that resubmits only the lost points, and graceful degradation to
   supervised serial execution after repeated pool failures.
+* **Fork-fed pools** — every pool, rebuilt ones included, hands the whole
+  task list to its workers through the initializer: ``fork`` inherits it
+  without pickling (where the platform has no ``fork``, each worker
+  unpickles it once), and a submission carries only the point's slot.
+  While a pool runs, the parent holds
+  :func:`repro.utils.blas.single_blas_thread`: it only waits and finishes
+  returned points, and a second BLAS thread there competed with the
+  workers for the cores.
 * **Interrupt draining** — on the first SIGINT the monitor stops submitting
   new points, drains in-flight futures, and lets the caller persist what
   finished; a second SIGINT aborts immediately.
@@ -49,7 +58,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 from repro.exceptions import ConfigurationError, PointFailureError, PointTimeoutError
 from repro.utils import faultinject
-from repro.utils.blas import pin_worker_blas
+from repro.utils.blas import pin_worker_blas, single_blas_thread
 from repro.utils.logging import get_logger
 
 logger = get_logger("experiments.resilience")
@@ -287,6 +296,21 @@ def _call_point(point_fn: Callable, task: Any, index: int, attempt: int) -> Any:
     return point_fn(task)
 
 
+def _fresh_attempt(task: Any) -> Any:
+    """``task`` with a deep copy of its network, so an attempt starts pristine.
+
+    Point functions train ``task.network`` in place; everything else a task
+    holds (setup, datasets, config) is only read, so the copy shares it.  A
+    task without a network is returned as it is.
+    """
+    network = getattr(task, "network", None)
+    if network is None:
+        return task
+    attempt = copy.copy(task)
+    attempt.network = copy.deepcopy(network)
+    return attempt
+
+
 def _task_label(task: Any, slot: int) -> str:
     for attr in ("tolerance", "strength"):
         value = getattr(task, attr, None)
@@ -373,10 +397,9 @@ def _serial_map(
         start = time.monotonic()
         while True:
             submission += 1
-            # Point functions mutate their task's network in place, so a
-            # retry must start from a pristine copy.  Only pay for the copy
-            # when retries are actually possible.
-            attempt_task = copy.deepcopy(task) if policy.max_attempts > 1 else task
+            # A retry must start from a pristine network: only pay for the
+            # copy when retries are actually possible.
+            attempt_task = _fresh_attempt(task) if policy.max_attempts > 1 else task
             if prepare is not None:
                 prepare(attempt_task)
             try:
@@ -418,7 +441,29 @@ def _serial_map(
     return results
 
 
-def _make_pool(engine: Any, size: int) -> ProcessPoolExecutor:
+#: The task list a pool worker serves, set by :func:`_start_pool_worker`.
+_WORKER_TASKS: Sequence[Any] = ()
+
+
+def _start_pool_worker(tasks: Sequence[Any]) -> None:
+    """Pool initializer: pin the worker's BLAS and keep the pool's tasks."""
+    global _WORKER_TASKS
+    pin_worker_blas()
+    _WORKER_TASKS = tasks
+
+
+def _call_slot(point_fn: Callable, slot: int, index: int, attempt: int) -> Any:
+    """Pool task: one attempt at the worker's task ``slot``, on a fresh network."""
+    return _call_point(point_fn, _fresh_attempt(_WORKER_TASKS[slot]), index, attempt)
+
+
+def _make_pool(engine: Any, size: int, tasks: Sequence[Any]) -> ProcessPoolExecutor:
+    """A pool whose workers inherit ``tasks`` through the initializer.
+
+    Under ``fork`` the workers inherit the parent's task list unpickled; the
+    default context of a platform without ``fork`` pickles it once per
+    worker.
+    """
     try:
         context = mp.get_context("fork")
     except ValueError:  # no fork on this platform: the default context
@@ -426,7 +471,8 @@ def _make_pool(engine: Any, size: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(
         max_workers=min(engine.workers, max(size, 1)),
         mp_context=context,
-        initializer=pin_worker_blas,
+        initializer=_start_pool_worker,
+        initargs=(tasks,),
     )
 
 
@@ -438,10 +484,19 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
+@single_blas_thread()
 def _pool_map(
     engine: Any, point_fn: Callable, tasks: List[Any], monitor: RunMonitor
 ) -> Dict[int, Any]:
     """Supervised process fan-out: retry, timeout, and pool-rebuild recovery.
+
+    Every pool this map makes, rebuilt ones included, is forked with the
+    same pristine ``tasks`` (:func:`_make_pool`); a submission sends only
+    ``(point_fn, slot, index, attempt)``, and the worker runs the attempt
+    on a fresh copy of its task's network (:func:`_call_slot`).  The parent
+    runs one BLAS thread for the map's lifetime
+    (:func:`~repro.utils.blas.single_blas_thread`) and restores its count
+    on the way out, however the map ends.
 
     A broken pool dooms every in-flight future without saying which task
     killed the worker, so after the first break the map switches to
@@ -463,7 +518,7 @@ def _pool_map(
     isolating = False
     queued: List[int] = []
     solo_breakers: set = set()
-    pool = _make_pool(engine, len(tasks))
+    pool = _make_pool(engine, len(tasks), tasks)
     futures: Dict[Any, int] = {}
     deadlines: Dict[Any, float] = {}
     broken_submits: List[int] = []
@@ -476,9 +531,7 @@ def _pool_map(
         submissions[slot] += 1
         index = _task_index(tasks[slot], slot)
         try:
-            future = pool.submit(
-                _call_point, point_fn, tasks[slot], index, submissions[slot]
-            )
+            future = pool.submit(_call_slot, point_fn, slot, index, submissions[slot])
         except BrokenProcessPool:
             # The pool died between ticks; queue the slot for the rebuild
             # pass instead of losing it.
@@ -612,7 +665,7 @@ def _pool_map(
                     monitor.pool_rebuilds,
                     len(remaining),
                 )
-                pool = _make_pool(engine, 1)
+                pool = _make_pool(engine, 1, tasks)
                 for slot in remaining:
                     submit(slot)
                 continue
@@ -639,7 +692,7 @@ def _pool_map(
                     deadlines.clear()
                     _kill_pool(pool)
                     monitor.pool_rebuilds += 1
-                    pool = _make_pool(engine, len(open_slots))
+                    pool = _make_pool(engine, len(open_slots), tasks)
                     for slot in survivors:
                         submit(slot)
                     for slot in expired_slots:

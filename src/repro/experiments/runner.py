@@ -6,8 +6,9 @@ retrain from one shared baseline.  The points are mutually independent, so a
 :class:`SweepEngine` executes them as self-contained *point tasks*:
 
 * **Process fan-out** — with ``workers >= 2`` the tasks run on a
-  ``ProcessPoolExecutor`` (``fork`` start method where available, one BLAS
-  thread per worker); with ``workers=1`` the same task functions run inline,
+  ``ProcessPoolExecutor`` (``fork`` start method where available, tasks
+  inherited rather than pickled, one BLAS thread per worker and in the
+  waiting parent); with ``workers=1`` the same task functions run inline,
   so the serial path and the parallel path execute byte-for-byte identical
   code on identical payloads.  Every payload is a pure value (network copy,
   training setup, config): no shared mutable state crosses a task boundary,
@@ -83,12 +84,17 @@ class SweepEngine:
     workers:
         Number of worker processes for sweep points.  ``1`` (default) runs
         the point tasks inline; ``>= 2`` fans them out over a process pool
-        whose workers each run single-threaded BLAS.  Point results are
-        bit-identical either way.  A λ sweep's ``routing_cache_stats`` are
-        not: each worker's routing-analysis cache starts cold, so the pool
-        records more misses (small-scale ``figure8``, seed 0: 260 hits / 34
-        misses with ``--engine-mode points --workers 2`` against 272 / 22
-        serial or lockstep).
+        whose workers each run single-threaded BLAS.  The tasks reach the
+        workers through ``fork``, unpickled; each submission carries only a
+        slot number.  The parent runs one BLAS thread while the workers run
+        and restores its count after.  Point results are bit-identical
+        either way.  A λ sweep's ``routing_cache_stats`` are not: each
+        worker's routing-analysis cache starts cold, so the pool records
+        more misses (small-scale ``figure8``, seed 0: 260 hits / 34 misses
+        with ``--engine-mode points --workers 2`` against 272 / 22 serial or
+        lockstep).  ``figure7`` registers 3 workers, one per ε point: on 2
+        CPUs its three equal points finish in about 1.5 point-times instead
+        of 2.
     per_point_seed:
         Derive an independent, order-insensitive seed per point instead of
         sharing the baseline's data stream across points.
@@ -196,10 +202,11 @@ class SweepEngine:
         """Run ``point_fn`` over every task, serially or process-fanned.
 
         ``point_fn`` must be a module-level function and every task a pure
-        picklable value.  The serial path consumes ``tasks`` lazily, so
+        picklable value (a platform without ``fork`` pickles the tasks into
+        each worker).  The serial path consumes ``tasks`` lazily, so
         generators keep only one point's payload (e.g. its network deep
-        copy) alive at a time; the parallel path materializes them to feed
-        the pool.  The tasks run under ``monitor``'s supervision
+        copy) alive at a time; the parallel path materializes them for the
+        workers to inherit.  The tasks run under ``monitor``'s supervision
         (retry/timeout/pool-rebuild per this engine's ``retry`` policy,
         failures isolated per point); returns ``{position: outcome}`` for
         the points that succeeded.

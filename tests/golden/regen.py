@@ -2,9 +2,10 @@
 
 usage: PYTHONPATH=src python tests/golden/regen.py
 
-Runs every registered preset at ``--scale tiny``, plus two engine-policy
+Runs every registered preset at ``--scale tiny``, plus three engine-policy
 variants (figure8 with ``mode="points"``, the per-point path beside its
-registered lockstep policy, and figure6 with ``workers=2``), each
+registered lockstep policy; figure6 with ``workers=2``; and figure7 with
+``workers=1``, the serial path beside its registered 3-worker pool), each
 into its own throwaway :class:`~repro.experiments.store.RunStore`, and writes
 ``manifest.json`` next to this file.  Per entry the manifest records:
 
@@ -45,6 +46,7 @@ from repro.utils.blas import openblas_symbol  # noqa: E402
 VARIANTS: Dict[str, Tuple[str, Dict[str, Any]]] = {
     "figure8@points": ("figure8", {"mode": "points"}),
     "figure6@workers2": ("figure6", {"workers": 2}),
+    "figure7@serial": ("figure7", {"workers": 1}),
 }
 
 

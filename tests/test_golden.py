@@ -1,7 +1,8 @@
 """Golden-artifact tests: the pinned numbers themselves, not path agreement.
 
 Every entry of ``tests/golden/manifest.json`` (the registered presets at
-``--scale tiny`` plus a per-point figure8 and a ``workers=2`` figure6) runs
+``--scale tiny`` plus a per-point figure8, a ``workers=2`` figure6 and a
+serial figure7) runs
 into a fresh :class:`~repro.experiments.store.RunStore`.  Spec and point
 fingerprints are asserted everywhere; payload sha256 digests are asserted
 when this host matches the manifest's platform key (float rounding depends
@@ -50,7 +51,12 @@ def test_payload_digest_pinned(outcomes, name):
 
 
 @pytest.mark.parametrize(
-    "variant, preset", [("figure8@points", "figure8"), ("figure6@workers2", "figure6")]
+    "variant, preset",
+    [
+        ("figure8@points", "figure8"),
+        ("figure6@workers2", "figure6"),
+        ("figure7@serial", "figure7"),
+    ],
 )
 def test_engine_policy_matches_serial_payload(outcomes, variant, preset):
     assert outcomes[variant]["payload"] == outcomes[preset]["payload"]

@@ -1,12 +1,16 @@
 """Tests for the sweep execution engine and its supporting machinery.
 
 Covers: serial↔parallel bit-identity of sweep points (``workers=1`` vs
-``workers=2``), single-threaded BLAS in pool workers, deterministic per-point
+``workers=2``), single-threaded BLAS in pool workers, the fork-fed pool (no
+setup pickled, pristine networks on retry and rebuild), deterministic per-point
 seeding, lockstep sweeps and the architecture signature a stack checks,
 routing-analysis memoization (hit counts during group-deletion record
 steps), the vectorized crossbar group Lasso, and the stub-row rendering of
 the sweep tables.
 """
+
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -33,9 +37,13 @@ from repro.experiments import (
     spec_for_workload,
     train_baseline,
 )
-from repro.experiments.resilience import RunMonitor
+from repro.experiments.plan import build_plan, make_point_task
+from repro.experiments.resilience import RetryPolicy, RunMonitor, _pool_map
+from repro.experiments.runner import run_tolerance_point
+from repro.experiments.training import TrainingSetup
 from repro.hardware.routing import RoutingAnalysisCache, analyze_routing, mask_fingerprint
 from repro.nn import GroupLassoRegularizer
+from repro.utils import faultinject
 from repro.utils.blas import openblas_symbol
 from repro.utils.rng import derive_point_seed
 
@@ -135,6 +143,95 @@ class TestPoolWorkers:
             pytest.skip("numpy's OpenBLAS library was not found")
         outcomes = SweepEngine(workers=2).map_points(_blas_threads, [0, 1], RunMonitor())
         assert outcomes == {0: 1, 1: 1}
+
+
+def tolerance_tasks(trained_baseline):
+    """Fresh ε point tasks over the module's baseline, as the graph builds them."""
+    workload, network, _, setup = trained_baseline
+    spec = spec_for_workload(
+        "sweep", workload, method="rank_clipping", grid=tuple(TOLERANCES)
+    )
+    return [
+        make_point_task(spec, workload, setup, network, point)
+        for point in build_plan(spec).points
+    ]
+
+
+def clipped(outcomes):
+    """``{slot: (ranks, weight bytes)}`` of ε outcomes, for bitwise comparison."""
+    return {
+        slot: (
+            outcome.ranks,
+            {name: value.tobytes() for name, value in outcome.network.state_dict().items()},
+        )
+        for slot, outcome in outcomes.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def serial_clipped(trained_baseline):
+    tasks = tolerance_tasks(trained_baseline)
+    return clipped(SweepEngine().map_points(run_tolerance_point, tasks, RunMonitor()))
+
+
+#: Marker file of :func:`_clip_then_fail_once`; forked workers inherit it.
+_FAIL_ONCE_MARKER = ""
+
+
+def _clip_then_fail_once(task):
+    """Pool task: clip ``task.network`` in place, then fail the first run anywhere."""
+    outcome = run_tolerance_point(task)
+    try:
+        os.close(os.open(_FAIL_ONCE_MARKER, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return outcome
+    raise RuntimeError("failed after training its network")
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the pool hands its tasks over through fork",
+)
+class TestForkFedPool:
+    def test_no_setup_is_pickled(self, trained_baseline, serial_clipped, monkeypatch):
+        tasks = tolerance_tasks(trained_baseline)
+
+        def refuse(self):
+            raise AssertionError("a TrainingSetup was pickled")
+
+        monkeypatch.setattr(TrainingSetup, "__reduce__", refuse)
+        monitor = RunMonitor()
+        outcomes = SweepEngine(workers=2).map_points(run_tolerance_point, tasks, monitor)
+        assert not monitor.failures
+        assert clipped(outcomes) == serial_clipped
+
+    def test_retry_trains_a_pristine_network(
+        self, trained_baseline, serial_clipped, tmp_path, monkeypatch
+    ):
+        monkeypatch.setitem(globals(), "_FAIL_ONCE_MARKER", str(tmp_path / "failed"))
+        engine = SweepEngine(workers=2, retry=RetryPolicy(max_attempts=2))
+        monitor = RunMonitor()
+        # One task makes a one-worker pool, so the retry runs in the worker
+        # whose inherited task the failed attempt started from.
+        outcomes = _pool_map(
+            engine, _clip_then_fail_once, tolerance_tasks(trained_baseline)[:1], monitor
+        )
+        assert not monitor.failures
+        assert monitor.attempts == {0: 2}
+        assert clipped(outcomes) == {0: serial_clipped[0]}
+
+    def test_isolation_rebuilds_fork_pristine_tasks(self, trained_baseline, serial_clipped):
+        # The first kill breaks the 2-worker pool; the second breaks the
+        # isolation pool that point 0 then runs in alone.
+        plan = [{"site": "point", "kind": "kill", "index": 0, "attempts": [1, 2]}]
+        monitor = RunMonitor()
+        with faultinject.injected(plan):
+            outcomes = SweepEngine(workers=2).map_points(
+                run_tolerance_point, tolerance_tasks(trained_baseline), monitor
+            )
+        assert monitor.pool_rebuilds == 2
+        assert not monitor.failures
+        assert clipped(outcomes) == serial_clipped
 
 
 class TestLockstepMode:

@@ -1,12 +1,20 @@
-"""Tests for repro.utils (rng, validation, logging, serialization) and exceptions."""
+"""Tests for repro.utils (rng, validation, logging, serialization, BLAS pin) and exceptions."""
 
 import logging
+import random
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro import exceptions
-from repro.exceptions import ReproError, ShapeError
+from repro.exceptions import PointFailureError, ReproError, ShapeError
+from repro.experiments import SweepEngine
+from repro.experiments.resilience import RunMonitor
+from repro.utils import blas, faultinject
+from repro.utils.blas import single_blas_thread
 from repro.utils.logging import get_logger, set_verbosity
 from repro.utils.rng import as_rng, derive_seed, spawn_rng, temporary_seed
 from repro.utils.serialization import load_json, load_state_dict, save_json, save_state_dict
@@ -161,3 +169,104 @@ class TestSerialization:
         assert loaded["ranks"]["conv1"] == 5
         assert loaded["curve"] == [1.0, 0.5]
         assert loaded["nested"][1]["k"] is True
+
+
+def _echo(task):
+    """Pool task: its own value."""
+    return task
+
+
+def _fail_odd(task):
+    """Pool task: fails on odd values."""
+    if task % 2:
+        raise ValueError(f"point {task} fails")
+    return task
+
+
+@pytest.fixture
+def blas_threads():
+    """Run numpy's OpenBLAS on 2 threads for the test; yields the count getter."""
+    api = blas._thread_count_api()
+    if api is None:
+        pytest.skip("numpy's OpenBLAS library was not found")
+    get_threads, set_threads = api
+    before = get_threads()
+    set_threads(2)
+    try:
+        if get_threads() != 2:
+            pytest.skip("this OpenBLAS cannot run 2 threads")
+        yield get_threads
+    finally:
+        set_threads(before)
+
+
+class TestSingleBlasThread:
+    def test_parent_runs_one_thread_during_a_pool_map(self, blas_threads):
+        seen = []
+        monitor = RunMonitor(on_success=lambda slot, outcome: seen.append(blas_threads()))
+        outcomes = SweepEngine(workers=2).map_points(_echo, [0, 1], monitor)
+        assert outcomes == {0: 0, 1: 1}
+        assert seen == [1, 1]
+
+    @pytest.mark.parametrize(
+        "point_fn, faults, strict",
+        [
+            (_echo, [], False),
+            (_fail_odd, [], False),
+            (_fail_odd, [], True),
+            (_echo, [{"site": "point", "kind": "kill", "index": 0}], False),
+        ],
+        ids=["succeeded", "point-failed", "strict-raised", "pool-broke"],
+    )
+    def test_map_restores_the_count(self, blas_threads, point_fn, faults, strict):
+        monitor = RunMonitor(strict=strict)
+        with faultinject.injected(faults):
+            try:
+                SweepEngine(workers=2).map_points(point_fn, [0, 1], monitor)
+            except PointFailureError:
+                assert strict
+        if faults:
+            assert monitor.pool_rebuilds > 0
+        assert blas_threads() == 2
+
+    def test_last_holder_out_restores(self, blas_threads):
+        first, second = single_blas_thread(), single_blas_thread()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)  # not the last out: still pinned
+        assert blas_threads() == 1
+        second.__exit__(None, None, None)
+        assert blas_threads() == 2
+
+    def test_overlapping_holders_across_threads(self, blas_threads):
+        readings, errors = [], []
+
+        def hold(delays):
+            try:
+                for delay in delays:
+                    with single_blas_thread():
+                        time.sleep(delay)
+                        readings.append(blas_threads())
+            except BaseException as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        rng = random.Random(0)
+        threads = [
+            threading.Thread(
+                target=hold, args=([rng.uniform(0, 1e-3) for _ in range(25)],), daemon=True
+            )
+            for _ in range(8)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(readings) == 8 * 25 and set(readings) == {1}
+        assert blas_threads() == 2
