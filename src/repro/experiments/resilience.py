@@ -28,7 +28,7 @@ at point granularity:
   While a pool runs, the parent holds
   :func:`repro.utils.blas.single_blas_thread`: it only waits and finishes
   returned points, and a second BLAS thread there competed with the
-  workers for the cores.
+  workers for the cores and raised the run's peak RSS.
 * **Interrupt draining** — on the first SIGINT the monitor stops submitting
   new points, drains in-flight futures, and lets the caller persist what
   finished; a second SIGINT aborts immediately.
@@ -288,9 +288,10 @@ class RunMonitor:
 def _call_point(point_fn: Callable, task: Any, index: int, attempt: int) -> Any:
     """One supervised point attempt — the fault-injection hook site.
 
-    Module-level so process pools can pickle it.  ``attempt`` is the
-    1-based submission number for this point, pool resubmissions included,
-    so attempt-scoped faults (``attempts=(1,)``) fire exactly once.
+    The serial path calls it directly and pool workers through
+    :func:`_call_slot`.  ``attempt`` is the 1-based submission number for
+    this point, pool resubmissions included, so attempt-scoped faults
+    (``attempts=(1,)``) fire exactly once.
     """
     faultinject.fire("point", index=index, attempt=attempt)
     return point_fn(task)

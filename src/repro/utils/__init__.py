@@ -10,7 +10,8 @@ The submodules are intentionally small and dependency-free:
 * :mod:`repro.utils.serialization` — save/load of parameter dictionaries and
   experiment records to ``.npz`` / JSON files.
 * :mod:`repro.utils.blas` — handles on numpy's OpenBLAS, which forked pool
-  workers use to pin their BLAS to one thread.
+  workers use to pin their BLAS to one thread, and which a sweep pool's
+  parent holds at one thread while its workers run.
 """
 
 from repro.utils.logging import get_logger, set_verbosity

@@ -7,12 +7,13 @@ oversubscribe the cores.
 
 While the sweep engine's workers train, the parent only waits on them and
 finishes the points they return, so it holds :func:`single_blas_thread` for
-the pool's lifetime: with its second BLAS thread the parent competed with
-the workers for the cores and grew its peak RSS (small ``figure7`` on 3
-workers: 86.1 MiB against 80.7 MiB pinned, 80.6 MiB serial).  A whole run is
-not pinned: serial ``figure7`` was slower at one thread (3.41 → 3.74 s
-median).  OpenBLAS gives the same bytes at one thread as at two, so the pin
-moves no result.
+the pool's lifetime.  With its second BLAS thread the parent competed with
+the workers for the cores and grew the run's peak RSS: small ``figure7`` on
+3 workers read 86.0 MiB unpinned and 80.5 MiB pinned, the same as serial
+(2-core x86_64, ``OPENBLAS_NUM_THREADS=2``).  A whole run is not pinned:
+serial ``figure7`` took 3.78 s median at one thread against 3.69 s at two
+(6 alternating runs).  OpenBLAS gives the same bytes at one thread as at
+two, so the pin moves no result.
 """
 
 from __future__ import annotations
