@@ -44,7 +44,7 @@ from repro.experiments.training import TrainingSetup
 from repro.hardware.routing import RoutingAnalysisCache, analyze_routing, mask_fingerprint
 from repro.nn import GroupLassoRegularizer
 from repro.utils import faultinject
-from repro.utils.blas import openblas_symbol
+from repro.utils import blas
 from repro.utils.rng import derive_point_seed
 
 
@@ -127,19 +127,15 @@ class TestSerialParallelParity:
             SweepEngine(mode="turbo")
 
 
-#: The getters matching the setters the pool-worker initializer looks for.
-_GET_NUM_THREADS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
-
-
 def _blas_threads(_task):
     """Pool task: the OpenBLAS thread count of the process that runs it."""
-    return openblas_symbol(*_GET_NUM_THREADS)()
+    return blas._thread_count_api()[0]()
 
 
 class TestPoolWorkers:
     def test_workers_run_single_threaded_blas(self):
         """Forked workers must not inherit the parent's multithreaded BLAS."""
-        if openblas_symbol(*_GET_NUM_THREADS) is None:
+        if blas._thread_count_api() is None:
             pytest.skip("numpy's OpenBLAS library was not found")
         outcomes = SweepEngine(workers=2).map_points(_blas_threads, [0, 1], RunMonitor())
         assert outcomes == {0: 1, 1: 1}
