@@ -12,9 +12,10 @@ at point granularity:
   partial artifact.  ``strict=True`` restores abort-on-first-failure.
 * **Retry with deterministic results** — :class:`RetryPolicy` re-runs
   transiently failing points.  Point functions train their task's network
-  in place, so every pool attempt (and every serial attempt when retries
-  are possible) trains a fresh deep copy of the pristine network; setups
-  and datasets are only read, so attempts share them.  Per-point seeds
+  in place, so every pool attempt, every serial attempt when retries are
+  possible, and a lost lockstep stack's serial re-run train a fresh deep
+  copy of the pristine network; setups and datasets are only read, so
+  attempts share them.  Per-point seeds
   derive from ``(setup.seed, index)``, so a retried point's payload is
   bit-identical to a clean run's.
 * **Worker supervision** — per-point wall-clock timeouts on the pool path
@@ -788,8 +789,8 @@ def _supervised_lockstep(
     from repro.experiments.runner import _run_lockstep_strength_points
 
     # Lockstep trains every network in the stack in place; keep pristine
-    # copies so a failure can restart point-by-point cleanly.
-    pristine = copy.deepcopy(tasks)
+    # networks so a failure can restart point-by-point cleanly.
+    pristine = [_fresh_attempt(task) for task in tasks]
     try:
         for slot, task in enumerate(tasks):
             faultinject.fire("point", index=_task_index(task, slot), attempt=1)

@@ -20,6 +20,7 @@ from repro.exceptions import (
 from repro.experiments import REGISTRY, ExperimentSpec, RunStore, execute_spec
 from repro.experiments.resilience import PointFailure, RetryPolicy, RunMonitor
 from repro.experiments.store import compare_artifacts, render_artifact
+from repro.experiments.training import TrainingSetup
 from repro.obs import Observability, Tracer, read_trace_file
 from repro.utils import faultinject
 from repro.utils.faultinject import InjectedFault
@@ -360,7 +361,14 @@ class TestLockstepFaults:
     """The ``point`` site reaches the lockstep stack: attempt 1 is the stack,
     and the serial re-run from pristine copies continues at attempt 2."""
 
-    def test_lost_stack_reruns_serially_bit_identically(self, tmp_path, clean_figure8):
+    def test_lost_stack_reruns_serially_bit_identically(
+        self, tmp_path, clean_figure8, monkeypatch
+    ):
+        def refuse(self, memo):
+            raise AssertionError("a TrainingSetup was deep-copied")
+
+        # The pristine copies share the points' read-only setup and datasets.
+        monkeypatch.setattr(TrainingSetup, "__deepcopy__", refuse, raising=False)
         obs = Observability(tracer=Tracer(tmp_path / "traces.jsonl"))
         plan = [{"site": "point", "kind": "raise", "index": 0, "attempts": [1]}]
         with faultinject.injected(plan):
