@@ -15,9 +15,8 @@ at point granularity:
   in place, so every pool attempt, every serial attempt when retries are
   possible, and a lost lockstep stack's serial re-run train a fresh deep
   copy of the pristine network; setups and datasets are only read, so
-  attempts share them.  Per-point seeds
-  derive from ``(setup.seed, index)``, so a retried point's payload is
-  bit-identical to a clean run's.
+  attempts share them.  Per-point seeds derive from ``(setup.seed,
+  index)``, so a retried point's payload is bit-identical to a clean run's.
 * **Worker supervision** — per-point wall-clock timeouts on the pool path
   (a hung worker is terminated and the pool rebuilt), ``BrokenProcessPool``
   recovery that resubmits only the lost points, and graceful degradation to
