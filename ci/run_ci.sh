@@ -101,10 +101,12 @@ else
   grep -q "0 computed" <<< "$REREAD_OUT"
 
   echo "== CLI chaos smoke: lost lockstep stack -> serial re-run(0), clean payload =="
-  # figure8 trains its λ points as one lockstep stack, which is every
-  # point's attempt 1.  A fault there must cost only time: the points re-run
-  # serially from pristine copies at attempt 2, all three compute (exit 0),
-  # and the result payload equals a clean run's.
+  # figure8 trains its λ points as lockstep stacks (the parent's stack of
+  # two beside a forked worker's stack of one on two or more CPUs), which
+  # are every point's attempt 1.  The fault fires in the parent before any
+  # stack trains, so it costs only time: every point re-runs serially from
+  # its pristine copy at attempt 2, all three compute (exit 0), and the
+  # result payload equals a clean run's.
   FIG8_CLEAN="$(python -m repro run figure8 --scale tiny --no-store --json)"
   FIG8_CHAOS="$(python -m repro run figure8 --scale tiny --no-store --json \
     --faults '[{"site": "point", "kind": "raise", "index": 0, "attempts": [1]}]')"
@@ -115,6 +117,31 @@ assert not chaos["failed_points"], chaos["failed_points"]
 assert chaos["computed_points"] == 3, chaos["computed_points"]
 assert chaos["result"] == clean["result"], "the lockstep fallback moved the payload"
 print("lockstep chaos smoke OK: 3 computed, payload equals the clean run")
+EOF
+
+  echo "== λ-split smoke: figure8 payload under the full CPU mask and under one CPU =="
+  # With two or more usable CPUs figure8's parent trains λ = 0.01 and 0.03
+  # as one stack while a forked worker trains 0.06; under one CPU all three
+  # train as one stack in the parent.  A stack is bit-identical per point
+  # and the stacks' routing-cache counters merge into one cache's count, so
+  # the payload cannot depend on the CPU mask.  The clean run above used
+  # the full mask; this one pins itself to one CPU before it starts.
+  FIG8_ONE_CPU="$(python - <<'EOF'
+import os, sys
+
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+command = [sys.executable, "-m", "repro", "run", "figure8", "--scale", "tiny",
+           "--no-store", "--json"]
+os.execv(sys.executable, command)
+EOF
+)"
+  python - "$FIG8_CLEAN" "$FIG8_ONE_CPU" <<'EOF'
+import json, os, sys
+
+all_cpus, one_cpu = (json.loads(arg) for arg in sys.argv[1:])
+assert all_cpus["result"] == one_cpu["result"], "the CPU mask moved the figure8 payload"
+print("λ-split smoke OK: %d CPUs and 1 CPU give the same payload"
+      % len(os.sched_getaffinity(0)))
 EOF
 
   echo "== payload digest smoke: perfbench --workload all --seconds 0 =="
@@ -244,7 +271,9 @@ print(f"interleave OK: {len(nodes)} node events, {switches} job switches, "
 PY
   python -m repro watch "$JOB_B" --store "$SCHED_STORE" --timeout 30 > /dev/null
   # figure8 is registered lockstep: its stacked λ points run as one
-  # supervised `points` node between the shared clip and the assembly.
+  # supervised `points` node between the shared clip and the assembly.  The
+  # daemon runs jobs in threads, so on two or more CPUs the split's worker
+  # forks from a threaded parent here.
   JOB_L="$(python -m repro submit figure8 --scale tiny \
            --store "$SCHED_STORE" --json \
            | python -c 'import json, sys; print(json.load(sys.stdin)["job_id"])')"

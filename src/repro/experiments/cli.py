@@ -116,8 +116,9 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "engine execution mode: 'points' runs each sweep point as its own "
             "task; 'lockstep' trains a λ sweep's points together as one "
-            "stack (re-run serially from pristine copies if the stack "
-            "fails; ε sweeps keep the points path)"
+            "stack, split into one stack per process with --workers >= 2 "
+            "(re-run serially from pristine copies if a stack fails; ε "
+            "sweeps keep the points path)"
         ),
     )
     parser.add_argument(

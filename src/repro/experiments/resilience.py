@@ -29,6 +29,13 @@ at point granularity:
   :func:`repro.utils.blas.single_blas_thread`: it only waits and finishes
   returned points, and a second BLAS thread there competed with the
   workers for the cores and raised the run's peak RSS.
+* **Split lockstep stacks** — a λ sweep in lockstep mode with
+  ``workers >= 2`` is cut into contiguous groups, one per process (at most
+  one per usable CPU).  The parent trains the first and largest as a
+  stack while fork-fed workers train the others, and it holds the same
+  one-thread BLAS pin from before the fork until every point is finished.
+  If the parent's stack fails, every point re-runs serially; if a worker
+  raises or dies, only its group's points do.
 * **Interrupt draining** — on the first SIGINT the monitor stops submitting
   new points, drains in-flight futures, and lets the caller persist what
   finished; a second SIGINT aborts immediately.
@@ -39,9 +46,9 @@ spec/point fingerprints exclude the retry policy entirely
 
 Every point attempt fires the :mod:`repro.utils.faultinject` ``point``
 site — in :func:`_call_point` on the serial and pool paths, and once per
-stacked point before a lockstep stack trains — so the chaos test suites
-can inject crashes, hangs, worker kills, and interrupts there to prove each
-recovery path above.
+stacked point, in the parent, before any lockstep stack trains or any
+worker forks — so the chaos test suites can inject crashes, hangs, worker
+kills, and interrupts there to prove each recovery path above.
 """
 
 from __future__ import annotations
@@ -53,11 +60,12 @@ import time
 import traceback as traceback_module
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, PointFailureError, PointTimeoutError
-from repro.utils import faultinject
+from repro.utils import faultinject, usable_cpus
 from repro.utils.blas import pin_worker_blas, single_blas_thread
 from repro.utils.logging import get_logger
 
@@ -719,13 +727,15 @@ def supervised_strength_points(
 ) -> Dict[int, Any]:
     """Execute λ group-deletion points under the engine's policy.
 
-    ``mode="lockstep"`` trains the points as one stack, ``workers >= 2``
-    fans them over a supervised pool, and the serial path threads one
-    routing-analysis cache between points.  Failures isolate per point: a
-    lockstep stack that is refused at construction or fails mid-training
-    is re-run point-by-point under serial supervision from pristine task
-    copies (lockstep mutates networks in place, so the failed stack cannot
-    be reused).
+    ``mode="lockstep"`` trains the points as lockstep stacks: one stack,
+    or with ``workers >= 2`` contiguous groups trained side by side in the
+    parent and fork-fed workers (:func:`_supervised_lockstep`).  In points
+    mode ``workers >= 2`` fans the points over a supervised pool, and the
+    serial path threads one routing-analysis cache between points.
+    Failures isolate per point: a stack that is refused at construction or
+    fails mid-training is re-run point-by-point under serial supervision
+    from pristine task copies (lockstep mutates networks in place, so the
+    failed stack cannot be reused).
     """
     from repro.experiments.runner import run_strength_point
 
@@ -776,39 +786,137 @@ def _serial_strength_points(
     )
 
 
+def _lockstep_groups(engine: Any, points: int) -> List[range]:
+    """The contiguous slot ranges a λ sweep's lockstep stacks train.
+
+    ``min(workers, usable CPUs, points)`` groups, as even as possible, with
+    the first (the parent's) the largest, so the parent finishes last
+    instead of waiting on a worker.  One group where the platform has no
+    ``fork``.
+    """
+    count = min(engine.workers, usable_cpus(), points)
+    if count < 2 or "fork" not in mp.get_all_start_methods():
+        return [range(points)]
+    size, extra = divmod(points, count)
+    cuts = [group * size + min(group, extra) for group in range(count + 1)]
+    return [range(cuts[group], cuts[group + 1]) for group in range(count)]
+
+
+def _train_stack(stack: int) -> List[Any]:
+    """Pool task: train the worker's stack ``stack`` of λ tasks in lockstep."""
+    from repro.experiments.runner import _run_lockstep_strength_points
+
+    return _run_lockstep_strength_points(_WORKER_TASKS[stack])
+
+
+def _train_stacks(engine: Any, stacks: List[List[Any]]) -> Dict[int, List[Any]]:
+    """Train each list of λ tasks as one lockstep stack: ``{stack: outcomes}``.
+
+    The parent trains stack 0 while workers train the others at the same
+    time, each inheriting every stack through :func:`_make_pool` and
+    receiving only its stack's number.  A stack whose worker raised or died
+    is logged and left out of the result; an error in the parent's own
+    stack kills the workers and propagates.
+    """
+    from repro.experiments.runner import _run_lockstep_strength_points
+
+    if len(stacks) == 1:
+        return {0: _run_lockstep_strength_points(stacks[0])}
+    pool = _make_pool(engine, len(stacks) - 1, stacks)
+    clean = False
+    try:
+        futures = [pool.submit(_train_stack, stack) for stack in range(1, len(stacks))]
+        trained = {0: _run_lockstep_strength_points(stacks[0])}
+        for stack, future in enumerate(futures, start=1):
+            try:
+                trained[stack] = future.result()
+            except Exception as error:
+                logger.warning(
+                    "lockstep stack of %s lost in its worker (%s: %s); re-running "
+                    "its points under serial supervision",
+                    ", ".join(_task_label(task, stack) for task in stacks[stack]),
+                    type(error).__name__,
+                    error,
+                )
+        clean = True
+    finally:
+        if clean:
+            pool.shutdown(wait=True)
+        else:
+            _kill_pool(pool)
+    return trained
+
+
 def _supervised_lockstep(
     engine: Any, tasks: List[Any], monitor: RunMonitor
 ) -> Dict[int, Any]:
-    """One lockstep stack, with a serial re-run from pristine copies as its fallback.
+    """λ points as lockstep stacks, with serial re-runs from pristine copies as the fallback.
 
-    The stack is every point's attempt 1 (the ``point`` fault site fires
-    for each before it trains); the serial re-run starts at attempt 2.
-    Like a pool loss, the lost stack charges no point's retry budget.
+    The points are cut into :func:`_lockstep_groups`; with more than one,
+    the parent trains the first as a stack while fork-fed workers train the
+    others (:func:`_train_stacks`), and the parent holds
+    :func:`~repro.utils.blas.single_blas_thread` from before the fork until
+    every point is finished, through ``monitor.record_success`` and the
+    evaluation and journal append behind it.  The groups' routing counters
+    are merged into what one shared cache counts
+    (:func:`~repro.experiments.runner._merge_stack_counters`).
+
+    A stack is its points' attempt 1: the ``point`` fault site fires for
+    every point, in the parent, before any stack trains or any worker
+    forks.  If the parent's stack fails, every point re-runs serially from
+    its pristine copy at attempt 2; if a worker raises or is lost, only its
+    group's points do, warm with the other groups' routing analyses.  Like
+    a pool loss, a lost stack charges no point's retry budget.
     """
-    from repro.experiments.runner import _run_lockstep_strength_points
+    from repro.experiments.runner import _merge_stack_counters
 
     # Lockstep trains every network in the stack in place; keep pristine
     # networks so a failure can restart point-by-point cleanly.
     pristine = [_fresh_attempt(task) for task in tasks]
-    try:
-        for slot, task in enumerate(tasks):
-            faultinject.fire("point", index=_task_index(task, slot), attempt=1)
-        outcomes = _run_lockstep_strength_points(tasks)
-    except KeyboardInterrupt:
-        monitor.interrupted = True
-        return {}
-    except Exception as error:
-        logger.warning(
-            "lockstep sweep failed (%s: %s); re-running its points under "
-            "serial supervision",
-            type(error).__name__,
-            error,
-        )
-        # The lost stack was every point's attempt 1.
-        lost = dict.fromkeys(range(len(pristine)), 1)
-        return _serial_strength_points(engine, pristine, monitor, submissions=lost)
-    results: Dict[int, Any] = {}
-    for slot, outcome in enumerate(outcomes):
-        results[slot] = outcome
-        monitor.record_success(slot, outcome)
+    groups = _lockstep_groups(engine, len(tasks))
+    with single_blas_thread() if len(groups) > 1 else nullcontext():
+        try:
+            for slot, task in enumerate(tasks):
+                faultinject.fire("point", index=_task_index(task, slot), attempt=1)
+            trained = _train_stacks(
+                engine, [[tasks[slot] for slot in group] for group in groups]
+            )
+        except KeyboardInterrupt:
+            monitor.interrupted = True
+            return {}
+        except Exception as error:
+            logger.warning(
+                "lockstep sweep failed (%s: %s); re-running its points under "
+                "serial supervision",
+                type(error).__name__,
+                error,
+            )
+            # The lost stack was every point's attempt 1.
+            lost = dict.fromkeys(range(len(pristine)), 1)
+            return _serial_strength_points(engine, pristine, monitor, submissions=lost)
+        cache = None
+        if len(groups) > 1:
+            cache = _merge_stack_counters([trained[stack] for stack in sorted(trained)])
+        results: Dict[int, Any] = {}
+        for stack in sorted(trained):
+            for slot, outcome in zip(groups[stack], trained[stack]):
+                results[slot] = outcome
+                monitor.record_success(slot, outcome)
+        lost_slots = [
+            slot
+            for stack, group in enumerate(groups)
+            if stack not in trained
+            for slot in group
+        ]
+        if lost_slots:
+            results.update(
+                _serial_strength_points(
+                    engine,
+                    [pristine[slot] for slot in lost_slots],
+                    monitor,
+                    cache=cache,
+                    slots=lost_slots,
+                    submissions=dict.fromkeys(lost_slots, 1),
+                )
+            )
     return results

@@ -13,8 +13,14 @@ retrain from one shared baseline.  The points are mutually independent, so a
   code on identical payloads.  Every payload is a pure value (network copy,
   training setup, config): no shared mutable state crosses a task boundary,
   which is what makes parallel point results bit-identical to serial ones.
-  A λ sweep's ``routing_cache_stats`` are the one exception: each worker's
-  routing-analysis cache starts cold, so the pool records more misses.
+  A λ sweep's ``routing_cache_stats`` on a points-mode pool are the one
+  exception: each worker's routing-analysis cache starts cold, so the pool
+  records more misses.
+* **Lockstep stacks** — ``mode="lockstep"`` trains a λ sweep's points as
+  one stacked program; with ``workers >= 2`` the points are cut into
+  contiguous stacks, the parent training the first and largest while
+  fork-fed workers train the others, and the stacks' routing counters are
+  merged into what one shared cache counts.
 * **Deterministic per-point seeding** — by default every point trains on the
   same data stream as the shared baseline (the paper's "points differ only in
   the swept hyper-parameter" protocol).  ``per_point_seed=True`` instead
@@ -88,13 +94,14 @@ class SweepEngine:
         workers through ``fork``, unpickled; each submission carries only a
         slot number.  The parent runs one BLAS thread while the workers run
         and restores its count after.  Point results are bit-identical
-        either way.  A λ sweep's ``routing_cache_stats`` are not: each
-        worker's routing-analysis cache starts cold, so the pool records
-        more misses (small-scale ``figure8``, seed 0: 260 hits / 34 misses
-        with ``--engine-mode points --workers 2`` against 272 / 22 serial or
-        lockstep).  ``figure7`` registers 3 workers, one per ε point: on 2
-        CPUs its three equal points finish in about 1.5 point-times instead
-        of 2.
+        either way.  A points-mode λ sweep's ``routing_cache_stats`` are
+        not: each worker's routing-analysis cache starts cold, so the pool
+        records more misses (small-scale ``figure8``, seed 0: 260 hits / 34
+        misses with ``--engine-mode points --workers 2`` against 272 / 22
+        serial or lockstep).  ``figure7`` registers 3 workers, one per ε
+        point: on 2 CPUs its three equal points finish in about 1.5
+        point-times instead of 2.  In lockstep mode ``workers`` caps how
+        many processes share the λ stack (see ``mode``).
     per_point_seed:
         Derive an independent, order-insensitive seed per point instead of
         sharing the baseline's data stream across points.
@@ -109,7 +116,15 @@ class SweepEngine:
         a median 12.6 s in lockstep against 14.8 s on the points path, and
         lockstep won all 10 alternating fresh-store pairs (interquartile
         range of the points runs: 1.65 s), so ``figure8`` is registered
-        lockstep.  A stack is fixed for its lifetime; one that is refused
+        lockstep.  With ``workers >= 2`` the points are cut into
+        ``min(workers, usable CPUs, points)`` contiguous stacks: the parent
+        trains the first and largest at one BLAS thread while fork-fed
+        workers train the others, and the stacks' routing counters merge
+        into one cache's count, so the payload does not depend on the
+        split.  One usable CPU or no ``fork`` leaves one stack.
+        ``figure8`` registers 2 workers: the parent trains λ = 0.01 and
+        0.03 and a worker 0.06, so the parent's larger stack finishes
+        last instead of waiting on the worker.  A stack is fixed for its lifetime; one that is refused
         (e.g. active dropout) or fails mid-run re-runs its points serially
         from pristine copies.  ε rank-clipping sweeps always use the points
         path because their points change shape at the first clip.
@@ -226,8 +241,9 @@ class SweepEngine:
     ) -> Dict[int, "StrengthPointOutcome"]:
         """Execute λ group-deletion points under this engine's policy.
 
-        ``mode="lockstep"`` trains the points as one stack (a single point
-        runs serially); ``mode="points"`` runs the tasks independently.
+        ``mode="lockstep"`` trains the points as stacks (one, or one per
+        process with ``workers >= 2``; a single point runs serially);
+        ``mode="points"`` runs the tasks independently.
         On the serial points path, routing-analysis cache entries are
         threaded between tasks — each point starts with every entry earlier
         points discovered.  On the parallel path every worker's entries come
@@ -334,7 +350,9 @@ def _run_lockstep_strength_points(
     varying field is the strength, so they always stack together.  Any
     error — a stack refused at construction included — propagates to
     :func:`~repro.experiments.resilience.supervised_strength_points`, which
-    re-runs the points serially from pristine copies.
+    re-runs the points serially from pristine copies.  The stack's routing
+    cache starts empty; its counters and exported entries ride the first
+    outcome.
     """
     cache = RoutingAnalysisCache()
     setups = [task.setup for task in tasks]
@@ -351,7 +369,7 @@ def _run_lockstep_strength_points(
         record_interval=tasks[0].record_interval,
         routing_cache=cache,
     )
-    stats = cache.stats()
+    stats, entries = cache.stats(), cache.export_entries()
     return [
         StrengthPointOutcome(
             index=task.index,
@@ -360,6 +378,38 @@ def _run_lockstep_strength_points(
             wire_fractions=result.wire_fractions(),
             routing_area_fractions=result.routing_area_fractions(),
             routing_cache_stats=stats if slot == 0 else None,
+            routing_cache_entries=entries if slot == 0 else None,
         )
         for slot, (task, result) in enumerate(zip(tasks, results))
     ]
+
+
+def _merge_stack_counters(
+    stacks: Sequence[Sequence[StrengthPointOutcome]],
+) -> RoutingAnalysisCache:
+    """Count the routing analyses of separately trained stacks as one cache would.
+
+    Each stack's cache started empty, and its first outcome carries its
+    counters and entries (:func:`_run_lockstep_strength_points`).  Returns a
+    cache holding every stack's entries whose ``misses`` are the distinct
+    keys among them and whose ``hits`` are all the stacks' lookups less
+    those misses, and moves its counters onto the first stack's first
+    outcome (the other stacks' lose theirs).  That is what one cache shared
+    by every point counts as long as no cache evicts (``maxsize`` 256;
+    small ``figure8`` computes 22 analyses).  A stack whose cache evicted
+    exports only the keys it kept, so the merge then counts fewer misses
+    than were computed and as many more hits.
+    """
+    cache = RoutingAnalysisCache()
+    keys = set()
+    lookups = 0
+    for outcomes in stacks:
+        first = outcomes[0]
+        cache.merge_entries(first.routing_cache_entries)
+        keys.update(key for key, _ in first.routing_cache_entries)
+        lookups += first.routing_cache_stats["hits"] + first.routing_cache_stats["misses"]
+        first.routing_cache_stats = None
+    cache.misses = len(keys)
+    cache.hits = lookups - cache.misses
+    stacks[0][0].routing_cache_stats = cache.stats()
+    return cache

@@ -94,7 +94,6 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing as mp
-import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -111,6 +110,7 @@ from repro.nn.dtype import as_float
 from repro.nn.layers import Conv2D, Linear, LowRankConv2D, LowRankLinear
 from repro.nn.metrics import accuracy
 from repro.nn.network import Sequential
+from repro.utils import usable_cpus
 from repro.utils.blas import pin_worker_blas
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_positive_int
@@ -703,14 +703,6 @@ def _run_classes(
     return [np.concatenate(per_corner) for per_corner in zip(*batches)]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
 def _batch_runs(samples: int, batch_size: int, cpus: int) -> List[Tuple[int, int]]:
     """Contiguous ``(start, stop)`` runs of whole batches, at most one per CPU."""
     batches = -(-samples // batch_size)
@@ -742,7 +734,7 @@ def _corner_pass(
     corners: Sequence[ProgrammedNetwork], inputs: np.ndarray, batch_size: int
 ) -> List[np.ndarray]:
     """Each corner's classes over all of ``inputs``, runs split across CPUs."""
-    runs = _batch_runs(inputs.shape[0], batch_size, _usable_cpus())
+    runs = _batch_runs(inputs.shape[0], batch_size, usable_cpus())
     done: Dict[int, List[np.ndarray]] = {}
     if len(runs) > 1 and "fork" in mp.get_all_start_methods():
         try:

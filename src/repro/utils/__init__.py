@@ -12,7 +12,13 @@ The submodules are intentionally small and dependency-free:
 * :mod:`repro.utils.blas` — handles on numpy's OpenBLAS, which forked pool
   workers use to pin their BLAS to one thread, and which a sweep pool's
   parent holds at one thread while its workers run.
+
+:func:`usable_cpus` is the one CPU count the process fan-outs size
+themselves by: the crossbar simulator's corner pass and a lockstep λ
+sweep's split across processes.
 """
+
+import os
 
 from repro.utils.logging import get_logger, set_verbosity
 from repro.utils.rng import as_rng, spawn_rng
@@ -25,6 +31,7 @@ from repro.utils.validation import (
 )
 
 __all__ = [
+    "usable_cpus",
     "as_rng",
     "spawn_rng",
     "get_logger",
@@ -35,3 +42,11 @@ __all__ = [
     "ensure_2d",
     "ensure_4d",
 ]
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1

@@ -22,8 +22,9 @@ Sites and kinds
 ---------------
 ``site="point"`` fires right before a point trains, on the serial,
 process-pool and lockstep paths alike: in the per-point worker wrapper, and
-once per stacked point (attempt 1) before a lockstep stack trains, whose
-serial fallback then continues at attempt 2:
+once per stacked point (attempt 1), in the parent, before any lockstep
+stack trains or forks a worker, whose serial fallback then continues at
+attempt 2:
 
 * ``kind="raise"`` — raise :class:`InjectedFault` (a transient task crash);
 * ``kind="hang"`` — sleep ``seconds`` (a stuck point, for timeout tests);

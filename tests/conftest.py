@@ -16,6 +16,7 @@ if str(_SRC) not in sys.path:
 from repro.data import ArrayDataset, DataLoader, make_gaussian_blobs  # noqa: E402
 from repro.models import build_mlp  # noqa: E402
 from repro.nn import SGD, SoftmaxCrossEntropy, Trainer  # noqa: E402
+from repro.utils import blas  # noqa: E402
 
 
 @pytest.fixture
@@ -40,6 +41,23 @@ def blob_data():
 def small_mlp():
     """A small dense MLP matching the blob_data feature/class counts."""
     return build_mlp(20, [24, 16], 4, rng=3)
+
+
+@pytest.fixture
+def blas_threads():
+    """Run numpy's OpenBLAS on 2 threads for the test; yields the count getter."""
+    api = blas._thread_count_api()
+    if api is None:
+        pytest.skip("numpy's OpenBLAS library was not found")
+    get_threads, set_threads = api
+    before = get_threads()
+    set_threads(2)
+    try:
+        if get_threads() != 2:
+            pytest.skip("this OpenBLAS cannot run 2 threads")
+        yield get_threads
+    finally:
+        set_threads(before)
 
 
 @pytest.fixture

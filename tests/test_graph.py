@@ -28,7 +28,7 @@ from repro.experiments import (
     spec_for_workload,
     train_baseline,
 )
-from repro.experiments import training
+from repro.experiments import resilience, training
 from repro.experiments.graph import GraphExecution, build_graph, run_graph
 from repro.nn.trainer import LockstepTrainer
 from repro.scheduler import JobQueue, JobScheduler
@@ -403,11 +403,23 @@ class TestSchedulerParity:
             ({}, True),
             ({"method": "group_deletion"}, True),
             ({"method": "group_deletion", "mode": "lockstep"}, False),
+            ({"method": "group_deletion", "mode": "lockstep", "workers": 2}, False),
             ({"workers": 2}, False),
         ],
-        ids=["serial-eps", "serial-lambda", "lockstep-lambda", "workers2-eps"],
+        ids=[
+            "serial-eps",
+            "serial-lambda",
+            "lockstep-lambda",
+            "lockstep-lambda-workers2",
+            "workers2-eps",
+        ],
     )
-    def test_sweep_job_matches_execute_spec(self, tmp_path, overrides, serial_nodes):
+    def test_sweep_job_matches_execute_spec(
+        self, tmp_path, monkeypatch, overrides, serial_nodes
+    ):
+        # Two usable CPUs whatever the host has, so the two-point lockstep
+        # sweep splits into a parent's and a worker's stack.
+        monkeypatch.setattr(resilience, "usable_cpus", lambda: 2)
         spec = sweep_spec(**overrides)
         store = RunStore(tmp_path / "direct")
         direct = execute_spec(spec, store=store)

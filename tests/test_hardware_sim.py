@@ -526,7 +526,7 @@ def corner_inputs(build, samples):
 def cpus(request, monkeypatch):
     """Force the pass's CPU count (``indirect`` parameter, default 1)."""
     count = getattr(request, "param", 1)
-    monkeypatch.setattr(sim, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(sim, "usable_cpus", lambda: count)
     return count
 
 

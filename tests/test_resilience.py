@@ -8,6 +8,7 @@ must be invisible in the numbers.
 """
 
 import copy
+import multiprocessing as mp
 import os
 
 import pytest
@@ -17,10 +18,12 @@ from repro.exceptions import (
     PointFailureError,
     RunInterrupted,
 )
-from repro.experiments import REGISTRY, ExperimentSpec, RunStore, execute_spec
+from repro.experiments import REGISTRY, ExperimentSpec, RunStore, SweepEngine, execute_spec
+from repro.experiments import resilience, runner
+from repro.experiments.plan import build_plan, make_point_task, prepare_strength_base
 from repro.experiments.resilience import PointFailure, RetryPolicy, RunMonitor
 from repro.experiments.store import compare_artifacts, render_artifact
-from repro.experiments.training import TrainingSetup
+from repro.experiments.training import TrainingSetup, train_baseline
 from repro.obs import Observability, Tracer, read_trace_file
 from repro.utils import faultinject
 from repro.utils.faultinject import InjectedFault
@@ -402,3 +405,201 @@ class TestLockstepFaults:
         assert not resumed.failures
         assert (resumed.computed_points, resumed.reused_points) == (3, 0)
         assert resumed.payload == clean_figure8
+
+
+# ------------------------------------------------------------- lockstep split
+needs_fork = pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(), reason="the λ split forks its workers"
+)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let the λ split see two usable CPUs, whatever this host has."""
+    monkeypatch.setattr(resilience, "usable_cpus", lambda: 2)
+
+
+@pytest.fixture(scope="module")
+def figure8_tasks():
+    """Fresh tiny figure8 λ tasks on demand, all on one trained, clipped base."""
+    spec = figure8_tiny()
+    workload = spec.resolved_workload()
+    network, _, setup = train_baseline(workload)
+    base = prepare_strength_base(spec, workload, setup, network)
+    points = build_plan(spec).points
+    return lambda: [make_point_task(spec, workload, setup, base, p) for p in points]
+
+
+def record_stacks(monkeypatch, fail=None):
+    """Record the size of every stack the parent trains.
+
+    ``fail(in_parent)`` runs before each stack trains, in the parent or in
+    a forked worker (which inherits the patch), and may raise or exit.
+    """
+    parent = os.getpid()
+    sizes = []
+    train = runner._run_lockstep_strength_points
+
+    def recording(tasks):
+        in_parent = os.getpid() == parent
+        if in_parent:
+            sizes.append(len(tasks))
+        if fail is not None:
+            fail(in_parent)
+        return train(tasks)
+
+    monkeypatch.setattr(runner, "_run_lockstep_strength_points", recording)
+    return sizes
+
+
+def record_serial_points(monkeypatch):
+    """Record the strength of every λ point the parent runs serially."""
+    strengths = []
+    run = runner.run_strength_point
+
+    def recording(task):
+        strengths.append(task.strength)
+        return run(task)
+
+    monkeypatch.setattr(runner, "run_strength_point", recording)
+    return strengths
+
+
+def weight_bytes(network):
+    return [
+        (name, p.data.tobytes(), None if p.mask is None else p.mask.tobytes())
+        for name, p in network.named_parameters()
+    ]
+
+
+def points_node(path):
+    (points,) = [r for r in read_trace_file(path) if r.get("node") == "points"]
+    return points["status"], points["attempts"], points["retries"]
+
+
+def split_engine(workers=2):
+    return SweepEngine(mode="lockstep", workers=workers)
+
+
+class TestLockstepGroups:
+    @pytest.mark.parametrize(
+        "workers, cpus, points, groups",
+        [
+            (2, 2, 3, [[0, 1], [2]]),
+            (3, 8, 3, [[0], [1], [2]]),
+            (3, 8, 4, [[0, 1], [2], [3]]),
+            (2, 8, 5, [[0, 1, 2], [3, 4]]),
+            (8, 8, 2, [[0], [1]]),
+            (3, 2, 3, [[0, 1], [2]]),
+            (1, 8, 3, [[0, 1, 2]]),
+            (2, 1, 3, [[0, 1, 2]]),
+        ],
+    )
+    def test_contiguous_groups_the_first_largest(
+        self, monkeypatch, workers, cpus, points, groups
+    ):
+        monkeypatch.setattr(resilience, "usable_cpus", lambda: cpus)
+        cut = resilience._lockstep_groups(split_engine(workers), points)
+        assert [list(group) for group in cut] == groups
+
+
+@needs_fork
+class TestLockstepSplit:
+    """A λ lockstep stack split across processes: the parent trains the first,
+    largest group and fork-fed workers the others, and no point's bytes or
+    the sweep's routing counters depend on the split."""
+
+    def test_split_matches_one_stack(self, two_cpus, figure8_tasks, monkeypatch):
+        one = split_engine(workers=1).run_strength_points(figure8_tasks(), RunMonitor())
+        sizes = record_stacks(monkeypatch)
+        monitor = RunMonitor()
+        split = split_engine().run_strength_points(figure8_tasks(), monitor)
+        assert sizes == [2]  # the worker trained the third point
+        assert sorted(split) == sorted(one) == [0, 1, 2]
+        for slot in one:
+            assert weight_bytes(split[slot].network) == weight_bytes(one[slot].network)
+            assert split[slot].wire_fractions == one[slot].wire_fractions
+            assert split[slot].routing_area_fractions == one[slot].routing_area_fractions
+            assert split[slot].routing_cache_stats == one[slot].routing_cache_stats
+        assert one[0].routing_cache_stats == {"hits": 171, "misses": 18, "size": 18}
+        assert monitor.attempts == {0: 1, 1: 1, 2: 1}
+
+    @pytest.mark.parametrize("loss", ["raise", "exit"])
+    def test_lost_worker_reruns_only_its_group(
+        self, two_cpus, monkeypatch, caplog, tmp_path, clean_figure8, loss
+    ):
+        def fail(in_parent):
+            if in_parent:
+                return
+            if loss == "raise":
+                raise RuntimeError("the worker's stack failed")
+            os._exit(1)
+
+        sizes = record_stacks(monkeypatch, fail)
+        serial = record_serial_points(monkeypatch)
+        obs = Observability(tracer=Tracer(tmp_path / "traces.jsonl"))
+        run = execute_spec(figure8_tiny(), obs=obs)
+        obs.tracer.close()
+        assert not run.failures
+        assert run.computed_points == 3
+        assert run.payload == clean_figure8
+        assert (sizes, serial) == ([2], [0.06])
+        assert points_node(obs.tracer.path) == ("done", 2, 1)
+        assert "strength=0.06 lost in its worker" in caplog.text
+
+    def test_failed_parent_stack_reruns_every_point(
+        self, two_cpus, monkeypatch, tmp_path, clean_figure8
+    ):
+        def fail(in_parent):
+            if in_parent:
+                raise RuntimeError("the parent's stack failed")
+
+        sizes = record_stacks(monkeypatch, fail)
+        serial = record_serial_points(monkeypatch)
+        obs = Observability(tracer=Tracer(tmp_path / "traces.jsonl"))
+        run = execute_spec(figure8_tiny(), obs=obs)
+        obs.tracer.close()
+        assert not run.failures
+        assert run.payload == clean_figure8
+        assert (sizes, serial) == ([2], [0.01, 0.03, 0.06])
+        assert points_node(obs.tracer.path) == ("done", 2, 1)
+
+    def test_interrupt_in_the_parent_stack(self, two_cpus, monkeypatch, figure8_tasks):
+        def fail(in_parent):
+            if in_parent:
+                raise KeyboardInterrupt
+
+        record_stacks(monkeypatch, fail)
+        monitor = RunMonitor()
+        assert split_engine().run_strength_points(figure8_tasks(), monitor) == {}
+        assert monitor.interrupted
+        assert not monitor.attempts
+
+    @pytest.mark.parametrize("limit", ["one-cpu", "no-fork"])
+    def test_one_stack_starts_no_process(self, monkeypatch, figure8_tasks, limit):
+        monkeypatch.setattr(resilience, "usable_cpus", lambda: 1 if limit == "one-cpu" else 2)
+        if limit == "no-fork":
+            monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process context was requested")
+
+        monkeypatch.setattr(mp, "get_context", no_process)
+        sizes = record_stacks(monkeypatch)
+        monitor = RunMonitor()
+        outcomes = split_engine().run_strength_points(figure8_tasks(), monitor)
+        assert sizes == [3]
+        assert sorted(outcomes) == [0, 1, 2]
+        assert monitor.attempts == {0: 1, 1: 1, 2: 1}
+
+    @pytest.mark.parametrize("workers, inside", [(2, 1), (1, 2)])
+    def test_parent_blas_pin_lasts_through_the_finish(
+        self, two_cpus, blas_threads, figure8_tasks, workers, inside
+    ):
+        """A split holds one BLAS thread until every point is finished; a
+        single stack keeps the parent's count."""
+        seen = []
+        monitor = RunMonitor(on_success=lambda slot, outcome: seen.append(blas_threads()))
+        split_engine(workers).run_strength_points(figure8_tasks(), monitor)
+        assert seen == [inside] * 3
+        assert blas_threads() == 2

@@ -13,7 +13,8 @@ from repro import exceptions
 from repro.exceptions import PointFailureError, ReproError, ShapeError
 from repro.experiments import SweepEngine
 from repro.experiments.resilience import RunMonitor
-from repro.utils import blas, faultinject
+from repro.utils import faultinject
+from repro.utils import logging as repro_logging
 from repro.utils.blas import single_blas_thread
 from repro.utils.logging import get_logger, set_verbosity
 from repro.utils.rng import as_rng, derive_seed, spawn_rng, temporary_seed
@@ -130,13 +131,30 @@ class TestValidation:
             check_same_length([1], [1, 2], "a", "b")
 
 
+@pytest.fixture
+def restore_repro_logger():
+    """Put the ``repro`` logger back as the test found it.
+
+    ``set_verbosity`` installs a handler and stops propagation, so a later
+    ``caplog`` assertion on a ``repro`` logger would see no records.
+    """
+    logger = get_logger()
+    level, handlers, propagate = logger.level, list(logger.handlers), logger.propagate
+    handler = repro_logging._HANDLER
+    yield
+    logger.setLevel(level)
+    logger.handlers[:] = handlers
+    logger.propagate = propagate
+    repro_logging._HANDLER = handler
+
+
 class TestLogging:
     def test_get_logger_namespacing(self):
         assert get_logger().name == "repro"
         assert get_logger("nn").name == "repro.nn"
         assert get_logger("repro.core").name == "repro.core"
 
-    def test_set_verbosity_levels(self):
+    def test_set_verbosity_levels(self, restore_repro_logger):
         set_verbosity("debug")
         assert get_logger().level == logging.DEBUG
         set_verbosity("silent")
@@ -181,23 +199,6 @@ def _fail_odd(task):
     if task % 2:
         raise ValueError(f"point {task} fails")
     return task
-
-
-@pytest.fixture
-def blas_threads():
-    """Run numpy's OpenBLAS on 2 threads for the test; yields the count getter."""
-    api = blas._thread_count_api()
-    if api is None:
-        pytest.skip("numpy's OpenBLAS library was not found")
-    get_threads, set_threads = api
-    before = get_threads()
-    set_threads(2)
-    try:
-        if get_threads() != 2:
-            pytest.skip("this OpenBLAS cannot run 2 threads")
-        yield get_threads
-    finally:
-        set_threads(before)
 
 
 class TestSingleBlasThread:
