@@ -124,10 +124,11 @@ class SweepEngine:
         split.  One usable CPU or no ``fork`` leaves one stack.
         ``figure8`` registers 2 workers: the parent trains λ = 0.01 and
         0.03 and a worker 0.06, so the parent's larger stack finishes
-        last instead of waiting on the worker.  A stack is fixed for its lifetime; one that is refused
-        (e.g. active dropout) or fails mid-run re-runs its points serially
-        from pristine copies.  ε rank-clipping sweeps always use the points
-        path because their points change shape at the first clip.
+        last instead of waiting on the worker.  A stack is fixed for its
+        lifetime; one that is refused (e.g. active dropout) or fails
+        mid-run re-runs its points serially from pristine copies.  ε
+        rank-clipping sweeps always use the points path because their
+        points change shape at the first clip.
     retry:
         The :class:`~repro.experiments.resilience.RetryPolicy` the supervised
         execution paths apply (retries, per-point timeouts, pool-rebuild

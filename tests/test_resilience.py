@@ -351,13 +351,19 @@ class TestGroupDeletionParity:
 
 
 def figure8_tiny() -> ExperimentSpec:
-    """The registered figure8 at tiny scale: three λ points in one lockstep stack."""
+    """The registered figure8 at tiny scale: three λ points in lockstep, a
+    parent's stack of two beside a worker's stack of one on 2+ CPUs."""
     return REGISTRY.get("figure8", scale="tiny")
 
 
 @pytest.fixture(scope="module")
 def clean_figure8():
     return execute_spec(figure8_tiny()).payload
+
+
+def points_node(path):
+    (points,) = [r for r in read_trace_file(path) if r.get("node") == "points"]
+    return points["status"], points["attempts"], points["retries"]
 
 
 class TestLockstepFaults:
@@ -383,10 +389,7 @@ class TestLockstepFaults:
         assert not run.failures
         assert run.computed_points == 3
         assert run.payload == clean_figure8
-        (points,) = [
-            r for r in read_trace_file(obs.tracer.path) if r.get("node") == "points"
-        ]
-        assert (points["status"], points["attempts"], points["retries"]) == ("done", 2, 1)
+        assert points_node(obs.tracer.path) == ("done", 2, 1)
 
     def test_persistent_fault_fails_only_its_point(self):
         plan = [{"site": "point", "kind": "raise", "index": 0}]  # every attempt
@@ -470,11 +473,6 @@ def weight_bytes(network):
         (name, p.data.tobytes(), None if p.mask is None else p.mask.tobytes())
         for name, p in network.named_parameters()
     ]
-
-
-def points_node(path):
-    (points,) = [r for r in read_trace_file(path) if r.get("node") == "points"]
-    return points["status"], points["attempts"], points["retries"]
 
 
 def split_engine(workers=2):
