@@ -98,10 +98,9 @@ def main() -> None:
     # ----------------------------------------------------- registry presets
     # Paper deliverables are registered by name; overrides apply per call.
     # Engine fields route automatically: workers=2 fans sweep points over
-    # processes, and the figure8 preset already runs mode="lockstep" (the
-    # λ-points trained as stacked programs, split across two processes;
-    # mode="points", workers=1 gives the serial per-point path) — all
-    # bit-identical to the serial path.
+    # processes, and the figure8 preset already runs mode="lockstep" (all
+    # λ-points trained as one stacked program; mode="points" gives the
+    # per-point path) — all bit-identical to the serial path.
     print("\n=== Registry preset: table1 on the tiny MLP workload ===")
     table1 = REGISTRY.get("table1", workload="mlp", scale="tiny")
     print(execute_spec(table1, store=store).result.format_table())

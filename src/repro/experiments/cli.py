@@ -116,9 +116,9 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "engine execution mode: 'points' runs each sweep point as its own "
             "task; 'lockstep' trains a λ sweep's points together as one "
-            "stack, split into one stack per process with --workers >= 2 "
-            "(re-run serially from pristine copies if a stack fails; ε "
-            "sweeps keep the points path)"
+            "stack, split in two across processes on two or more usable "
+            "CPUs (re-run serially from pristine copies if a stack fails; "
+            "ε sweeps keep the points path)"
         ),
     )
     parser.add_argument(
@@ -145,7 +145,10 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         dest="point_timeout",
         type=float,
         metavar="SECONDS",
-        help="per-point wall-clock budget (parallel engines only)",
+        help=(
+            "per-point wall-clock budget (process pools and a lockstep "
+            "split's worker only)"
+        ),
     )
 
 

@@ -189,9 +189,8 @@ def _register_paper_presets(registry: ExperimentRegistry) -> None:
             scale="small",
             grid=(0.01, 0.03, 0.06),
             include_small_matrices=True,
-            # The three λ points share one architecture: train them stacked,
-            # the parent's stack of two beside a worker's stack of one.
-            engine=SweepEngine(mode="lockstep", workers=2),
+            # The three λ points share one architecture: train them stacked.
+            engine=SweepEngine(mode="lockstep"),
         ),
         description="Figure 8: routing wires/area versus classification error over λ (ConvNet)",
     )

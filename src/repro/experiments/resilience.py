@@ -29,13 +29,13 @@ at point granularity:
   :func:`repro.utils.blas.single_blas_thread`: it only waits and finishes
   returned points, and a second BLAS thread there competed with the
   workers for the cores and raised the run's peak RSS.
-* **Split lockstep stacks** — a λ sweep in lockstep mode with
-  ``workers >= 2`` is cut into contiguous groups, one per process (at most
-  one per usable CPU).  The parent trains the first and largest as a
-  stack while fork-fed workers train the others, and it holds the same
-  one-thread BLAS pin from before the fork until every point is finished.
-  If the parent's stack fails, every point re-runs serially; if a worker
-  raises or dies, only its group's points do.
+* **Split lockstep stacks** — where the process may use two or more CPUs
+  and can ``fork``, a lockstep λ sweep is cut into two contiguous stacks.
+  The parent trains the first, larger one while a fork-fed worker trains
+  the other, and it holds the same one-thread BLAS pin from before the
+  fork until the stacks' points are finished.  If the parent's stack
+  fails, every point re-runs serially; if the worker raises, dies or
+  outlives ``timeout_s``, only its stack's points do.
 * **Interrupt draining** — on the first SIGINT the monitor stops submitting
   new points, drains in-flight futures, and lets the caller persist what
   finished; a second SIGINT aborts immediately.
@@ -59,8 +59,9 @@ import signal
 import time
 import traceback as traceback_module
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -93,7 +94,11 @@ class RetryPolicy:
     timeout_s:
         Per-point wall-clock budget.  Enforced on the process-pool path,
         where a hung worker can be terminated; the serial path cannot
-        preempt its own process and ignores it.
+        preempt its own process and ignores it.  A lockstep λ sweep split
+        across processes gives its worker's stack the budget from the
+        worker's submission (the stack's points all train for its whole
+        wall time); past it the worker is killed and its points re-run
+        serially in the parent, charged no attempt, as for a lost worker.
     retry_on:
         Exception class *names* that qualify for retry, matched against the
         failing exception's MRO (``("Exception",)`` retries everything;
@@ -728,8 +733,8 @@ def supervised_strength_points(
     """Execute λ group-deletion points under the engine's policy.
 
     ``mode="lockstep"`` trains the points as lockstep stacks: one stack,
-    or with ``workers >= 2`` contiguous groups trained side by side in the
-    parent and fork-fed workers (:func:`_supervised_lockstep`).  In points
+    or on two or more usable CPUs two stacks trained side by side in the
+    parent and a fork-fed worker (:func:`_supervised_lockstep`).  In points
     mode ``workers >= 2`` fans the points over a supervised pool, and the
     serial path threads one routing-analysis cache between points.
     Failures isolate per point: a stack that is refused at construction or
@@ -786,20 +791,18 @@ def _serial_strength_points(
     )
 
 
-def _lockstep_groups(engine: Any, points: int) -> List[range]:
-    """The contiguous slot ranges a λ sweep's lockstep stacks train.
+def _lockstep_groups(points: int) -> List[range]:
+    """The contiguous slot ranges a λ sweep's lockstep stacks train, the parent's first.
 
-    ``min(workers, usable CPUs, points)`` groups, as even as possible, with
-    the first (the parent's) the largest, so the parent finishes last
-    instead of waiting on a worker.  One group where the platform has no
-    ``fork``.
+    Two where this process may run on two or more CPUs and can ``fork``:
+    the parent trains the first ⌈points / 2⌉, the larger half, so it
+    finishes last instead of waiting idle on the worker that trains the
+    rest.  Otherwise one stack, trained in the parent.
     """
-    count = min(engine.workers, usable_cpus(), points)
-    if count < 2 or "fork" not in mp.get_all_start_methods():
+    if points < 2 or usable_cpus() < 2 or "fork" not in mp.get_all_start_methods():
         return [range(points)]
-    size, extra = divmod(points, count)
-    cuts = [group * size + min(group, extra) for group in range(count + 1)]
-    return [range(cuts[group], cuts[group + 1]) for group in range(count)]
+    half = -(-points // 2)
+    return [range(half), range(half, points)]
 
 
 def _train_stack(stack: int) -> List[Any]:
@@ -809,42 +812,50 @@ def _train_stack(stack: int) -> List[Any]:
     return _run_lockstep_strength_points(_WORKER_TASKS[stack])
 
 
-def _train_stacks(engine: Any, stacks: List[List[Any]]) -> Dict[int, List[Any]]:
-    """Train each list of λ tasks as one lockstep stack: ``{stack: outcomes}``.
+def _train_stacks(engine: Any, stacks: List[List[Any]]) -> List[Optional[List[Any]]]:
+    """Train each list of λ tasks as one lockstep stack: the outcomes per stack.
 
-    The parent trains stack 0 while workers train the others at the same
-    time, each inheriting every stack through :func:`_make_pool` and
-    receiving only its stack's number.  A stack whose worker raised or died
-    is logged and left out of the result; an error in the parent's own
-    stack kills the workers and propagates.
+    With two stacks the parent trains the first while one worker trains the
+    second, inheriting both through :func:`_make_pool` and receiving only
+    its stack's number.  If the worker raises, dies, or has not returned
+    ``engine.retry.timeout_s`` after its submission, the worker is killed
+    and its stack is logged and returned as ``None``.  An error in the
+    parent's own stack kills the worker and propagates.
     """
     from repro.experiments.runner import _run_lockstep_strength_points
 
     if len(stacks) == 1:
-        return {0: _run_lockstep_strength_points(stacks[0])}
-    pool = _make_pool(engine, len(stacks) - 1, stacks)
+        return [_run_lockstep_strength_points(stacks[0])]
+    timeout_s = engine.retry.timeout_s
+    pool = _make_pool(engine, 1, stacks)
     clean = False
     try:
-        futures = [pool.submit(_train_stack, stack) for stack in range(1, len(stacks))]
-        trained = {0: _run_lockstep_strength_points(stacks[0])}
-        for stack, future in enumerate(futures, start=1):
-            try:
-                trained[stack] = future.result()
-            except Exception as error:
-                logger.warning(
-                    "lockstep stack of %s lost in its worker (%s: %s); re-running "
-                    "its points under serial supervision",
-                    ", ".join(_task_label(task, stack) for task in stacks[stack]),
-                    type(error).__name__,
-                    error,
-                )
+        future = pool.submit(_train_stack, 1)
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        parent = _run_lockstep_strength_points(stacks[0])
+        try:
+            worker = future.result(
+                timeout=None if deadline is None else max(0.0, deadline - time.monotonic())
+            )
+        except Exception as error:  # raised in the worker, lost with it, or late
+            if isinstance(error, FutureTimeoutError):
+                reason = f"no result within its {timeout_s:g}s wall-clock budget"
+            else:
+                reason = f"{type(error).__name__}: {error}"
+            logger.warning(
+                "lockstep stack of %s lost in its worker (%s); re-running its "
+                "points under serial supervision",
+                ", ".join(_task_label(task, slot) for slot, task in enumerate(stacks[1])),
+                reason,
+            )
+            return [parent, None]
         clean = True
+        return [parent, worker]
     finally:
         if clean:
             pool.shutdown(wait=True)
         else:
             _kill_pool(pool)
-    return trained
 
 
 def _supervised_lockstep(
@@ -852,29 +863,36 @@ def _supervised_lockstep(
 ) -> Dict[int, Any]:
     """λ points as lockstep stacks, with serial re-runs from pristine copies as the fallback.
 
-    The points are cut into :func:`_lockstep_groups`; with more than one,
-    the parent trains the first as a stack while fork-fed workers train the
-    others (:func:`_train_stacks`), and the parent holds
+    The points are cut into :func:`_lockstep_groups`.  With two, the parent
+    trains the first as a stack while a fork-fed worker trains the second
+    (:func:`_train_stacks`), and the parent holds
     :func:`~repro.utils.blas.single_blas_thread` from before the fork until
-    every point is finished, through ``monitor.record_success`` and the
-    evaluation and journal append behind it.  The groups' routing counters
-    are merged into what one shared cache counts
+    the stacks' points are finished, through ``monitor.record_success`` and
+    the evaluation and journal append behind it (released before that, the
+    first finish's evaluation ran at two BLAS threads and small figure8's
+    peak RSS read 87.7 MiB against 81.5–82.6).  The stacks' routing
+    counters are merged into what one shared cache counts
     (:func:`~repro.experiments.runner._merge_stack_counters`).
 
     A stack is its points' attempt 1: the ``point`` fault site fires for
     every point, in the parent, before any stack trains or any worker
     forks.  If the parent's stack fails, every point re-runs serially from
-    its pristine copy at attempt 2; if a worker raises or is lost, only its
-    group's points do, warm with the other groups' routing analyses.  Like
-    a pool loss, a lost stack charges no point's retry budget.
+    its pristine copy at attempt 2; if the worker's stack is lost, only its
+    points do, warm with the parent's routing analyses.  Like a pool loss,
+    a lost stack charges no point's retry budget.  A serial re-run has the
+    parent to itself, so it runs at the parent's own BLAS thread count.
     """
     from repro.experiments.runner import _merge_stack_counters
 
     # Lockstep trains every network in the stack in place; keep pristine
     # networks so a failure can restart point-by-point cleanly.
     pristine = [_fresh_attempt(task) for task in tasks]
-    groups = _lockstep_groups(engine, len(tasks))
-    with single_blas_thread() if len(groups) > 1 else nullcontext():
+    groups = _lockstep_groups(len(tasks))
+    cache = None
+    results: Dict[int, Any] = {}
+    with ExitStack() as pin:
+        if len(groups) > 1:
+            pin.enter_context(single_blas_thread())
         try:
             for slot, task in enumerate(tasks):
                 faultinject.fire("point", index=_task_index(task, slot), attempt=1)
@@ -891,32 +909,29 @@ def _supervised_lockstep(
                 type(error).__name__,
                 error,
             )
+            pin.close()
             # The lost stack was every point's attempt 1.
             lost = dict.fromkeys(range(len(pristine)), 1)
             return _serial_strength_points(engine, pristine, monitor, submissions=lost)
-        cache = None
         if len(groups) > 1:
-            cache = _merge_stack_counters([trained[stack] for stack in sorted(trained)])
-        results: Dict[int, Any] = {}
-        for stack in sorted(trained):
-            for slot, outcome in zip(groups[stack], trained[stack]):
-                results[slot] = outcome
-                monitor.record_success(slot, outcome)
-        lost_slots = [
-            slot
-            for stack, group in enumerate(groups)
-            if stack not in trained
-            for slot in group
-        ]
-        if lost_slots:
-            results.update(
-                _serial_strength_points(
-                    engine,
-                    [pristine[slot] for slot in lost_slots],
-                    monitor,
-                    cache=cache,
-                    slots=lost_slots,
-                    submissions=dict.fromkeys(lost_slots, 1),
-                )
+            cache = _merge_stack_counters([stack for stack in trained if stack is not None])
+        for group, stack in zip(groups, trained):
+            if stack is not None:
+                for slot, outcome in zip(group, stack):
+                    results[slot] = outcome
+                    monitor.record_success(slot, outcome)
+    lost_slots = [
+        slot for group, stack in zip(groups, trained) if stack is None for slot in group
+    ]
+    if lost_slots:
+        results.update(
+            _serial_strength_points(
+                engine,
+                [pristine[slot] for slot in lost_slots],
+                monitor,
+                cache=cache,
+                slots=lost_slots,
+                submissions=dict.fromkeys(lost_slots, 1),
             )
+        )
     return results

@@ -17,9 +17,9 @@ retrain from one shared baseline.  The points are mutually independent, so a
   exception: each worker's routing-analysis cache starts cold, so the pool
   records more misses.
 * **Lockstep stacks** — ``mode="lockstep"`` trains a λ sweep's points as
-  one stacked program; with ``workers >= 2`` the points are cut into
-  contiguous stacks, the parent training the first and largest while
-  fork-fed workers train the others, and the stacks' routing counters are
+  one stacked program; on two or more usable CPUs the points are cut into
+  two contiguous stacks, the parent training the first, larger one while a
+  fork-fed worker trains the other, and the stacks' routing counters are
   merged into what one shared cache counts.
 * **Deterministic per-point seeding** — by default every point trains on the
   same data stream as the shared baseline (the paper's "points differ only in
@@ -100,15 +100,15 @@ class SweepEngine:
         misses with ``--engine-mode points --workers 2`` against 272 / 22
         serial or lockstep).  ``figure7`` registers 3 workers, one per ε
         point: on 2 CPUs its three equal points finish in about 1.5
-        point-times instead of 2.  In lockstep mode ``workers`` caps how
-        many processes share the λ stack (see ``mode``).
+        point-times instead of 2.  A lockstep λ sweep ignores ``workers``:
+        it sizes its split by the usable CPUs (see ``mode``).
     per_point_seed:
         Derive an independent, order-insensitive seed per point instead of
         sharing the baseline's data stream across points.
     mode:
         ``"points"`` (default) executes sweep points as independent tasks
         (inline or process-fanned).  ``"lockstep"`` trains a λ sweep's
-        points as one stack in a single process via
+        points as a stack via
         :func:`repro.core.group_deletion.run_lockstep_deletion` — stacked
         forward/backward/SGD with per-point λ, bit-identical per point to the
         serial path.  It is the faster policy for λ grids: on a 2-core
@@ -116,17 +116,20 @@ class SweepEngine:
         a median 12.6 s in lockstep against 14.8 s on the points path, and
         lockstep won all 10 alternating fresh-store pairs (interquartile
         range of the points runs: 1.65 s), so ``figure8`` is registered
-        lockstep.  With ``workers >= 2`` the points are cut into
-        ``min(workers, usable CPUs, points)`` contiguous stacks: the parent
-        trains the first and largest at one BLAS thread while fork-fed
-        workers train the others, and the stacks' routing counters merge
-        into one cache's count, so the payload does not depend on the
-        split.  One usable CPU or no ``fork`` leaves one stack.
-        ``figure8`` registers 2 workers: the parent trains λ = 0.01 and
-        0.03 and a worker 0.06, so the parent's larger stack finishes
-        last instead of waiting on the worker.  A stack is fixed for its
-        lifetime; one that is refused (e.g. active dropout) or fails
-        mid-run re-runs its points serially from pristine copies.  ε
+        lockstep.  Where the process may use two or more CPUs
+        (:func:`repro.utils.usable_cpus`) and can ``fork``, the points are
+        cut into two contiguous stacks: the parent trains the first,
+        larger one at one BLAS thread while a fork-fed worker trains the
+        other, and the stacks' routing counters merge into one cache's
+        count, so the payload does not depend on the split.  For
+        ``figure8`` the parent trains λ = 0.01 and 0.03 and the worker
+        0.06, so the parent's larger stack finishes last instead of
+        waiting on the worker; three one-point stacks on two CPUs ran
+        faster, but a parent that finished first and waited cut
+        perfbench's traced span coverage to 86.5% in one of four runs.
+        One usable CPU or no ``fork`` leaves one stack.  A stack is fixed
+        for its lifetime; one that is refused (e.g. active dropout) or
+        fails mid-run re-runs its points serially from pristine copies.  ε
         rank-clipping sweeps always use the points path because their
         points change shape at the first clip.
     retry:
@@ -242,8 +245,8 @@ class SweepEngine:
     ) -> Dict[int, "StrengthPointOutcome"]:
         """Execute λ group-deletion points under this engine's policy.
 
-        ``mode="lockstep"`` trains the points as stacks (one, or one per
-        process with ``workers >= 2``; a single point runs serially);
+        ``mode="lockstep"`` trains the points as stacks (one, or two side
+        by side on two or more usable CPUs; a single point runs serially);
         ``mode="points"`` runs the tasks independently.
         On the serial points path, routing-analysis cache entries are
         threaded between tasks — each point starts with every entry earlier

@@ -11,7 +11,8 @@ The submodules are intentionally small and dependency-free:
   experiment records to ``.npz`` / JSON files.
 * :mod:`repro.utils.blas` — handles on numpy's OpenBLAS, which forked pool
   workers use to pin their BLAS to one thread, and which a sweep pool's
-  parent holds at one thread while its workers run.
+  parent holds at one thread while its workers run, and a λ split's parent
+  until its stacks' points are finished.
 
 :func:`usable_cpus` is the one CPU count the process fan-outs size
 themselves by: the crossbar simulator's corner pass and a lockstep λ

@@ -1,19 +1,24 @@
 """Handles on the OpenBLAS numpy ships, for pinning processes to one thread.
 
-Both process fan-outs (the sweep engine's pool and the crossbar simulator's
-corner pass) fork workers from a parent whose BLAS may run several threads;
-each worker pins its own BLAS to one thread so the workers do not
-oversubscribe the cores.
+The process fan-outs (the sweep engine's pool, a lockstep λ sweep's split
+across processes and the crossbar simulator's corner pass) fork workers
+from a parent whose BLAS may run several threads; each worker pins its own
+BLAS to one thread so the workers do not oversubscribe the cores.
 
 While the sweep engine's workers train, the parent only waits on them and
 finishes the points they return, so it holds :func:`single_blas_thread` for
 the pool's lifetime.  With its second BLAS thread the parent competed with
 the workers for the cores and grew the run's peak RSS: small ``figure7`` on
 3 workers read 86.0 MiB unpinned and 80.5 MiB pinned, the same as serial
-(2-core x86_64, ``OPENBLAS_NUM_THREADS=2``).  A whole run is not pinned:
-serial ``figure7`` took 3.78 s median at one thread against 3.69 s at two
-(6 alternating runs).  OpenBLAS gives the same bytes at one thread as at
-two, so the pin moves no result.
+(2-core x86_64, ``OPENBLAS_NUM_THREADS=2``).  A λ split's parent trains its
+own stack beside the worker's, and holds the pin from before the fork
+until the stacks' points are finished, evaluations included: released when
+the stacks ended, small ``figure8``'s peak RSS read 87.7 MiB against
+81.5–82.6 MiB.  A whole run is not pinned, and neither is a serial re-run
+after a lost stack, which has the parent to itself: serial ``figure7``
+took 3.78 s median at one thread against 3.69 s at two (6 alternating
+runs).  OpenBLAS gives the same bytes at one thread as at two, so the pin
+moves no result.
 """
 
 from __future__ import annotations

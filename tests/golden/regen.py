@@ -2,13 +2,11 @@
 
 usage: PYTHONPATH=src python tests/golden/regen.py
 
-Runs every registered preset at ``--scale tiny``, plus four engine-policy
-variants (figure8 with ``mode="points"`` and ``workers=1``, the serial
-per-point path beside its registered lockstep policy; figure8 with
-``workers=1``, one lockstep stack beside its registered split across two
-processes; figure6 with ``workers=2``; and figure7 with ``workers=1``, the
-serial path beside its registered 3-worker pool), each into its own
-throwaway :class:`~repro.experiments.store.RunStore`, and writes
+Runs every registered preset at ``--scale tiny``, plus three engine-policy
+variants (figure8 with ``mode="points"``, the per-point path beside its
+registered lockstep policy; figure6 with ``workers=2``; and figure7 with
+``workers=1``, the serial path beside its registered 3-worker pool), each
+into its own throwaway :class:`~repro.experiments.store.RunStore`, and writes
 ``manifest.json`` next to this file.  Per entry the manifest records:
 
 * the spec fingerprint and the plan's point fingerprints — pure spec hashes,
@@ -46,8 +44,7 @@ from repro.utils.blas import openblas_symbol  # noqa: E402
 #: Engine-policy variants pinned on top of the registered presets:
 #: ``entry name -> (preset, overrides)``.
 VARIANTS: Dict[str, Tuple[str, Dict[str, Any]]] = {
-    "figure8@points": ("figure8", {"mode": "points", "workers": 1}),
-    "figure8@serial": ("figure8", {"workers": 1}),
+    "figure8@points": ("figure8", {"mode": "points"}),
     "figure6@workers2": ("figure6", {"workers": 2}),
     "figure7@serial": ("figure7", {"workers": 1}),
 }

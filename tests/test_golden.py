@@ -1,8 +1,9 @@
 """Golden-artifact tests: the pinned numbers themselves, not path agreement.
 
 Every entry of ``tests/golden/manifest.json`` (the registered presets at
-``--scale tiny`` plus a serial per-point figure8, a one-stack figure8, a
-``workers=2`` figure6 and a serial figure7) runs into a fresh :class:`~repro.experiments.store.RunStore`.  Spec and point
+``--scale tiny`` plus a per-point figure8, a ``workers=2`` figure6 and a
+serial figure7) runs
+into a fresh :class:`~repro.experiments.store.RunStore`.  Spec and point
 fingerprints are asserted everywhere; payload sha256 digests are asserted
 when this host matches the manifest's platform key (float rounding depends
 on the CPU and the BLAS kernel).  Regenerate with ``tests/golden/regen.py``.
@@ -53,7 +54,6 @@ def test_payload_digest_pinned(outcomes, name):
     "variant, preset",
     [
         ("figure8@points", "figure8"),
-        ("figure8@serial", "figure8"),
         ("figure6@workers2", "figure6"),
         ("figure7@serial", "figure7"),
     ],

@@ -398,28 +398,28 @@ class TestSchedulerParity:
     """``execute_spec`` and a scheduler job write bit-identical artifacts."""
 
     @pytest.mark.parametrize(
-        "overrides, serial_nodes",
+        "overrides, serial_nodes, cpus",
         [
-            ({}, True),
-            ({"method": "group_deletion"}, True),
-            ({"method": "group_deletion", "mode": "lockstep"}, False),
-            ({"method": "group_deletion", "mode": "lockstep", "workers": 2}, False),
-            ({"workers": 2}, False),
+            ({}, True, 1),
+            ({"method": "group_deletion"}, True, 1),
+            ({"method": "group_deletion", "mode": "lockstep"}, False, 1),
+            ({"method": "group_deletion", "mode": "lockstep"}, False, 2),
+            ({"workers": 2}, False, 1),
         ],
         ids=[
             "serial-eps",
             "serial-lambda",
             "lockstep-lambda",
-            "lockstep-lambda-workers2",
+            "lockstep-lambda-split",
             "workers2-eps",
         ],
     )
     def test_sweep_job_matches_execute_spec(
-        self, tmp_path, monkeypatch, overrides, serial_nodes
+        self, tmp_path, monkeypatch, overrides, serial_nodes, cpus
     ):
-        # Two usable CPUs whatever the host has, so the two-point lockstep
-        # sweep splits into a parent's and a worker's stack.
-        monkeypatch.setattr(resilience, "usable_cpus", lambda: 2)
+        # The usable CPUs a lockstep sweep sees, whatever the host has: on
+        # two, its two points split into a parent's and a worker's stack.
+        monkeypatch.setattr(resilience, "usable_cpus", lambda: cpus)
         spec = sweep_spec(**overrides)
         store = RunStore(tmp_path / "direct")
         direct = execute_spec(spec, store=store)

@@ -10,6 +10,7 @@ must be invisible in the numbers.
 import copy
 import multiprocessing as mp
 import os
+import time
 
 import pytest
 
@@ -20,7 +21,12 @@ from repro.exceptions import (
 )
 from repro.experiments import REGISTRY, ExperimentSpec, RunStore, SweepEngine, execute_spec
 from repro.experiments import resilience, runner
-from repro.experiments.plan import build_plan, make_point_task, prepare_strength_base
+from repro.experiments.plan import (
+    absorb_cache_stats,
+    build_plan,
+    make_point_task,
+    prepare_strength_base,
+)
 from repro.experiments.resilience import PointFailure, RetryPolicy, RunMonitor
 from repro.experiments.store import compare_artifacts, render_artifact
 from repro.experiments.training import TrainingSetup, train_baseline
@@ -416,10 +422,14 @@ needs_fork = pytest.mark.skipif(
 )
 
 
+def set_cpus(monkeypatch, count):
+    """Let the λ split see ``count`` usable CPUs, whatever this host has."""
+    monkeypatch.setattr(resilience, "usable_cpus", lambda: count)
+
+
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Let the λ split see two usable CPUs, whatever this host has."""
-    monkeypatch.setattr(resilience, "usable_cpus", lambda: 2)
+    set_cpus(monkeypatch, 2)
 
 
 @pytest.fixture(scope="module")
@@ -468,6 +478,17 @@ def record_serial_points(monkeypatch):
     return strengths
 
 
+def fail_in(where):
+    """A ``record_stacks`` hook that raises in the ``"parent"``'s or the
+    ``"worker"``'s stack; ``None`` (no hook) for ``where=None``."""
+
+    def fail(in_parent):
+        if in_parent == (where == "parent"):
+            raise RuntimeError(f"the {where}'s stack failed")
+
+    return None if where is None else fail
+
+
 def weight_bytes(network):
     return [
         (name, p.data.tobytes(), None if p.mask is None else p.mask.tobytes())
@@ -475,43 +496,50 @@ def weight_bytes(network):
     ]
 
 
-def split_engine(workers=2):
-    return SweepEngine(mode="lockstep", workers=workers)
+def lockstep_engine(**retry):
+    return SweepEngine(mode="lockstep", retry=RetryPolicy(**retry))
+
+
+def cache_totals(outcomes):
+    """The sweep's routing-cache counters, summed as the payload sums them."""
+    totals = {}
+    for slot in sorted(outcomes):
+        absorb_cache_stats(totals, outcomes[slot])
+    return totals
 
 
 class TestLockstepGroups:
     @pytest.mark.parametrize(
-        "workers, cpus, points, groups",
+        "cpus, points, groups",
         [
-            (2, 2, 3, [[0, 1], [2]]),
-            (3, 8, 3, [[0], [1], [2]]),
-            (3, 8, 4, [[0, 1], [2], [3]]),
-            (2, 8, 5, [[0, 1, 2], [3, 4]]),
-            (8, 8, 2, [[0], [1]]),
-            (3, 2, 3, [[0, 1], [2]]),
-            (1, 8, 3, [[0, 1, 2]]),
-            (2, 1, 3, [[0, 1, 2]]),
+            (2, 3, [[0, 1], [2]]),
+            (8, 3, [[0, 1], [2]]),
+            (8, 4, [[0, 1], [2, 3]]),
+            (8, 5, [[0, 1, 2], [3, 4]]),
+            (2, 2, [[0], [1]]),
+            (1, 3, [[0, 1, 2]]),
         ],
     )
-    def test_contiguous_groups_the_first_largest(
-        self, monkeypatch, workers, cpus, points, groups
+    def test_two_contiguous_groups_the_first_larger(
+        self, monkeypatch, cpus, points, groups
     ):
-        monkeypatch.setattr(resilience, "usable_cpus", lambda: cpus)
-        cut = resilience._lockstep_groups(split_engine(workers), points)
-        assert [list(group) for group in cut] == groups
+        set_cpus(monkeypatch, cpus)
+        assert [list(group) for group in resilience._lockstep_groups(points)] == groups
 
 
 @needs_fork
 class TestLockstepSplit:
-    """A λ lockstep stack split across processes: the parent trains the first,
-    largest group and fork-fed workers the others, and no point's bytes or
-    the sweep's routing counters depend on the split."""
+    """A λ lockstep stack split across two processes: the parent trains the
+    first, larger group and a fork-fed worker the other, and no point's
+    bytes or the sweep's routing counters depend on the split."""
 
-    def test_split_matches_one_stack(self, two_cpus, figure8_tasks, monkeypatch):
-        one = split_engine(workers=1).run_strength_points(figure8_tasks(), RunMonitor())
+    def test_split_matches_one_stack(self, figure8_tasks, monkeypatch):
+        set_cpus(monkeypatch, 1)
+        one = lockstep_engine().run_strength_points(figure8_tasks(), RunMonitor())
+        set_cpus(monkeypatch, 2)
         sizes = record_stacks(monkeypatch)
         monitor = RunMonitor()
-        split = split_engine().run_strength_points(figure8_tasks(), monitor)
+        split = lockstep_engine().run_strength_points(figure8_tasks(), monitor)
         assert sizes == [2]  # the worker trained the third point
         assert sorted(split) == sorted(one) == [0, 1, 2]
         for slot in one:
@@ -545,14 +573,43 @@ class TestLockstepSplit:
         assert points_node(obs.tracer.path) == ("done", 2, 1)
         assert "strength=0.06 lost in its worker" in caplog.text
 
+    def test_hung_worker_is_killed_at_its_deadline(
+        self, monkeypatch, caplog, figure8_tasks
+    ):
+        """A worker past ``timeout_s`` is killed, and only its group re-runs
+        serially, charged no attempt, to the one-stack bytes and counters."""
+
+        def hang(in_parent):
+            if not in_parent:
+                time.sleep(120)
+
+        set_cpus(monkeypatch, 1)
+        one = lockstep_engine().run_strength_points(figure8_tasks(), RunMonitor())
+        set_cpus(monkeypatch, 2)
+        sizes = record_stacks(monkeypatch, hang)
+        serial = record_serial_points(monkeypatch)
+        children = {child.pid for child in mp.active_children()}
+        monitor = RunMonitor()
+        start = time.monotonic()
+        split = lockstep_engine(timeout_s=0.5).run_strength_points(figure8_tasks(), monitor)
+        assert time.monotonic() - start < 60
+        assert (sizes, serial) == ([2], [0.06])
+        assert monitor.attempts == {0: 1, 1: 1, 2: 2}
+        assert not monitor.failures
+        assert sorted(split) == [0, 1, 2]
+        for slot in one:
+            assert weight_bytes(split[slot].network) == weight_bytes(one[slot].network)
+        assert cache_totals(split) == cache_totals(one)
+        assert "no result within its 0.5s wall-clock budget" in caplog.text
+        deadline = time.monotonic() + 10
+        while {child.pid for child in mp.active_children()} - children:
+            assert time.monotonic() < deadline, "the hung worker outlived its pool"
+            time.sleep(0.05)
+
     def test_failed_parent_stack_reruns_every_point(
         self, two_cpus, monkeypatch, tmp_path, clean_figure8
     ):
-        def fail(in_parent):
-            if in_parent:
-                raise RuntimeError("the parent's stack failed")
-
-        sizes = record_stacks(monkeypatch, fail)
+        sizes = record_stacks(monkeypatch, fail_in("parent"))
         serial = record_serial_points(monkeypatch)
         obs = Observability(tracer=Tracer(tmp_path / "traces.jsonl"))
         run = execute_spec(figure8_tiny(), obs=obs)
@@ -569,13 +626,13 @@ class TestLockstepSplit:
 
         record_stacks(monkeypatch, fail)
         monitor = RunMonitor()
-        assert split_engine().run_strength_points(figure8_tasks(), monitor) == {}
+        assert lockstep_engine().run_strength_points(figure8_tasks(), monitor) == {}
         assert monitor.interrupted
         assert not monitor.attempts
 
     @pytest.mark.parametrize("limit", ["one-cpu", "no-fork"])
     def test_one_stack_starts_no_process(self, monkeypatch, figure8_tasks, limit):
-        monkeypatch.setattr(resilience, "usable_cpus", lambda: 1 if limit == "one-cpu" else 2)
+        set_cpus(monkeypatch, 1 if limit == "one-cpu" else 2)
         if limit == "no-fork":
             monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
 
@@ -585,19 +642,31 @@ class TestLockstepSplit:
         monkeypatch.setattr(mp, "get_context", no_process)
         sizes = record_stacks(monkeypatch)
         monitor = RunMonitor()
-        outcomes = split_engine().run_strength_points(figure8_tasks(), monitor)
+        outcomes = lockstep_engine().run_strength_points(figure8_tasks(), monitor)
         assert sizes == [3]
         assert sorted(outcomes) == [0, 1, 2]
         assert monitor.attempts == {0: 1, 1: 1, 2: 1}
 
-    @pytest.mark.parametrize("workers, inside", [(2, 1), (1, 2)])
+    @pytest.mark.parametrize(
+        "cpus, failing, inside",
+        [
+            (2, None, [1, 1, 1]),
+            (1, None, [2, 2, 2]),
+            (2, "worker", [1, 1, 2]),
+            (2, "parent", [2, 2, 2]),
+        ],
+        ids=["split", "one-stack", "lost-worker", "failed-parent"],
+    )
     def test_parent_blas_pin_lasts_through_the_finish(
-        self, two_cpus, blas_threads, figure8_tasks, workers, inside
+        self, monkeypatch, blas_threads, figure8_tasks, cpus, failing, inside
     ):
-        """A split holds one BLAS thread until every point is finished; a
-        single stack keeps the parent's count."""
+        """A split holds one BLAS thread until its stacks' points are finished;
+        one stack, and a serial re-run after a lost stack, keep the parent's
+        count."""
+        set_cpus(monkeypatch, cpus)
+        record_stacks(monkeypatch, fail_in(failing))
         seen = []
         monitor = RunMonitor(on_success=lambda slot, outcome: seen.append(blas_threads()))
-        split_engine(workers).run_strength_points(figure8_tasks(), monitor)
-        assert seen == [inside] * 3
+        lockstep_engine().run_strength_points(figure8_tasks(), monitor)
+        assert seen == inside
         assert blas_threads() == 2
