@@ -117,8 +117,8 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
             "engine execution mode: 'points' runs each sweep point as its own "
             "task; 'lockstep' trains a λ sweep's points together as one "
             "stack, split in two across processes on two or more usable "
-            "CPUs (re-run serially from pristine copies if a stack fails; "
-            "ε sweeps keep the points path)"
+            "CPUs and batches of 16 or more (re-run serially from pristine "
+            "copies if a stack fails; ε sweeps keep the points path)"
         ),
     )
     parser.add_argument(

@@ -30,12 +30,13 @@ at point granularity:
   returned points, and a second BLAS thread there competed with the
   workers for the cores and raised the run's peak RSS.
 * **Split lockstep stacks** — where the process may use two or more CPUs
-  and can ``fork``, a lockstep λ sweep is cut into two contiguous stacks.
-  The parent trains the first, larger one while a fork-fed worker trains
-  the other, and it holds the same one-thread BLAS pin from before the
-  fork until the stacks' points are finished.  If the parent's stack
-  fails, every point re-runs serially; if the worker raises, dies or
-  outlives ``timeout_s``, only its stack's points do.
+  and can ``fork``, a lockstep λ sweep whose points train on mini-batches
+  of 16 or more samples is cut into two contiguous stacks.  The parent
+  trains the first, larger one while a fork-fed worker trains the other,
+  and it holds the same one-thread BLAS pin from before the fork until the
+  stacks' points are finished.  If the parent's stack fails, every point
+  re-runs serially; if the worker raises, dies or outlives ``timeout_s``,
+  only its stack's points do.
 * **Interrupt draining** — on the first SIGINT the monitor stops submitting
   new points, drains in-flight futures, and lets the caller persist what
   finished; a second SIGINT aborts immediately.
@@ -74,6 +75,16 @@ logger = get_logger("experiments.resilience")
 
 #: Pool supervision tick: how often the parent checks deadlines / interrupts.
 _TICK_S = 0.2
+
+#: Smallest mini-batch at which a lockstep λ sweep splits across processes.
+#: On smaller batches a stack's step is mostly per-layer call overhead that
+#: one stack already shares across its points, so halving the stack saved
+#: less than the second process cost.  Medians of 6–10 interleaved runs on
+#: a 2-core x86_64 box, tiny LeNet and ConvNet λ stacks split against one
+#: stack: 9–54% slower at batch 8 (the lockstep benchmark's 6-point LeNet
+#: read 1.09x and 1.33x), 7–12% faster at batch 16, and from 19% faster to
+#: 4% slower at batch 24; small ``figure8`` (batch 32) ran 19% faster.
+_SPLIT_MIN_BATCH = 16
 
 
 # -------------------------------------------------------------------- policy
@@ -733,8 +744,9 @@ def supervised_strength_points(
     """Execute λ group-deletion points under the engine's policy.
 
     ``mode="lockstep"`` trains the points as lockstep stacks: one stack,
-    or on two or more usable CPUs two stacks trained side by side in the
-    parent and a fork-fed worker (:func:`_supervised_lockstep`).  In points
+    or on two or more usable CPUs and mini-batches of 16 or more samples
+    two stacks trained side by side in the parent and a fork-fed worker
+    (:func:`_supervised_lockstep`).  In points
     mode ``workers >= 2`` fans the points over a supervised pool, and the
     serial path threads one routing-analysis cache between points.
     Failures isolate per point: a stack that is refused at construction or
@@ -791,15 +803,22 @@ def _serial_strength_points(
     )
 
 
-def _lockstep_groups(points: int) -> List[range]:
+def _lockstep_groups(points: int, batch_size: int) -> List[range]:
     """The contiguous slot ranges a λ sweep's lockstep stacks train, the parent's first.
 
-    Two where this process may run on two or more CPUs and can ``fork``:
-    the parent trains the first ⌈points / 2⌉, the larger half, so it
-    finishes last instead of waiting idle on the worker that trains the
-    rest.  Otherwise one stack, trained in the parent.
+    Two where this process may run on two or more CPUs and can ``fork``,
+    and the points train on mini-batches of at least
+    :data:`_SPLIT_MIN_BATCH` samples: the parent trains the first
+    ⌈points / 2⌉, the larger half, so it finishes last instead of waiting
+    idle on the worker that trains the rest.  Otherwise one stack, trained
+    in the parent.
     """
-    if points < 2 or usable_cpus() < 2 or "fork" not in mp.get_all_start_methods():
+    if (
+        points < 2
+        or batch_size < _SPLIT_MIN_BATCH
+        or usable_cpus() < 2
+        or "fork" not in mp.get_all_start_methods()
+    ):
         return [range(points)]
     half = -(-points // 2)
     return [range(half), range(half, points)]
@@ -887,7 +906,7 @@ def _supervised_lockstep(
     # Lockstep trains every network in the stack in place; keep pristine
     # networks so a failure can restart point-by-point cleanly.
     pristine = [_fresh_attempt(task) for task in tasks]
-    groups = _lockstep_groups(len(tasks))
+    groups = _lockstep_groups(len(tasks), tasks[0].setup.batch_size)
     cache = None
     results: Dict[int, Any] = {}
     with ExitStack() as pin:

@@ -17,10 +17,11 @@ retrain from one shared baseline.  The points are mutually independent, so a
   exception: each worker's routing-analysis cache starts cold, so the pool
   records more misses.
 * **Lockstep stacks** — ``mode="lockstep"`` trains a λ sweep's points as
-  one stacked program; on two or more usable CPUs the points are cut into
-  two contiguous stacks, the parent training the first, larger one while a
-  fork-fed worker trains the other, and the stacks' routing counters are
-  merged into what one shared cache counts.
+  one stacked program; on two or more usable CPUs and mini-batches of 16
+  or more samples the points are cut into two contiguous stacks, the
+  parent training the first, larger one while a fork-fed worker trains the
+  other, and the stacks' routing counters are merged into what one shared
+  cache counts.
 * **Deterministic per-point seeding** — by default every point trains on the
   same data stream as the shared baseline (the paper's "points differ only in
   the swept hyper-parameter" protocol).  ``per_point_seed=True`` instead
@@ -101,7 +102,7 @@ class SweepEngine:
         serial or lockstep).  ``figure7`` registers 3 workers, one per ε
         point: on 2 CPUs its three equal points finish in about 1.5
         point-times instead of 2.  A lockstep λ sweep ignores ``workers``:
-        it sizes its split by the usable CPUs (see ``mode``).
+        it sizes its split by the usable CPUs and the batch (see ``mode``).
     per_point_seed:
         Derive an independent, order-insensitive seed per point instead of
         sharing the baseline's data stream across points.
@@ -117,8 +118,9 @@ class SweepEngine:
         lockstep won all 10 alternating fresh-store pairs (interquartile
         range of the points runs: 1.65 s), so ``figure8`` is registered
         lockstep.  Where the process may use two or more CPUs
-        (:func:`repro.utils.usable_cpus`) and can ``fork``, the points are
-        cut into two contiguous stacks: the parent trains the first,
+        (:func:`repro.utils.usable_cpus`) and can ``fork``, and the points
+        train on mini-batches of 16 or more samples, the points are cut
+        into two contiguous stacks: the parent trains the first,
         larger one at one BLAS thread while a fork-fed worker trains the
         other, and the stacks' routing counters merge into one cache's
         count, so the payload does not depend on the split.  For
@@ -127,7 +129,10 @@ class SweepEngine:
         waiting on the worker; three one-point stacks on two CPUs ran
         faster, but a parent that finished first and waited cut
         perfbench's traced span coverage to 86.5% in one of four runs.
-        One usable CPU or no ``fork`` leaves one stack.  A stack is fixed
+        One usable CPU, no ``fork`` or a smaller batch leaves one stack:
+        below 16 samples a step is mostly per-layer call overhead that one
+        stack shares across its points, and the lockstep benchmark's
+        6-point LeNet at batch 8 ran 9–33% slower split.  A stack is fixed
         for its lifetime; one that is refused (e.g. active dropout) or
         fails mid-run re-runs its points serially from pristine copies.  ε
         rank-clipping sweeps always use the points path because their
@@ -246,7 +251,8 @@ class SweepEngine:
         """Execute λ group-deletion points under this engine's policy.
 
         ``mode="lockstep"`` trains the points as stacks (one, or two side
-        by side on two or more usable CPUs; a single point runs serially);
+        by side on two or more usable CPUs and batches of 16 or more; a
+        single point runs serially);
         ``mode="points"`` runs the tasks independently.
         On the serial points path, routing-analysis cache entries are
         threaded between tasks — each point starts with every entry earlier

@@ -8,6 +8,7 @@ must be invisible in the numbers.
 """
 
 import copy
+import dataclasses
 import multiprocessing as mp
 import os
 import time
@@ -510,21 +511,24 @@ def cache_totals(outcomes):
 
 class TestLockstepGroups:
     @pytest.mark.parametrize(
-        "cpus, points, groups",
+        "cpus, points, batch, groups",
         [
-            (2, 3, [[0, 1], [2]]),
-            (8, 3, [[0, 1], [2]]),
-            (8, 4, [[0, 1], [2, 3]]),
-            (8, 5, [[0, 1, 2], [3, 4]]),
-            (2, 2, [[0], [1]]),
-            (1, 3, [[0, 1, 2]]),
+            (2, 3, 32, [[0, 1], [2]]),
+            (8, 3, 32, [[0, 1], [2]]),
+            (8, 4, 32, [[0, 1], [2, 3]]),
+            (8, 5, 32, [[0, 1, 2], [3, 4]]),
+            (2, 2, 32, [[0], [1]]),
+            (2, 3, 16, [[0, 1], [2]]),
+            (2, 3, 15, [[0, 1, 2]]),
+            (1, 3, 32, [[0, 1, 2]]),
         ],
     )
     def test_two_contiguous_groups_the_first_larger(
-        self, monkeypatch, cpus, points, groups
+        self, monkeypatch, cpus, points, batch, groups
     ):
         set_cpus(monkeypatch, cpus)
-        assert [list(group) for group in resilience._lockstep_groups(points)] == groups
+        layout = resilience._lockstep_groups(points, batch)
+        assert [list(group) for group in layout] == groups
 
 
 @needs_fork
@@ -630,11 +634,15 @@ class TestLockstepSplit:
         assert monitor.interrupted
         assert not monitor.attempts
 
-    @pytest.mark.parametrize("limit", ["one-cpu", "no-fork"])
+    @pytest.mark.parametrize("limit", ["one-cpu", "no-fork", "small-batch"])
     def test_one_stack_starts_no_process(self, monkeypatch, figure8_tasks, limit):
         set_cpus(monkeypatch, 1 if limit == "one-cpu" else 2)
         if limit == "no-fork":
             monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
+        tasks = figure8_tasks()
+        if limit == "small-batch":
+            for task in tasks:
+                task.setup = dataclasses.replace(task.setup, batch_size=8)
 
         def no_process(*args, **kwargs):
             raise AssertionError("a process context was requested")
@@ -642,7 +650,7 @@ class TestLockstepSplit:
         monkeypatch.setattr(mp, "get_context", no_process)
         sizes = record_stacks(monkeypatch)
         monitor = RunMonitor()
-        outcomes = lockstep_engine().run_strength_points(figure8_tasks(), monitor)
+        outcomes = lockstep_engine().run_strength_points(tasks, monitor)
         assert sizes == [3]
         assert sorted(outcomes) == [0, 1, 2]
         assert monitor.attempts == {0: 1, 1: 1, 2: 1}
