@@ -28,6 +28,9 @@ from repro.nn.dtype import as_float
 from repro.utils.rng import RngLike, as_rng
 from repro.utils.validation import check_non_negative, check_positive_int
 
+#: Bytes of Gaussian noise drawn at a time while a split is synthesized.
+_NOISE_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class SyntheticImageConfig:
@@ -155,8 +158,11 @@ def _sample_split(
 
     Each sample gathers its class prototype under its shift from a table of
     every shifted prototype, then takes its contrast in one broadcast
-    multiply and its noise in one add.  The draws come in a fixed order
-    (labels, shifts, contrasts, noise).
+    multiply.  The noise is drawn and added in row blocks of about
+    ``_NOISE_BLOCK_BYTES``, so no noise array as large as the split exists;
+    ``Generator.normal`` yields the same stream whether it is called once or
+    block by block.  The draws come in a fixed order (labels, shifts,
+    contrasts, noise).
     """
     labels = np.arange(num_samples) % config.num_classes
     rng.shuffle(labels)
@@ -166,7 +172,10 @@ def _sample_split(
     index = (shifts[:, 0] + shift) * (2 * shift + 1) + (shifts[:, 1] + shift)
     images = _shifted_prototypes(prototypes, shift)[labels, index]
     images *= contrasts[:, None, None, None]
-    images += rng.normal(0.0, config.noise_std, size=images.shape)
+    rows = max(1, _NOISE_BLOCK_BYTES // (images[0].size * images.itemsize))
+    for start in range(0, num_samples, rows):
+        block = images[start : start + rows]
+        block += rng.normal(0.0, config.noise_std, size=block.shape)
     return ArrayDataset(as_float(images), labels.astype(np.int64))
 
 

@@ -1,8 +1,9 @@
 """Dataset-level transforms.
 
 Transforms operate on whole input arrays (not per-sample) because the
-datasets in this project are in-memory; they return new arrays and never
-mutate their argument.
+datasets in this project are in-memory.  They return new arrays and never
+mutate their argument, except :func:`train_test_statistics`, which
+standardizes freshly built splits in place so that no split is held twice.
 """
 
 from __future__ import annotations
@@ -51,10 +52,21 @@ def normalize_dataset(dataset: ArrayDataset) -> ArrayDataset:
 
 
 def train_test_statistics(train: ArrayDataset, test: ArrayDataset) -> Tuple[ArrayDataset, ArrayDataset]:
-    """Standardize both splits with statistics computed on the *training* split."""
+    """Standardize both splits in place with the *training* split's statistics.
+
+    The train mean and std are computed first; then every input element of
+    both splits becomes ``(x - mean) / std``, bit-equal to :func:`normalize`
+    with those statistics.  Inputs that already have the policy dtype (the
+    synthetic generators' do) are overwritten, not copied, so the two splits
+    must not overlap; ``train`` and ``test`` themselves are returned.
+    Raises ``ValueError`` when the train std is not positive.
+    """
     mean = float(train.inputs.mean())
     std = float(train.inputs.std())
-    return (
-        ArrayDataset(normalize(train.inputs, mean, std), train.targets.copy()),
-        ArrayDataset(normalize(test.inputs, mean, std), test.targets.copy()),
-    )
+    if std <= 0:
+        raise ValueError(f"std must be > 0, got {std}")
+    for split in (train, test):
+        split.inputs = as_float(split.inputs)
+        split.inputs -= mean
+        split.inputs /= std
+    return train, test

@@ -288,12 +288,23 @@ def render_result(result: Any) -> str:
 
 
 def run_environment() -> Dict[str, str]:
-    """The environment block recorded in every artifact."""
+    """The environment block recorded in every artifact.
+
+    ``platform`` is ``platform.platform()``'s Linux form built from
+    ``uname`` and ``libc_ver`` alone: ``platform.platform()`` itself runs
+    ``uname -p`` in a subprocess for a processor name that it drops again
+    whenever that name is unknown or equal to the machine.
+    """
+    uname = platform.uname()
+    libc, libc_version = platform.libc_ver()
+    parts = [uname.system, uname.release, uname.machine]
+    if libc:
+        parts += ["with", libc + libc_version]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "machine": platform.machine(),
-        "platform": platform.platform(),
+        "machine": uname.machine,
+        "platform": "-".join(parts),
     }
 
 
@@ -456,8 +467,10 @@ def _run_hardware_stage(
         return None
     t0 = time.perf_counter()
     inputs, targets = setup.test_dataset.arrays()
-    # batch_size bounds the im2col super-batch like the software eval path;
-    # the per-conversion ADC makes the chunking value-neutral.
+    # batch_size bounds each batch's shared im2col lowering and sets the
+    # batches that the corner pass splits across the CPUs; it stays at 256,
+    # whatever the training batch, and the per-conversion ADC makes the
+    # chunking value-neutral.
     hardware = simulate_evaluate(
         network, inputs, targets, spec.hardware, mapper=mapper, batch_size=256
     )

@@ -162,9 +162,13 @@ class TrainingSetup:
         return self.evaluate(network)
 
     def evaluate(self, network: Sequential) -> float:
-        """Test accuracy of ``network`` on the held-out split."""
+        """Test accuracy of ``network`` on the held-out split.
+
+        Predicts at the training ``batch_size``, so evaluation holds no more
+        activation memory than a training step.
+        """
         inputs, targets = self.test_dataset.arrays()
-        logits = network.predict(inputs, batch_size=256)
+        logits = network.predict(inputs, batch_size=self.batch_size)
         return accuracy(logits, targets)
 
 

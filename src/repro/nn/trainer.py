@@ -70,7 +70,12 @@ class TrainingHistory:
 
 
 class Trainer:
-    """Mini-batch trainer tying together network, loss, optimizer and callbacks."""
+    """Mini-batch trainer tying together network, loss, optimizer and callbacks.
+
+    Evaluation predicts ``eval_data`` at the training loader's
+    ``batch_size``, so inference holds no more activation memory than a
+    training step.
+    """
 
     def __init__(
         self,
@@ -83,7 +88,6 @@ class Trainer:
         regularizers: Sequence[Regularizer] = (),
         callbacks: Sequence[Callback] = (),
         eval_interval: int = 100,
-        eval_batch_size: int = 256,
         log_interval: int = 0,
     ):
         if eval_interval < 1:
@@ -96,7 +100,6 @@ class Trainer:
         self.regularizers = list(regularizers)
         self.callbacks = list(callbacks)
         self.eval_interval = int(eval_interval)
-        self.eval_batch_size = int(eval_batch_size)
         self.log_interval = int(log_interval)
         self.history = TrainingHistory()
         self.iteration = 0
@@ -152,11 +155,14 @@ class Trainer:
         return float(total)
 
     def evaluate(self) -> Optional[float]:
-        """Evaluate accuracy on the held-out data, recording it in the history."""
+        """Evaluate accuracy on the held-out data, recording it in the history.
+
+        Predicts at the training loader's ``batch_size``.
+        """
         if self.eval_data is None:
             return None
         inputs, targets = self.eval_data
-        logits = self.network.predict(inputs, batch_size=self.eval_batch_size)
+        logits = self.network.predict(inputs, batch_size=self.train_loader.batch_size)
         acc = accuracy(logits, targets)
         self.history.eval_iterations.append(self.iteration)
         self.history.eval_accuracy.append(float(acc))
@@ -309,9 +315,12 @@ class LockstepTrainer:
         per-point loaders (independent streams, e.g. ``per_point_seed``).
     callbacks:
         One callback list per point (or empty).
-    regularizers, eval_data, eval_interval, eval_batch_size, log_interval:
+    regularizers, eval_data, eval_interval, log_interval:
         As in :class:`Trainer`; regularizers must implement the
         :class:`~repro.nn.regularization.LockstepRegularizer` protocol.
+
+    Each point evaluates on its own, predicting ``eval_data`` at its
+    loader's ``batch_size`` (the shared loader's, or its own).
     """
 
     def __init__(
@@ -324,7 +333,6 @@ class LockstepTrainer:
         regularizers: Sequence[LockstepRegularizer] = (),
         callbacks: Sequence[Sequence[Callback]] = (),
         eval_interval: int = 100,
-        eval_batch_size: int = 256,
         log_interval: int = 0,
     ):
         if eval_interval < 1:
@@ -334,7 +342,6 @@ class LockstepTrainer:
         self.eval_data = eval_data
         self.regularizers: List[LockstepRegularizer] = list(regularizers)
         self.eval_interval = int(eval_interval)
-        self.eval_batch_size = int(eval_batch_size)
         self.log_interval = int(log_interval)
         self.iteration = 0
 
@@ -462,7 +469,8 @@ class LockstepTrainer:
         if self.eval_data is None:
             return None
         inputs, targets = self.eval_data
-        logits = point.network.predict(inputs, batch_size=self.eval_batch_size)
+        loader = self._shared_loader if point.loader is None else point.loader
+        logits = point.network.predict(inputs, batch_size=loader.batch_size)
         acc = accuracy(logits, targets)
         point.history.eval_iterations.append(self.iteration)
         point.history.eval_accuracy.append(float(acc))

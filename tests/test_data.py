@@ -1,5 +1,7 @@
 """Tests for the data substrate: datasets, loaders, synthetic generators, transforms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.data import (
     train_test_statistics,
     train_val_split,
 )
+from repro.data import synthetic
 from repro.data.synthetic import _sample_split, make_prototypes
 from repro.exceptions import ShapeError
 
@@ -152,17 +155,49 @@ class TestSyntheticImages:
         counts = train.class_counts()
         assert counts.min() >= 9 and counts.max() <= 11
 
+    @pytest.mark.parametrize("noise_block_rows", [None, 1, 3])
     @pytest.mark.parametrize("channels", [1, 3])
     @pytest.mark.parametrize("max_shift", [0, 1, 2])
-    def test_split_matches_the_per_sample_oracle(self, max_shift, channels):
+    def test_split_matches_the_per_sample_oracle(
+        self, max_shift, channels, noise_block_rows, monkeypatch
+    ):
+        # The oracle draws all the noise at once.  With the block budget cut
+        # to a few rows the split draws it in 70 or 24 blocks (the last one
+        # short) and must still give the same bytes and leave the generator
+        # in the same state.
         config = SyntheticImageConfig(
             image_size=9, channels=channels, max_shift=max_shift, seed=4
         )
+        if noise_block_rows is not None:
+            row_bytes = channels * 9 * 9 * 8
+            monkeypatch.setattr(
+                synthetic, "_NOISE_BLOCK_BYTES", noise_block_rows * row_bytes + row_bytes // 2
+            )
         prototypes = make_prototypes(config, np.random.default_rng(0))
-        split = _sample_split(prototypes, 70, config, np.random.default_rng(1))
-        images, labels = per_sample_split(prototypes, 70, config, np.random.default_rng(1))
+        rng, oracle_rng = np.random.default_rng(1), np.random.default_rng(1)
+        split = _sample_split(prototypes, 70, config, rng)
+        images, labels = per_sample_split(prototypes, 70, config, oracle_rng)
         assert split.inputs.tobytes() == images.tobytes()
         assert split.targets.tobytes() == labels.astype(np.int64).tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "make, kwargs", [(make_mnist_like, {}), (make_cifar10_like, {"image_size": 16})]
+    )
+    def test_synthesis_and_standardization_hold_each_split_once(self, make, kwargs):
+        # Noise drawn in blocks and standardization in place: the peak is
+        # the two splits plus the train split's temporary inside ``std`` and
+        # a block of noise, where a split-sized noise array or standardized
+        # copy would reach twice the splits' bytes.
+        tracemalloc.start()
+        try:
+            train, test = train_test_statistics(
+                *make(train_samples=500, test_samples=4000, **kwargs)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (train.inputs.nbytes + test.inputs.nbytes)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -228,6 +263,26 @@ class TestTransformsAndSplits:
         norm_train, norm_test = train_test_statistics(train, test)
         assert norm_train.inputs.mean() == pytest.approx(0.0, abs=1e-9)
         assert norm_test.inputs.mean() != pytest.approx(0.0, abs=1e-3)
+
+    def test_train_test_statistics_standardizes_in_place(self):
+        rng = np.random.default_rng(3)
+        train = ArrayDataset(rng.normal(2.0, 3.0, size=(40, 1, 5, 5)), np.arange(40) % 4)
+        test = ArrayDataset(rng.normal(1.0, 2.0, size=(12, 1, 5, 5)), np.arange(12) % 4)
+        mean, std = float(train.inputs.mean()), float(train.inputs.std())
+        expected = [normalize(split.inputs, mean, std) for split in (train, test)]
+        arrays = [split.inputs for split in (train, test)]
+        out = train_test_statistics(train, test)
+        assert out[0] is train and out[1] is test
+        for split, array, reference in zip(out, arrays, expected):
+            assert split.inputs is array
+            assert split.inputs.tobytes() == reference.tobytes()
+
+    def test_train_test_statistics_rejects_a_constant_train_split(self):
+        train = ArrayDataset(np.full((6, 2), 3.0), np.zeros(6))
+        test = ArrayDataset(np.ones((2, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="std must be > 0"):
+            train_test_statistics(train, test)
+        assert np.all(train.inputs == 3.0) and np.all(test.inputs == 1.0)
 
     def test_train_val_split_sizes(self):
         ds = ArrayDataset(np.arange(40).reshape(20, 2), np.arange(20) % 4)

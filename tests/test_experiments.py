@@ -1,5 +1,7 @@
 """Tests for the experiment harness (presets, workloads, tables, figures, sweeps)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,22 +100,43 @@ class TestPresetsAndWorkloads:
         predict = Sequential.predict
 
         def counting_predict(network, inputs, batch_size=None):
-            predicted.append(inputs.shape[0])
+            predicted.append((inputs.shape[0], batch_size))
             return predict(network, inputs, batch_size=batch_size)
 
         monkeypatch.setattr(Sequential, "predict", counting_predict)
         network, accuracy, setup = train_baseline(workload)
-        assert predicted == [len(setup.test_dataset)]
+        # Evaluation predicts at the training batch size.
+        assert predicted == [(len(setup.test_dataset), setup.batch_size)]
         # The same training with in-run evaluation on: the same bytes.
         reference = workload.build(workload.scale.seed)
         trainer = TrainingSetup.from_workload(workload).trainer_factory(reference)
         trainer.run(workload.scale.baseline_iterations)
         assert len(trainer.history.eval_accuracy) == 3
+        assert predicted[1:] == [(len(setup.test_dataset), setup.batch_size)] * 3
         for (name, param), (_, expected) in zip(
             network.named_parameters(), reference.named_parameters()
         ):
             assert param.data.tobytes() == expected.data.tobytes(), name
         assert accuracy == setup.evaluate(reference)
+
+
+    def test_evaluation_peaks_below_three_training_steps(self):
+        # Evaluation predicts at the training batch size, so its transient
+        # activations (conv lowering included) stay within a step's.
+        workload = convnet_workload("tiny")
+        setup = TrainingSetup.from_workload(workload, evaluate_during_training=False)
+        network = workload.build(workload.scale.seed)
+        trainer = setup.trainer_factory(network)
+        peaks = []
+        for run in (lambda: [trainer.train_step() for _ in range(3)], lambda: setup.evaluate(network)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        steps, evaluation = peaks
+        assert evaluation <= steps
 
 
 class TestHeadlineNumbers:

@@ -257,6 +257,32 @@ class TestTrainer:
                 eval_interval=0,
             )
 
+    def test_eval_batch_size_is_not_a_setting(self, mlp_trainer_factory, small_mlp):
+        trainer = mlp_trainer_factory(small_mlp)
+        with pytest.raises(TypeError):
+            Trainer(
+                small_mlp,
+                SoftmaxCrossEntropy(),
+                trainer.optimizer,
+                trainer.train_loader,
+                eval_batch_size=256,
+            )
+
+    def test_evaluation_predicts_at_the_loader_batch_size(
+        self, mlp_trainer_factory, small_mlp, monkeypatch
+    ):
+        batch_sizes = []
+        predict = Sequential.predict
+
+        def spy(network, inputs, batch_size=None):
+            batch_sizes.append(batch_size)
+            return predict(network, inputs, batch_size=batch_size)
+
+        monkeypatch.setattr(Sequential, "predict", spy)
+        trainer = mlp_trainer_factory(small_mlp)
+        trainer.run(50)
+        assert batch_sizes == [trainer.train_loader.batch_size] * 2
+
     def test_run_zero_iterations_is_noop(self, mlp_trainer_factory, small_mlp):
         trainer = mlp_trainer_factory(small_mlp)
         history = trainer.run(0)

@@ -6,6 +6,9 @@ engine policies reuse each other's point artifacts; stored artifacts rebuild
 the same result views (``format_table``) without retraining.
 """
 
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,7 @@ from repro.experiments import (
     render_artifact,
     spec_for_workload,
 )
+from repro.experiments.plan import run_environment
 from repro.experiments.store import flatten_result
 
 FAST = dict(
@@ -63,6 +67,23 @@ def _forbid_training(monkeypatch):
 
     # The graph's baseline node is the only caller of train_baseline.
     monkeypatch.setattr(graph_module, "train_baseline", boom)
+
+
+def test_run_environment_starts_no_subprocess(monkeypatch):
+    expected = platform.platform()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_environment started a subprocess")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    # A fresh run has neither platform's uname (with its processor) nor its
+    # platform string cached yet.
+    monkeypatch.setattr(platform, "_uname_cache", None)
+    monkeypatch.setattr(platform, "_platform_cache", {})
+    environment = run_environment()
+    assert environment["machine"] == platform.machine()
+    if sys.platform.startswith("linux"):
+        assert environment["platform"] == expected
 
 
 class TestArtifactLifecycle:
