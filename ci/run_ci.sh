@@ -7,7 +7,7 @@
 #                           # spec/store/CLI tests, the golden-artifact pins,
 #                           # and the crossbar-simulator parity/eval tests)
 #                           # plus `python -m repro` CLI smoke jobs and a
-#                           # perfbench payload-digest smoke
+#                           # perfbench payload-digest and peak-RSS smoke
 #   ci/run_ci.sh --quick    # engine regression tests only (fast iteration)
 #   ci/run_ci.sh --bench    # tier-1 plus one BENCH_<suite>.json data point
 #                           # per registered suite (suite names come from the
@@ -157,13 +157,13 @@ EOF
   # The same runs pin the working set: every workload's peak RSS must stay
   # at or under 75 MiB.  Synthesis draws its noise in ~1 MiB row blocks and
   # standardizes in place, and evaluation predicts at the training batch
-  # size, so on a 2-core x86_64 host the runs read 55.7 (fig7), 60.2 (fig8)
-  # and 67.6 MiB (hw-eval), against 80.3-83.2 MiB when synthesis held a
+  # size, so on a 2-core x86_64 host the runs read 55.8 (fig7), 59.7 (fig8)
+  # and 67.4 MiB (hw-eval), against 80.3-83.1 MiB when synthesis held a
   # split-sized noise array and a standardized copy and evaluation ran 256
   # samples a batch.  Putting back either alone trips the ceiling: the
   # whole-split synthesis reads hw-eval at 83.1 MiB, the 256-sample
   # evaluation fig7 at 79.9 and fig8 at 81.0 MiB.  75 MiB sits between the
-  # two levels, 7 MiB above the highest reading.
+  # two levels, 7.6 MiB above the highest reading.
   BENCH_OUT="$(python3 perfbench/run.py --workload all --seconds 0)"
   echo "$BENCH_OUT"
   tail -n 1 <<< "$BENCH_OUT" | python -c '

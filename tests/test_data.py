@@ -44,6 +44,17 @@ def per_sample_split(prototypes, num_samples, config, rng):
     return images, labels
 
 
+def assert_split_matches_the_oracle(config):
+    """70 samples from ``_sample_split`` equal the oracle's, generator state included."""
+    prototypes = make_prototypes(config, np.random.default_rng(0))
+    rng, oracle_rng = np.random.default_rng(1), np.random.default_rng(1)
+    split = _sample_split(prototypes, 70, config, rng)
+    images, labels = per_sample_split(prototypes, 70, config, oracle_rng)
+    assert split.inputs.tobytes() == images.tobytes()
+    assert split.targets.tobytes() == labels.astype(np.int64).tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 class TestArrayDataset:
     def test_basic_properties(self):
         ds = ArrayDataset(np.zeros((10, 3, 4, 4)), np.arange(10) % 2)
@@ -155,31 +166,28 @@ class TestSyntheticImages:
         counts = train.class_counts()
         assert counts.min() >= 9 and counts.max() <= 11
 
-    @pytest.mark.parametrize("noise_block_rows", [None, 1, 3])
     @pytest.mark.parametrize("channels", [1, 3])
     @pytest.mark.parametrize("max_shift", [0, 1, 2])
-    def test_split_matches_the_per_sample_oracle(
-        self, max_shift, channels, noise_block_rows, monkeypatch
-    ):
-        # The oracle draws all the noise at once.  With the block budget cut
-        # to a few rows the split draws it in 70 or 24 blocks (the last one
-        # short) and must still give the same bytes and leave the generator
-        # in the same state.
+    def test_split_matches_the_per_sample_oracle(self, max_shift, channels):
         config = SyntheticImageConfig(
             image_size=9, channels=channels, max_shift=max_shift, seed=4
         )
-        if noise_block_rows is not None:
-            row_bytes = channels * 9 * 9 * 8
-            monkeypatch.setattr(
-                synthetic, "_NOISE_BLOCK_BYTES", noise_block_rows * row_bytes + row_bytes // 2
-            )
-        prototypes = make_prototypes(config, np.random.default_rng(0))
-        rng, oracle_rng = np.random.default_rng(1), np.random.default_rng(1)
-        split = _sample_split(prototypes, 70, config, rng)
-        images, labels = per_sample_split(prototypes, 70, config, oracle_rng)
-        assert split.inputs.tobytes() == images.tobytes()
-        assert split.targets.tobytes() == labels.astype(np.int64).tobytes()
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert_split_matches_the_oracle(config)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("noise_block_rows", [1, 3])
+    def test_noise_drawn_in_blocks_matches_one_draw(
+        self, noise_block_rows, channels, monkeypatch
+    ):
+        # The oracle draws all the noise at once.  With the block budget cut
+        # to a few rows (plus half a row) the split draws it in 70 or 24
+        # blocks, the last one short.
+        row_bytes = channels * 9 * 9 * 8
+        monkeypatch.setattr(
+            synthetic, "_NOISE_BLOCK_BYTES", noise_block_rows * row_bytes + row_bytes // 2
+        )
+        config = SyntheticImageConfig(image_size=9, channels=channels, max_shift=2, seed=4)
+        assert_split_matches_the_oracle(config)
 
     @pytest.mark.parametrize(
         "make, kwargs", [(make_mnist_like, {}), (make_cifar10_like, {"image_size": 16})]

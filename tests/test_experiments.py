@@ -119,7 +119,6 @@ class TestPresetsAndWorkloads:
             assert param.data.tobytes() == expected.data.tobytes(), name
         assert accuracy == setup.evaluate(reference)
 
-
     def test_evaluation_peaks_below_three_training_steps(self):
         # Evaluation predicts at the training batch size, so its transient
         # activations (conv lowering included) stay within a step's.
@@ -128,10 +127,13 @@ class TestPresetsAndWorkloads:
         network = workload.build(workload.scale.seed)
         trainer = setup.trainer_factory(network)
         peaks = []
-        for run in (lambda: [trainer.train_step() for _ in range(3)], lambda: setup.evaluate(network)):
+        for work in (
+            lambda: [trainer.train_step() for _ in range(3)],
+            lambda: setup.evaluate(network),
+        ):
             tracemalloc.start()
             try:
-                run()
+                work()
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -292,6 +292,28 @@ class TestLockstepParity:
         lockstep_run(lock_nets, train_set, iterations=15, loaders=loaders)
         assert_networks_identical(serial_nets, lock_nets)
 
+    @pytest.mark.parametrize("per_point", [False, True])
+    def test_points_predict_at_their_loader_batch_size(self, blob_data, monkeypatch, per_point):
+        train_set, test_set = blob_data
+        batch_sizes = []
+        predict = Sequential.predict
+
+        def spy(network, inputs, batch_size=None):
+            batch_sizes.append(batch_size)
+            return predict(network, inputs, batch_size=batch_size)
+
+        monkeypatch.setattr(Sequential, "predict", spy)
+        loaders = (
+            [DataLoader(train_set, batch_size=8, rng=seed) for seed in (1, 2)]
+            if per_point
+            else DataLoader(train_set, batch_size=16, rng=1)
+        )
+        networks = [build_mlp(12, [8], 4, rng=s) for s in range(2)]
+        lockstep_run(
+            networks, train_set, iterations=10, eval_data=test_set.arrays(), loaders=loaders
+        )
+        assert batch_sizes == [8 if per_point else 16] * 2
+
 
 class _MaskCallback(Callback):
     """Install a point-specific pruning mask on fc1 mid-run (set_mask re-binds data)."""
@@ -482,26 +504,6 @@ class TestStackingValidation:
                 DataLoader(train_set, batch_size=16, rng=1),
                 eval_batch_size=256,
             )
-
-    @pytest.mark.parametrize("per_point", [False, True])
-    def test_points_predict_at_their_loader_batch_size(self, blob_data, monkeypatch, per_point):
-        train_set, test_set = blob_data
-        batch_sizes = []
-        predict = Sequential.predict
-
-        def spy(network, inputs, batch_size=None):
-            batch_sizes.append(batch_size)
-            return predict(network, inputs, batch_size=batch_size)
-
-        monkeypatch.setattr(Sequential, "predict", spy)
-        loaders = (
-            [DataLoader(train_set, batch_size=8, rng=seed) for seed in (1, 2)]
-            if per_point
-            else DataLoader(train_set, batch_size=16, rng=1)
-        )
-        networks = [build_mlp(12, [8], 4, rng=s) for s in range(2)]
-        lockstep_run(networks, train_set, iterations=10, eval_data=test_set.arrays(), loaders=loaders)
-        assert batch_sizes == [8 if per_point else 16] * 2
 
     def test_lockstep_sgd_validation(self):
         sp = StackedParameter([Parameter(np.zeros(3)), Parameter(np.zeros(3))])
